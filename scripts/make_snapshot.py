@@ -57,6 +57,8 @@ MOMENTS = {
 VAC_MEAN, VAC_SD = 0.55, 1.57
 DAYS_TARGET_SUM = 1518  # 56 countries, mean 27.107
 CORR_TARGET = 0.83
+# quantile band of each variable under the table-3 robustness filter
+TABLE3_BANDS = {code: (lo, hi) for code, lo, hi in specs.OUTLIER_FILTERS["table3"]}
 
 STARTED_SP30 = [
     ("FRA", "France"), ("GBR", "United Kingdom"), ("DEU", "Germany"),
@@ -267,8 +269,7 @@ class Builder:
         self._pull_to_group_top("gov_eff", ["JPN", "NZL"])
 
         # --- countries missing both GDP variables (kept mid-band) ---
-        lo = panel.quantile(gov_eff, 0.05)
-        hi = panel.quantile(gov_eff, 0.95)
+        lo, hi = (panel.quantile(gov_eff, p) for p in TABLE3_BANDS["gov_eff"])
         eligible = [
             i
             for i in np.argsort(np.abs(gov_eff - np.median(gov_eff)))
@@ -446,11 +447,10 @@ class Builder:
 
     def _pull_into_band(self, code, iso_list, present=None):
         """Swap values among never-started countries so the named ones sit
-        strictly inside the 5-95 percent band (multiset unchanged)."""
+        strictly inside the table-3 filter band (multiset unchanged)."""
         col = self.cols[code]
         present = ~np.isnan(col) if present is None else present
-        lo = panel.quantile(col[present], 0.05)
-        hi = panel.quantile(col[present], 0.95)
+        lo, hi = (panel.quantile(col[present], p) for p in TABLE3_BANDS[code])
         pool = [
             i
             for i in range(self.n)
@@ -478,23 +478,16 @@ class Builder:
                 col[i], col[j] = col[j], col[i]
 
     def _table3_drop_set(self):
-        """Countries removed by the gov_eff then gdp percentile filters,
-        computed with the library quantile convention."""
-        gov = self.cols["gov_eff"]
-        gdp = self.cols["gdp"]
-        lo = panel.quantile(gov[~np.isnan(gov)], 0.05)
-        hi = panel.quantile(gov[~np.isnan(gov)], 0.95)
-        keep1 = (gov >= lo) & (gov <= hi)
-        dropped = set(self.iso[~keep1])
-        g2 = gdp[keep1]
-        ok = ~np.isnan(g2)
-        lo2 = panel.quantile(g2[ok], 0.05)
-        hi2 = panel.quantile(g2[ok], 0.95)
-        survivors = self.iso[keep1]
-        for iso3, v in zip(survivors, g2):
-            if not np.isnan(v) and not (lo2 <= v <= hi2):
-                dropped.add(iso3)
-        return dropped
+        """Countries removed by the table-3 percentile filter bands in
+        order, computed with the library quantile convention."""
+        keep = np.ones(self.n, dtype=bool)
+        for code, (low_p, high_p) in TABLE3_BANDS.items():
+            col = self.cols[code]
+            present = keep & ~np.isnan(col)
+            lo = panel.quantile(col[present], low_p)
+            hi = panel.quantile(col[present], high_p)
+            keep &= np.isnan(col) | ((col >= lo) & (col <= hi))
+        return set(self.iso[~keep])
 
     # ----- serialization -----
 
@@ -652,10 +645,8 @@ def verify(pan, verbose=True):
     )
 
     # robustness suites
-    t3_panel = panel.filter_percentile(
-        panel.filter_percentile(pan, "gov_eff", 0.05, 0.95), "gdp", 0.05, 0.95
-    )
-    t4_panel = panel.filter_percentile(pan, "vac_php", 0.0, 0.95)
+    t3_panel = specs.apply_outlier_filter(pan, "table3")
+    t4_panel = specs.apply_outlier_filter(pan, "table4")
     f3 = {s.name: heckman.fit_two_step(panel.build_model_frame(t3_panel, s))
           for s in model_specs[:4]}
     f4 = {s.name: heckman.fit_two_step(panel.build_model_frame(t4_panel, s))

@@ -14,9 +14,8 @@ from importlib import resources
 from pathlib import Path
 
 from vaxsel import heckman, render, replicate, synth
-from vaxsel.panel import PanelError, load_panel, load_schema
-from vaxsel.probit import ProbitError
-from vaxsel.specs import builtin_specs
+from vaxsel.panel import load_panel, load_schema
+from vaxsel.specs import OUTLIER_FILTERS, apply_outlier_filter, builtin_specs
 
 VCOV_BY_FLAG = {"robust": heckman.PLAIN_ROBUST, "heckman": heckman.HECKMAN_CORRECTED}
 
@@ -56,20 +55,6 @@ def _selected_specs(model):
     return [specs[int(model) - 1]]
 
 
-def _apply_filter(panel, name):
-    from vaxsel.panel import filter_percentile
-
-    if name == "none":
-        return panel
-    if name == "table3":
-        return filter_percentile(
-            filter_percentile(panel, "gov_eff", 0.05, 0.95), "gdp", 0.05, 0.95
-        )
-    if name == "table4":
-        return filter_percentile(panel, "vac_php", 0.0, 0.95)
-    raise ValueError(f"unknown filter {name!r}")
-
-
 def _write_table(out_dir, stem, table):
     render.write_text_atomic(out_dir / "tables" / f"{stem}.md",
                              render.render_table_markdown(table))
@@ -94,7 +79,7 @@ def cmd_describe(args):
 
 
 def cmd_fit(args):
-    panel = _apply_filter(_load(args), args.filter)
+    panel = apply_outlier_filter(_load(args), args.filter)
     specs = _selected_specs(args.model)
     table = replicate.run_model_suite(panel, specs, VCOV_BY_FLAG[args.vcov])
     out = Path(args.out)
@@ -110,17 +95,15 @@ def cmd_replicate(args):
 
     _progress("replicate: descriptive table")
     _write_table(out, "table1", replicate.descriptive_table(panel))
-    _progress("replicate: estimation suite")
-    _write_table(out, "table2", replicate.run_model_suite(panel, None, vcov))
-    _progress("replicate: robustness suites")
-    t3, t4 = replicate.run_outlier_suites(panel, None, vcov)
-    _write_table(out, "table3", t3)
-    _write_table(out, "table4", t4)
+    _progress("replicate: estimation and robustness suites")
+    tables = replicate.replication_tables(panel, vcov)
+    for stem, table in tables.items():
+        _write_table(out, stem, table)
     _progress("replicate: figures")
     _write_figures(out, replicate.all_figures(panel, grid_points=args.grid))
     _progress("replicate: diff report")
     render.write_text_atomic(out / "report" / "replication_diff.md",
-                             replicate.replication_diff(panel))
+                             replicate.replication_diff(panel, tables))
     render.write_text_atomic(out / "report" / "audit.log",
                              "".join(line + "\n" for line in panel.audit))
     _progress(f"replicate: output tree complete under {out}")
@@ -170,7 +153,7 @@ def build_parser():
                    help="model specification to fit (default: all)")
     p.add_argument("--vcov", default="robust", choices=["robust", "heckman"],
                    help="second-stage covariance (default: robust)")
-    p.add_argument("--filter", default="none", choices=["none", "table3", "table4"],
+    p.add_argument("--filter", default="none", choices=list(OUTLIER_FILTERS),
                    help="outlier filter applied before fitting (default: none)")
     p.set_defaults(func=cmd_fit)
 
@@ -214,7 +197,7 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return args.func(args)
-    except (PanelError, ProbitError, heckman.CollinearMillsError, ValueError, OSError) as exc:
+    except (*heckman.ESTIMATION_ERRORS, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -19,6 +19,9 @@ Two covariance variants for the second stage are shipped:
     error structure plus the propagation term for the estimated
     first-stage coefficients.  It collapses to the unadjusted covariance
     sigma^2 (W'W)^{-1} when the Mills coefficient is zero.
+
+Both are functions of the same first stage and point estimates, so one
+fit serves both: HeckmanFit.covariances computes the other on demand.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from vaxsel import probit
+from vaxsel.panel import PanelError
 from vaxsel.stdnorm import inverse_mills, inverse_mills_delta
 
 PLAIN_ROBUST = "plain_robust"
@@ -47,6 +51,11 @@ class CollinearMillsError(Exception):
     """Raised when the Mills column adds no identifying variation."""
 
 
+# What a model that cannot be estimated raises; anything else is a bug.
+ESTIMATION_ERRORS = (PanelError, probit.ProbitError, CollinearMillsError, ValueError,
+                     np.linalg.LinAlgError)
+
+
 @dataclass
 class HeckmanFit:
     """Full two-step result.
@@ -55,7 +64,8 @@ class HeckmanFit:
     entry, the Mills-ratio coefficient (an estimate of rho * sigma_u);
     imr_coef mirrors that last entry.  In the degenerate all-selected
     case the Mills column is skipped, outcome_coef has no extra entry and
-    imr_coef is 0.
+    imr_coef is 0.  outcome_vcov and selection_vcov are the vcov_variant
+    covariances; covariances() gives either variant.
     """
 
     first_stage: probit.ProbitFit
@@ -72,8 +82,18 @@ class HeckmanFit:
     selection_vcov: np.ndarray
     degenerate: bool = False
     design: np.ndarray = field(default=None, repr=False)
-    mills: np.ndarray = field(default=None, repr=False)
     outcome_keep: np.ndarray = field(default=None, repr=False)
+    frame: object = field(default=None, repr=False)
+
+    def covariances(self, variant: str):
+        """(outcome, selection) covariance under variant: the stored pair
+        for the fitted variant, else computed on each call.  A degenerate
+        fit has only its robust outcome covariance, for either variant."""
+        if variant not in VCOV_VARIANTS:
+            raise ValueError(f"unknown vcov variant {variant!r}; choose from {VCOV_VARIANTS}")
+        if self.degenerate or variant == self.vcov_variant:
+            return self.outcome_vcov, self.selection_vcov
+        return _covariances(self, variant)
 
 
 def ols(y, X, labels=None):
@@ -90,7 +110,9 @@ def ols(y, X, labels=None):
     if n < k + 1:
         raise ValueError(f"need at least {k + 1} rows to fit {k} coefficients")
     labels = list(labels) if labels is not None else [f"x{j}" for j in range(k)]
-    probit._check_design(X, labels)
+    collinear = probit.collinear_columns(X, labels)
+    if collinear:
+        raise probit.RankDeficientError(collinear)
     coef, *_ = np.linalg.lstsq(X, y, rcond=None)
     resid = y - X @ coef
     return coef, resid
@@ -144,6 +166,14 @@ def heckman_corrected_vcov(fit: HeckmanFit, frame) -> np.ndarray:
     return 0.5 * (v + v.T)
 
 
+def _covariances(fit: HeckmanFit, variant: str):
+    frame = fit.frame
+    if variant == PLAIN_ROBUST:
+        return plain_robust_vcov(fit), probit.sandwich_vcov(
+            fit.first_stage, frame.selection_y, frame.selection_X)
+    return heckman_corrected_vcov(fit, frame), fit.first_stage.vcov
+
+
 def fit_two_step(frame, vcov_variant: str = PLAIN_ROBUST) -> HeckmanFit:
     """Estimate the two-step selection model on a model frame.
 
@@ -153,7 +183,8 @@ def fit_two_step(frame, vcov_variant: str = PLAIN_ROBUST) -> HeckmanFit:
         and outcome_y/outcome_X over the selected subset.
     vcov_variant : 'plain_robust' (default, robust both stages) or
         'heckman_corrected' (classic two-step inference, first stage
-        reported with the observed-information covariance).
+        reported with the observed-information covariance).  Only this
+        variant is computed here; HeckmanFit.covariances gives the other.
 
     Raises
     ------
@@ -178,29 +209,25 @@ def fit_two_step(frame, vcov_variant: str = PLAIN_ROBUST) -> HeckmanFit:
         # near-zero constant collinear with the intercept; fall back to
         # plain least squares and say so.
         coef, resid = ols(out_y, out_X, out_labels)
-        sigma2 = float(resid @ resid / n_selected)
-        wtw_inv = np.linalg.inv(out_X.T @ out_X)
-        k = out_X.shape[1]
-        meat = (out_X * (resid**2)[:, None]).T @ out_X
-        v = wtw_inv @ meat @ wtw_inv * (n_selected / (n_selected - k))
-        return HeckmanFit(
+        fit = HeckmanFit(
             first_stage=None,
             outcome_coef=coef,
             imr_coef=0.0,
-            outcome_vcov=0.5 * (v + v.T),
+            outcome_vcov=None,
             vcov_variant=PLAIN_ROBUST,
             outcome_labels=out_labels,
             n_total=n_total,
             n_selected=n_selected,
             residuals=resid,
-            sigma2=sigma2,
+            sigma2=float(resid @ resid / n_selected),
             rho=0.0,
             selection_vcov=None,
             degenerate=True,
             design=out_X,
-            mills=np.zeros(n_selected),
             outcome_keep=np.ones(n_selected, dtype=bool),
         )
+        fit.outcome_vcov = plain_robust_vcov(fit)
+        return fit
 
     first = probit.fit(sel_y, sel_X, labels=list(frame.selection_labels))
     if not first.converged:
@@ -209,10 +236,7 @@ def fit_two_step(frame, vcov_variant: str = PLAIN_ROBUST) -> HeckmanFit:
         )
 
     selected = sel_y == 1.0
-    keep = getattr(frame, "outcome_keep", None)
-    if keep is None:
-        keep = np.ones(int(selected.sum()), dtype=bool)
-    keep = np.asarray(keep, dtype=bool)
+    keep = np.asarray(frame.outcome_keep, dtype=bool)
     idx_sel = (sel_X[selected] @ first.coef)[keep]
     if idx_sel.shape[0] != n_selected:
         raise ValueError("outcome rows do not line up with the selected selection rows")
@@ -249,14 +273,8 @@ def fit_two_step(frame, vcov_variant: str = PLAIN_ROBUST) -> HeckmanFit:
         rho=rho,
         selection_vcov=None,
         design=W,
-        mills=mills,
         outcome_keep=keep,
+        frame=frame,
     )
-
-    if vcov_variant == PLAIN_ROBUST:
-        fit.outcome_vcov = plain_robust_vcov(fit)
-        fit.selection_vcov = probit.sandwich_vcov(first, sel_y, sel_X)
-    else:
-        fit.outcome_vcov = heckman_corrected_vcov(fit, frame)
-        fit.selection_vcov = first.vcov
+    fit.outcome_vcov, fit.selection_vcov = _covariances(fit, vcov_variant)
     return fit

@@ -18,6 +18,8 @@ from pathlib import Path
 import numpy as np
 import yaml
 
+from vaxsel.probit import collinear_columns
+
 SNAPSHOT_DATE = date(2021, 1, 30)
 
 CODE_STARTED = "started"
@@ -98,22 +100,15 @@ class Panel:
 
     def column(self, code):
         """Transformed values as a float array, NaN where missing."""
-        self.def_for(code)
-        out = np.full(len(self.records), np.nan)
-        for i, r in enumerate(self.records):
-            v = r.values.get(code)
-            if v is not None:
-                out[i] = v
-        return out
+        return self._floats(code, "values")
 
     def raw_column(self, code):
+        return self._floats(code, "raw")
+
+    def _floats(self, code, store):
         self.def_for(code)
-        out = np.full(len(self.records), np.nan)
-        for i, r in enumerate(self.records):
-            v = r.raw.get(code)
-            if v is not None:
-                out[i] = v
-        return out
+        values = (getattr(r, store).get(code) for r in self.records)
+        return np.array([np.nan if v is None else v for v in values], dtype=float)
 
 
 def load_schema(path) -> list:
@@ -348,10 +343,12 @@ class ModelFrame:
     outcome_y: np.ndarray
     outcome_X: np.ndarray
     outcome_labels: list
-    row_labels: list
-    outcome_row_labels: list
     outcome_keep: np.ndarray
     spec_name: str = ""
+    # country codes of the selection and outcome rows; empty for frames
+    # not assembled from a panel
+    row_labels: list = field(default_factory=list)
+    outcome_row_labels: list = field(default_factory=list)
 
     @property
     def n_selection_rows(self):
@@ -363,12 +360,9 @@ class ModelFrame:
 
 
 def _check_full_rank(X, labels, stage):
-    r = np.linalg.qr(X, mode="r")
-    diag = np.abs(np.diag(r))
-    tol = max(X.shape) * np.finfo(float).eps * (diag.max() if diag.size else 0.0)
-    bad = [labels[j] for j in np.where(diag <= tol)[0]]
-    if bad:
-        raise FrameError(f"{stage} matrix is rank deficient; collinear columns: {bad}")
+    collinear = collinear_columns(X, labels)
+    if collinear:
+        raise FrameError(f"{stage} matrix is rank deficient; collinear columns: {collinear}")
 
 
 def build_model_frame(panel: Panel, spec) -> ModelFrame:

@@ -55,17 +55,15 @@ class ProbitFit:
     loglik_path: list[float] = field(default_factory=list, repr=False)
 
 
-def _check_design(X, labels):
+def collinear_columns(X, labels):
+    """Labels of the columns whose QR diagonal is below max(n, k) * eps *
+    max|R_jj|; every label when X has fewer rows than columns."""
     n, k = X.shape
     if n < k:
-        raise RankDeficientError(labels or list(range(k)))
-    r = np.linalg.qr(X, mode="r")
-    diag = np.abs(np.diag(r))
+        return list(labels)
+    diag = np.abs(np.diag(np.linalg.qr(X, mode="r")))
     tol = max(n, k) * np.finfo(float).eps * (diag.max() if diag.size else 0.0)
-    bad = np.where(diag <= tol)[0]
-    if bad.size:
-        names = [labels[j] if labels else j for j in bad]
-        raise RankDeficientError(names)
+    return [labels[j] for j in np.where(diag <= tol)[0]]
 
 
 def _prepare(y, X, labels=None):
@@ -129,7 +127,9 @@ def fit(y, X, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, labels=None) -> Probit
         still above tolerance (perfect or quasi-perfect separation).
     """
     y, X, labels = _prepare(y, X, labels)
-    _check_design(X, labels)
+    collinear = collinear_columns(X, labels)
+    if collinear:
+        raise RankDeficientError(collinear)
     if y.min() == y.max():
         raise ValueError("y contains a single class; probit is not estimable")
 

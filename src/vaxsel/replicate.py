@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from vaxsel import heckman, probit
-from vaxsel.panel import Panel, build_model_frame, filter_percentile, quantile
-from vaxsel.specs import ANCHOR_CELLS, TABLE_ROW_ORDER, builtin_specs
+from vaxsel.panel import Panel, build_model_frame, quantile
+from vaxsel.specs import ANCHOR_CELLS, TABLE_ROW_ORDER, apply_outlier_filter, builtin_specs
 from vaxsel.stdnorm import normal_cdf
 
 Z_95 = 1.959964
@@ -97,22 +97,43 @@ def descriptive_table(panel: Panel) -> TableResult:
     return out
 
 
-def _fit_cells(table: TableResult, name: str, fit: heckman.HeckmanFit):
-    out_col = f"{name}:outcome"
-    sel_col = f"{name}:selection"
-    se_out = np.sqrt(np.diag(fit.outcome_vcov))
-    for j, label in enumerate(fit.outcome_labels):
-        coef = float(fit.outcome_coef[j])
-        se = float(se_out[j])
-        table.cells[(label, out_col)] = Cell(coef, se, heckman.significance_stars(coef, se))
-    if not fit.degenerate:
-        se_sel = np.sqrt(np.diag(fit.selection_vcov))
-        for j, label in enumerate(fit.first_stage.labels):
-            coef = float(fit.first_stage.coef[j])
-            se = float(se_sel[j])
-            table.cells[(label, sel_col)] = Cell(coef, se, heckman.significance_stars(coef, se))
-    table.observations[out_col] = fit.n_total
-    table.observations[sel_col] = fit.n_total
+# title of each robustness suite, by the outlier filter it runs on
+ROBUSTNESS_TITLES = {
+    "table3": "Estimated selection models (gov. effectiveness and GDP outliers excluded)",
+    "table4": "Estimated selection models (vaccination rate outliers excluded)",
+}
+
+
+def tabulate(table: TableResult, vcov_variant: str) -> TableResult:
+    """The fits of a run_model_suite table as paired columns under
+    vcov_variant; a covariance the fits were not made with is computed
+    from them, not refitted."""
+    out = TableResult(
+        title=table.title,
+        column_labels=list(table.column_labels),
+        row_labels=list(TABLE_ROW_ORDER),
+        column_errors=dict(table.column_errors),
+        notes=[
+            f"second-stage covariance: {vcov_variant}; "
+            "stars: *** 1%, ** 5%, * 10% (two-sided normal)",
+            "every model includes the three vaccine provider dummies in the outcome stage",
+        ],
+        fits=table.fits,
+    )
+    for name, fit in table.fits.items():
+        outcome_vcov, selection_vcov = fit.covariances(vcov_variant)
+        stages = [("outcome", fit.outcome_labels, fit.outcome_coef, outcome_vcov)]
+        if not fit.degenerate:
+            first = fit.first_stage
+            stages.append(("selection", first.labels, first.coef, selection_vcov))
+        for stage, labels, coefs, vcov in stages:
+            for label, coef, se in zip(labels, coefs.tolist(), np.sqrt(np.diag(vcov)).tolist()):
+                out.cells[(label, f"{name}:{stage}")] = Cell(
+                    coef, se, heckman.significance_stars(coef, se))
+        out.observations[f"{name}:outcome"] = out.observations[f"{name}:selection"] = fit.n_total
+    used = {r for (r, _) in out.cells}
+    out.row_labels = [r for r in out.row_labels if r in used]
+    return out
 
 
 def run_model_suite(
@@ -127,58 +148,35 @@ def run_model_suite(
     columns; the remaining models still run.
     """
     specs = list(builtin_specs() if specs is None else specs)
-    columns = []
-    for s in specs:
-        columns += [f"{s.name}:outcome", f"{s.name}:selection"]
     table = TableResult(
         title=title,
-        column_labels=columns,
-        row_labels=list(TABLE_ROW_ORDER),
-        notes=[
-            f"second-stage covariance: {vcov_variant}; "
-            "stars: *** 1%, ** 5%, * 10% (two-sided normal)",
-            "every model includes the three vaccine provider dummies in the outcome stage",
-        ],
+        column_labels=[f"{s.name}:{stage}" for s in specs for stage in ("outcome", "selection")],
+        row_labels=[],
     )
-    fits = {}
     for s in specs:
         try:
             frame = build_model_frame(panel, s)
-            fit = heckman.fit_two_step(frame, vcov_variant=vcov_variant)
-        except Exception as exc:  # reported in-table, suite continues
+            table.fits[s.name] = heckman.fit_two_step(frame, vcov_variant=vcov_variant)
+        except heckman.ESTIMATION_ERRORS as exc:  # reported in-table, suite continues
             table.column_errors[f"{s.name}:outcome"] = str(exc)
             table.column_errors[f"{s.name}:selection"] = str(exc)
-            continue
-        fits[s.name] = fit
-        _fit_cells(table, s.name, fit)
-    used = {r for (r, _) in table.cells}
-    table.row_labels = [r for r in table.row_labels if r in used]
-    table.fits = fits
-    return table
+    return tabulate(table, vcov_variant)
 
 
 def run_outlier_suites(panel: Panel, specs=None, vcov_variant=heckman.PLAIN_ROBUST):
-    """The two robustness suites: trimmed capacity/size and trimmed outcome.
-
-    The first restricts government effectiveness and then GDP to their
-    5-95 percentile bands; the second drops countries above the 95th
-    percentile of the observed vaccination rate.  Both re-run the first
-    four model specifications.
-    """
+    """The two robustness suites, tables 3 and 4: the first four model
+    specifications on the panel trimmed by each named outlier filter."""
     specs = list(builtin_specs() if specs is None else specs)[:4]
-    t3_panel = filter_percentile(
-        filter_percentile(panel, "gov_eff", 0.05, 0.95), "gdp", 0.05, 0.95
+    return tuple(
+        run_model_suite(apply_outlier_filter(panel, name), specs, vcov_variant, title)
+        for name, title in ROBUSTNESS_TITLES.items()
     )
-    t4_panel = filter_percentile(panel, "vac_php", 0.0, 0.95)
-    t3 = run_model_suite(
-        t3_panel, specs, vcov_variant,
-        title="Estimated selection models (gov. effectiveness and GDP outliers excluded)",
-    )
-    t4 = run_model_suite(
-        t4_panel, specs, vcov_variant,
-        title="Estimated selection models (vaccination rate outliers excluded)",
-    )
-    return t3, t4
+
+
+def replication_tables(panel: Panel, vcov_variant: str = heckman.PLAIN_ROBUST) -> dict:
+    """Tables 2-4 keyed by table id, each cell fitted once."""
+    t3, t4 = run_outlier_suites(panel, None, vcov_variant)
+    return {"table2": run_model_suite(panel, None, vcov_variant), "table3": t3, "table4": t4}
 
 
 def correlation_matrix(panel: Panel, codes=None) -> FigureData:
@@ -315,15 +313,17 @@ def all_figures(panel: Panel, grid_points: int = 100):
     ]
 
 
-def replication_diff(panel: Panel) -> str:
+def replication_diff(panel: Panel, tables=None) -> str:
     """Markdown report: reference estimate beside the computed cell for
-    every anchor, under both second-stage covariance variants."""
-    tables = {}
-    for variant in heckman.VCOV_VARIANTS:
-        tables[("table2", variant)] = run_model_suite(panel, None, variant)
-        t3, t4 = run_outlier_suites(panel, None, variant)
-        tables[("table3", variant)] = t3
-        tables[("table4", variant)] = t4
+    every anchor, under both second-stage covariance variants, from the
+    tables of replication_tables(panel), made here when not given.
+    """
+    tables = replication_tables(panel) if tables is None else tables
+    tables = {
+        (name, variant): tabulate(table, variant)
+        for name, table in tables.items()
+        for variant in heckman.VCOV_VARIANTS
+    }
 
     lines = [
         "# Replication diff",
@@ -338,7 +338,7 @@ def replication_diff(panel: Panel) -> str:
         "|---|---|---|---|---|---|---|---|---|",
     ]
     for a in ANCHOR_CELLS:
-        col = f"{a.model}:{'outcome' if a.stage == 'outcome' else 'selection'}"
+        col = f"{a.model}:{a.stage}"
         robust = tables[(a.table, heckman.PLAIN_ROBUST)].cell(a.variable, col)
         corrected = tables[(a.table, heckman.HECKMAN_CORRECTED)].cell(a.variable, col)
         ref = f"{a.ref_coef:.3f}{a.ref_stars} ({a.ref_se:.3f})"
@@ -348,12 +348,8 @@ def replication_diff(panel: Panel) -> str:
                 f"| (model failed) | (model failed) | no | no |"
             )
             continue
-        comp_r = f"{robust.value:.3f}{robust.stars} ({robust.spread:.3f})"
-        comp_c = (
-            f"{corrected.value:.3f}{corrected.stars} ({corrected.spread:.3f})"
-            if corrected is not None
-            else ""
-        )
+        # both variants tabulate the same fits, so both cells exist
+        comp_r, comp_c = (f"{c.value:.3f}{c.stars} ({c.spread:.3f})" for c in (robust, corrected))
         if a.ref_stars == "":
             sign_match = "n/a"  # sign of a noise-level estimate is not informative
         else:

@@ -6,12 +6,15 @@ the log vaccination rate among starters.  The vaccine provider dummies
 enter the outcome stage of every model; days since first vaccination is
 outcome-only; soft-power membership is selection-only and government
 effectiveness outcome-only (the exclusion pattern that identifies the
-correction term).
+correction term).  The named outlier filters of the robustness suites
+live here too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+from vaxsel.panel import filter_percentile
 
 
 @dataclass(frozen=True)
@@ -20,7 +23,6 @@ class ModelSpec:
     selection_vars: tuple
     outcome_vars: tuple
     include_vaccine_dummies: bool = True
-    panel_filter: str | None = None
 
     def __post_init__(self):
         if "days" in self.selection_vars:
@@ -29,6 +31,32 @@ class ModelSpec:
             raise ValueError(f"{self.name}: soft_power_30 is a selection-stage variable only")
         if "gov_eff" in self.selection_vars:
             raise ValueError(f"{self.name}: gov_eff is an outcome-stage variable only")
+
+
+def _sized_spec(name, size):
+    """Models 4 and 5 differ only in their measure of economic size."""
+    return ModelSpec(
+        name=name,
+        selection_vars=(
+            "cases",
+            "gov_response",
+            size,
+            "exports",
+            "health_exp",
+            "military_exp",
+            "soft_power_30",
+        ),
+        outcome_vars=(
+            "cases",
+            "days",
+            "gov_response",
+            size,
+            "health_exp",
+            "military_exp",
+            "gov_eff",
+            "pop_65",
+        ),
+    )
 
 
 def builtin_specs() -> list:
@@ -55,51 +83,28 @@ def builtin_specs() -> list:
             ),
             outcome_vars=("cases", "days", "gov_response", "health_exp", "military_exp"),
         ),
-        ModelSpec(
-            name="model4",
-            selection_vars=(
-                "cases",
-                "gov_response",
-                "gdp",
-                "exports",
-                "health_exp",
-                "military_exp",
-                "soft_power_30",
-            ),
-            outcome_vars=(
-                "cases",
-                "days",
-                "gov_response",
-                "gdp",
-                "health_exp",
-                "military_exp",
-                "gov_eff",
-                "pop_65",
-            ),
-        ),
-        ModelSpec(
-            name="model5",
-            selection_vars=(
-                "cases",
-                "gov_response",
-                "gdp_pc_ppp",
-                "exports",
-                "health_exp",
-                "military_exp",
-                "soft_power_30",
-            ),
-            outcome_vars=(
-                "cases",
-                "days",
-                "gov_response",
-                "gdp_pc_ppp",
-                "health_exp",
-                "military_exp",
-                "gov_eff",
-                "pop_65",
-            ),
-        ),
+        _sized_spec("model4", "gdp"),
+        _sized_spec("model5", "gdp_pc_ppp"),
     ]
+
+
+# Named outlier filters: (variable, low quantile, high quantile) bands
+# applied in order, so each band's quantiles are taken over the records
+# the previous bands kept.
+OUTLIER_FILTERS = {
+    "none": (),
+    "table3": (("gov_eff", 0.05, 0.95), ("gdp", 0.05, 0.95)),
+    "table4": (("vac_php", 0.0, 0.95),),
+}
+
+
+def apply_outlier_filter(panel, name):
+    """The panel restricted by the named outlier filter's bands."""
+    if name not in OUTLIER_FILTERS:
+        raise ValueError(f"unknown filter {name!r}; choose from {tuple(OUTLIER_FILTERS)}")
+    for variable, low_p, high_p in OUTLIER_FILTERS[name]:
+        panel = filter_percentile(panel, variable, low_p, high_p)
+    return panel
 
 
 # Display order for estimation-table rows (variables absent from a model

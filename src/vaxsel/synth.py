@@ -105,8 +105,6 @@ def _generate_with(config: DgpConfig, bitgen) -> SyntheticSample:
         outcome_y=latent[selected],
         outcome_X=out_X_all[selected],
         outcome_labels=labels_x + ["const"],
-        row_labels=[f"u{i:05d}" for i in range(n)],
-        outcome_row_labels=[f"u{i:05d}" for i in np.where(selected)[0]],
         outcome_keep=np.ones(int(selected.sum()), dtype=bool),
         spec_name="synthetic",
     )
@@ -184,8 +182,9 @@ def monte_carlo(
     """Repeated generate-and-fit with per-parameter bias, RMSE and coverage.
 
     Each replication runs on its own jumped Philox stream, so the report
-    is a pure function of (config, reps).  Replications whose fit raises
-    are counted as failed and excluded from the summaries.
+    is a pure function of (config, reps).  Replications whose fit fails
+    to estimate are counted as failed and excluded from the summaries;
+    a ValueError is raised when none is left.
     """
     if reps < 50:
         raise ValueError("need at least 50 replications for a meaningful report")
@@ -199,7 +198,7 @@ def monte_carlo(
         sample = _generate_with(config, replication_stream(config, rep))
         try:
             fit = heckman.fit_two_step(sample.frame, vcov_variant=vcov_variant)
-        except Exception:
+        except heckman.ESTIMATION_ERRORS:
             failed += 1
             continue
         est = fit.outcome_coef
@@ -207,6 +206,8 @@ def monte_carlo(
         estimates.append(est)
         covered.append(np.abs(est - truth) <= Z_95 * se)
 
+    if not estimates:
+        raise ValueError(f"all {reps} replications failed to estimate")
     est = np.asarray(estimates)
     cov = np.asarray(covered, dtype=float)
     params = []

@@ -1,12 +1,18 @@
 """Command-line behaviour: exit codes, determinism, input immutability."""
 
 import hashlib
+import json
 from pathlib import Path
 
 import pytest
 
+from vaxsel import heckman
 from vaxsel.cli import main
+from vaxsel.probit import ProbitError
 from tests.conftest import packaged
+
+REPO = Path(__file__).resolve().parents[1]
+REPLICATE_REFERENCE = REPO / "benchmark" / "replicate_reference.json"
 
 
 def tree_digest(root: Path) -> dict:
@@ -40,6 +46,42 @@ def test_replicate_deterministic(tmp_path):
     assert main(["replicate", "--out", str(out1)]) == 0
     assert main(["replicate", "--out", str(out2)]) == 0
     assert tree_digest(out1) == tree_digest(out2)
+
+
+def test_replicate_matches_reference_digests(tmp_path):
+    out = tmp_path / "out"
+    assert main(["replicate", "--out", str(out)]) == 0
+    reference = json.loads(REPLICATE_REFERENCE.read_text(encoding="utf-8"))
+    assert tree_digest(out) == reference["files"]
+
+
+def test_replicate_fits_each_cell_once(tmp_path, monkeypatch):
+    frames = []
+    fit_two_step = heckman.fit_two_step
+
+    def counting(frame, *args, **kwargs):
+        frames.append(hashlib.sha256(
+            frame.selection_X.tobytes() + frame.outcome_X.tobytes()
+            + frame.outcome_y.tobytes()).hexdigest())
+        return fit_two_step(frame, *args, **kwargs)
+
+    monkeypatch.setattr(heckman, "fit_two_step", counting)
+    assert main(["replicate", "--out", str(tmp_path / "out")]) == 0
+    assert len(frames) == 13
+    assert len(set(frames)) == 13
+
+
+def test_simulate_with_every_fit_failing_exits_1(tmp_path, monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise ProbitError("first-stage probit did not converge")
+
+    monkeypatch.setattr(heckman, "fit_two_step", fail)
+    code = main(["simulate", "--n", "100", "--reps", "50", "--out", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert errors == ["error: all 50 replications failed to estimate"]
 
 
 def test_simulate_deterministic(tmp_path):

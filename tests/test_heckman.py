@@ -36,8 +36,6 @@ def simple_frame(rng, n=400, rho=0.5, gamma_w=1.0):
         outcome_y=y[selected],
         outcome_X=np.column_stack([x[selected], np.ones(ns)]),
         outcome_labels=["x", "const"],
-        row_labels=[f"r{i}" for i in range(n)],
-        outcome_row_labels=[f"r{i}" for i in np.where(selected)[0]],
         outcome_keep=np.ones(ns, dtype=bool),
         spec_name="simple",
     )
@@ -129,8 +127,6 @@ class TestFitTwoStep:
                 outcome_y=yo[selected],
                 outcome_X=np.column_stack([xo[selected], np.ones(ns)]),
                 outcome_labels=["x", "const"],
-                row_labels=[str(i) for i in order],
-                outcome_row_labels=[str(i) for i in order[selected]],
                 outcome_keep=np.ones(ns, dtype=bool),
                 spec_name="perm",
             )
@@ -155,8 +151,6 @@ class TestFitTwoStep:
             outcome_y=y,
             outcome_X=X,
             outcome_labels=["x", "const"],
-            row_labels=[str(i) for i in range(n)],
-            outcome_row_labels=[str(i) for i in range(n)],
             outcome_keep=np.ones(n, dtype=bool),
             spec_name="degenerate",
         )
@@ -194,8 +188,6 @@ class TestFitTwoStep:
             outcome_y=y[selected],
             outcome_X=np.column_stack([x[selected], np.ones(ns)]),
             outcome_labels=["x", "const"],
-            row_labels=[str(i) for i in range(n)],
-            outcome_row_labels=[str(i) for i in np.where(selected)[0]],
             outcome_keep=np.ones(ns, dtype=bool),
             spec_name="no_instrument",
         )
@@ -232,8 +224,6 @@ class TestFitTwoStep:
                 outcome_y=y[selected],
                 outcome_X=np.column_stack([x[selected], np.ones(ns)]),
                 outcome_labels=["x", "const"],
-                row_labels=[str(i) for i in range(n)],
-                outcome_row_labels=[str(i) for i in np.where(selected)[0]],
                 outcome_keep=np.ones(ns, dtype=bool),
                 spec_name="t",
             )
@@ -303,8 +293,6 @@ class TestPlainRobustVcov:
             selection_X=np.tile(frame.selection_X, (2, 1)),
             outcome_y=np.tile(frame.outcome_y, 2),
             outcome_X=np.tile(frame.outcome_X, (2, 1)),
-            row_labels=frame.row_labels * 2,
-            outcome_row_labels=frame.outcome_row_labels * 2,
             outcome_keep=np.tile(frame.outcome_keep, 2),
         )
         fit2 = heckman.fit_two_step(dup)
@@ -335,3 +323,65 @@ class TestHeckmanCorrectedVcov:
         report = synth.monte_carlo(RHO_HALF_CONFIG, 500)
         for name in ("x1", "x2", "imr_lambda"):
             assert 0.93 <= report.parameter(name).coverage <= 0.97
+
+
+class TestCovariancesOnDemand:
+    @staticmethod
+    def frames(snapshot):
+        from vaxsel.panel import build_model_frame
+        from vaxsel.specs import apply_outlier_filter, builtin_specs
+
+        yield simple_frame(np.random.default_rng(21))
+        for name in ("none", "table3", "table4"):
+            panel = apply_outlier_filter(snapshot, name)
+            for spec in builtin_specs():
+                yield build_model_frame(panel, spec)
+
+    @pytest.mark.parametrize("fitted", heckman.VCOV_VARIANTS)
+    def test_other_variant_equals_a_refit(self, snapshot, fitted):
+        other = next(v for v in heckman.VCOV_VARIANTS if v != fitted)
+        for frame in self.frames(snapshot):
+            fit = heckman.fit_two_step(frame, fitted)
+            outcome, selection = fit.covariances(other)
+            refit = heckman.fit_two_step(frame, other)
+            assert np.array_equal(outcome, refit.outcome_vcov)
+            assert np.array_equal(selection, refit.selection_vcov)
+            stored = fit.covariances(fitted)
+            assert stored[0] is fit.outcome_vcov and stored[1] is fit.selection_vcov
+
+    def test_other_variant_is_not_computed_eagerly(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("computed a covariance nobody asked for")
+
+        frame = simple_frame(np.random.default_rng(22))
+        monkeypatch.setattr(heckman, "heckman_corrected_vcov", refuse)
+        heckman.fit_two_step(frame, heckman.PLAIN_ROBUST)
+        monkeypatch.undo()
+        monkeypatch.setattr(heckman, "plain_robust_vcov", refuse)
+        monkeypatch.setattr(heckman.probit, "sandwich_vcov", refuse)
+        heckman.fit_two_step(frame, heckman.HECKMAN_CORRECTED)
+
+    def test_degenerate_fit_reports_robust_for_either_variant(self):
+        rng = np.random.default_rng(23)
+        n = 80
+        x = rng.standard_normal(n)
+        frame = ModelFrame(
+            selection_y=np.ones(n),
+            selection_X=np.column_stack([x, rng.standard_normal(n), np.ones(n)]),
+            selection_labels=["x", "w", "const"],
+            outcome_y=1.0 + x + rng.standard_normal(n),
+            outcome_X=np.column_stack([x, np.ones(n)]),
+            outcome_labels=["x", "const"],
+            outcome_keep=np.ones(n, dtype=bool),
+        )
+        fit = heckman.fit_two_step(frame, heckman.HECKMAN_CORRECTED)
+        assert fit.vcov_variant == heckman.PLAIN_ROBUST
+        assert np.array_equal(fit.outcome_vcov, heckman.plain_robust_vcov(fit))
+        for variant in heckman.VCOV_VARIANTS:
+            outcome, selection = fit.covariances(variant)
+            assert outcome is fit.outcome_vcov and selection is None
+
+    def test_unknown_variant_rejected(self):
+        fit = heckman.fit_two_step(simple_frame(np.random.default_rng(24)))
+        with pytest.raises(ValueError):
+            fit.covariances("hc3")

@@ -5,7 +5,7 @@ import pytest
 
 from vaxsel import heckman, render, replicate
 from vaxsel.panel import filter_percentile
-from vaxsel.specs import ANCHOR_CELLS, ModelSpec, builtin_specs
+from vaxsel.specs import ANCHOR_CELLS, ModelSpec, apply_outlier_filter, builtin_specs
 
 
 @pytest.fixture(scope="module")
@@ -111,6 +111,14 @@ class TestRunModelSuite:
         assert "mystery_var" in table.column_errors["broken:outcome"]
         assert table.cell("cases", "model1:selection") is not None
 
+    def test_programming_error_propagates(self, snapshot, monkeypatch):
+        def broken(*args, **kwargs):
+            raise TypeError("bug inside the fit")
+
+        monkeypatch.setattr(heckman.probit, "fit", broken)
+        with pytest.raises(TypeError):
+            replicate.run_model_suite(snapshot, builtin_specs()[:1])
+
     def test_rerun_is_identical(self, snapshot, table2):
         again = replicate.run_model_suite(snapshot)
         assert render.render_table_csv(again) == render.render_table_csv(table2)
@@ -124,6 +132,13 @@ class TestOutlierSuites:
         )
         t = replicate.run_model_suite(same, builtin_specs())
         assert render.render_table_csv(t) == render.render_table_csv(table2)
+
+    def test_filter_registry(self, snapshot):
+        assert apply_outlier_filter(snapshot, "none") is snapshot
+        t4 = apply_outlier_filter(snapshot, "table4")
+        assert t4.n_records == len(filter_percentile(snapshot, "vac_php", 0.0, 0.95).records)
+        with pytest.raises(ValueError, match="unknown filter"):
+            apply_outlier_filter(snapshot, "table5")
 
     def test_robustness_patterns(self, snapshot):
         t3, t4 = replicate.run_outlier_suites(snapshot)
@@ -273,6 +288,22 @@ class TestDiffReport:
 
     def test_deterministic(self, snapshot):
         assert replicate.replication_diff(snapshot) == replicate.replication_diff(snapshot)
+
+    def test_fits_each_cell_once(self, snapshot, monkeypatch):
+        calls = []
+        fit_two_step = heckman.fit_two_step
+
+        def counting(frame, *args, **kwargs):
+            calls.append(frame)
+            return fit_two_step(frame, *args, **kwargs)
+
+        monkeypatch.setattr(heckman, "fit_two_step", counting)
+        replicate.replication_diff(snapshot)
+        assert len(calls) == 13
+
+    def test_tables_fitted_under_either_variant_give_the_same_report(self, snapshot):
+        tables = replicate.replication_tables(snapshot, heckman.HECKMAN_CORRECTED)
+        assert replicate.replication_diff(snapshot, tables) == replicate.replication_diff(snapshot)
 
 
 class TestRender:

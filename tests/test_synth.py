@@ -152,3 +152,19 @@ class TestMonteCarlo:
         report = synth.monte_carlo(BASE, 50)
         assert report.reps_used + report.reps_failed == 50
         assert report.reps_failed == 0
+
+    def test_programming_error_propagates(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise TypeError("bug inside the fit")
+
+        monkeypatch.setattr(heckman.probit, "fit", broken)
+        with pytest.raises(TypeError):
+            synth.monte_carlo(dataclasses.replace(BASE, n=100), 50)
+
+    def test_every_rep_failing_names_the_count(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise heckman.probit.ProbitError("no convergence")
+
+        monkeypatch.setattr(heckman, "fit_two_step", fail)
+        with pytest.raises(ValueError, match="all 50 replications failed"):
+            synth.monte_carlo(dataclasses.replace(BASE, n=100), 50)
