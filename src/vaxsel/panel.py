@@ -192,6 +192,8 @@ def _parse_cell(text, vdef, row_no, audit, iso3):
         raise ParseError(
             f"unparseable number {text!r}", row=row_no, column=vdef.code
         ) from exc
+    if not math.isfinite(raw):
+        raise ParseError(f"non-finite number {text!r}", row=row_no, column=vdef.code)
     if vdef.transform == "log":
         return apply_log(raw, audit, context=f"{iso3}:{vdef.code}"), raw
     return raw, raw

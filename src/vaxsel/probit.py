@@ -8,6 +8,7 @@ SeparationError is raised instead of returning a garbage fit.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -73,22 +74,36 @@ def _prepare(y, X, labels=None):
         raise ValueError("y and X row counts differ")
     if not np.all((y == 0.0) | (y == 1.0)):
         raise ValueError("y must be binary 0/1")
+    if not np.all(np.isfinite(X)):
+        raise ValueError("X contains NaN or infinite values")
     labels = list(labels) if labels is not None else [f"x{j}" for j in range(X.shape[1])]
     return y, X, labels
 
 
+def _terms(coef, y, X):
+    """One pass over the signed index s_i = +-x_i'c (+ where y_i = 1): the
+    log-likelihood sum_i log Phi(s_i), the score factors g_i = +-lambda(s_i)
+    (score X'g) and the Hessian weights w_i = delta(s_i) (Hessian -X'WX)."""
+    idx = X @ np.asarray(coef, dtype=float)
+    ones = y == 1.0
+    s = np.where(ones, idx, -idx)
+    lam = inverse_mills(s)
+    return float(np.sum(log_normal_cdf(s))), np.where(ones, lam, -lam), inverse_mills_delta(s)
+
+
+def _information(X, w):
+    """Observed information X'WX, the negative Hessian."""
+    return (X * w[:, None]).T @ X
+
+
 def loglik(coef, y, X):
     """Probit log-likelihood sum_i [y_i log Phi(x_i'c) + (1-y_i) log Phi(-x_i'c)]."""
-    idx = X @ np.asarray(coef, dtype=float)
-    signed = np.where(y == 1.0, idx, -idx)
-    return float(np.sum(log_normal_cdf(signed)))
+    return _terms(coef, y, X)[0]
 
 
 def score(coef, y, X):
     """Analytic gradient: sum_i g_i x_i with g_i = +-lambda(+-x_i'c)."""
-    idx = X @ np.asarray(coef, dtype=float)
-    g = np.where(y == 1.0, inverse_mills(idx), -inverse_mills(-idx))
-    return X.T @ g
+    return X.T @ _terms(coef, y, X)[1]
 
 
 def hessian(coef, y, X):
@@ -96,16 +111,16 @@ def hessian(coef, y, X):
 
     Negative semidefinite everywhere because delta lies in (0, 1).
     """
-    idx = X @ np.asarray(coef, dtype=float)
-    w = np.where(y == 1.0, inverse_mills_delta(idx), inverse_mills_delta(-idx))
-    return -(X * w[:, None]).T @ X
+    return -_information(X, _terms(coef, y, X)[2])
 
 
-def score_obs(coef, y, X):
-    """Per-observation score rows s_i = g_i x_i (for sandwich covariance)."""
-    idx = X @ np.asarray(coef, dtype=float)
-    g = np.where(y == 1.0, inverse_mills(idx), -inverse_mills(-idx))
-    return X * g[:, None]
+_Point = namedtuple("_Point", "coef ll grad w")
+
+
+def _point(coef, y, X):
+    """Evaluate coef once; fit reuses the point's loglik, score and weights."""
+    ll, g, w = _terms(coef, y, X)
+    return _Point(coef, ll, X.T @ g, w)
 
 
 def fit(y, X, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, labels=None) -> ProbitFit:
@@ -114,7 +129,7 @@ def fit(y, X, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, labels=None) -> Probit
     Parameters
     ----------
     y : array of 0/1 responses containing both classes.
-    X : full-column-rank design matrix (include the intercept yourself).
+    X : finite full-column-rank design matrix (include the intercept yourself).
     tol : convergence threshold on the max-abs score entry.
     max_iter : Newton iteration cap; non-convergence is reported honestly
         through ``converged=False`` rather than raised.
@@ -122,6 +137,7 @@ def fit(y, X, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, labels=None) -> Probit
 
     Raises
     ------
+    ValueError : NaN or infinite entries in X, non-binary or single-class y.
     RankDeficientError : collinear design.
     SeparationError : coefficients diverging past +-50 with the score
         still above tolerance (perfect or quasi-perfect separation).
@@ -133,70 +149,50 @@ def fit(y, X, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, labels=None) -> Probit
     if y.min() == y.max():
         raise ValueError("y contains a single class; probit is not estimable")
 
-    k = X.shape[1]
-    coef = np.zeros(k)
-    ll = loglik(coef, y, X)
+    coef, ll, grad, w = _point(np.zeros(X.shape[1]), y, X)
     path = [ll]
     iterations = 0
 
     for iterations in range(1, max_iter + 1):
-        g = score(coef, y, X)
-        sn = np.max(np.abs(g))
+        sn = np.max(np.abs(grad))
         if sn < tol:
             iterations -= 1
             break
-        H = hessian(coef, y, X)
         try:
-            step = np.linalg.solve(-H, g)
+            step = np.linalg.solve(_information(X, w), grad)
         except np.linalg.LinAlgError as exc:
             raise ProbitError(f"singular Hessian at iteration {iterations}") from exc
 
-        t = 1.0
-        accepted = False
-        for _ in range(MAX_STEP_HALVINGS):
-            cand = coef + t * step
-            ll_cand = loglik(cand, y, X)
-            if np.isfinite(ll_cand):
-                if ll_cand > ll:
-                    accepted = True
-                    break
-                # Near the optimum the quadratic gain falls below float
-                # resolution and the likelihood ties; accept the step if it
-                # still contracts the score, keeping the path nondecreasing.
-                if ll_cand == ll and np.max(np.abs(score(cand, y, X))) <= 0.9 * sn:
-                    accepted = True
-                    break
-            t *= 0.5
-        if not accepted:
+        full = _point(coef + step, y, X)
+        for halvings in range(MAX_STEP_HALVINGS):
+            cand = _point(coef + 0.5**halvings * step, y, X) if halvings else full
+            # Near the optimum the quadratic gain falls below float
+            # resolution and the likelihood ties; accept the step if it
+            # still contracts the score, keeping the path nondecreasing.
+            if np.isfinite(cand.ll) and (
+                    cand.ll > ll or (cand.ll == ll and np.max(np.abs(cand.grad)) <= 0.9 * sn)):
+                break
+        else:
             # Terminal refinement: the quadratic step may wiggle the
             # likelihood a ulp below its current value while landing the
             # score inside tolerance.  That is convergence, not descent.
-            cand = coef + step
-            ll_cand = loglik(cand, y, X)
-            drop = ll - ll_cand
-            if (
-                np.isfinite(ll_cand)
-                and drop <= 64.0 * np.finfo(float).eps * max(1.0, abs(ll))
-                and np.max(np.abs(score(cand, y, X))) < tol
-            ):
-                accepted = True
-        if not accepted:
-            break
-        coef, ll = cand, ll_cand
+            cand = full
+            drop = ll - cand.ll
+            if not (np.isfinite(cand.ll) and drop <= 64.0 * np.finfo(float).eps * max(1.0, abs(ll))
+                    and np.max(np.abs(cand.grad)) < tol):
+                break
+        coef, ll, grad, w = cand
         path.append(ll)
 
-        if np.max(np.abs(coef)) > SEPARATION_COEF_BOUND:
-            if np.max(np.abs(score(coef, y, X))) > tol:
-                raise SeparationError(
-                    "coefficients diverging beyond +-50 with nonzero score; "
-                    "the classes appear perfectly separated"
-                )
+        if np.max(np.abs(coef)) > SEPARATION_COEF_BOUND and np.max(np.abs(grad)) > tol:
+            raise SeparationError(
+                "coefficients diverging beyond +-50 with nonzero score; "
+                "the classes appear perfectly separated"
+            )
 
-    score_norm = float(np.max(np.abs(score(coef, y, X))))
-    converged = score_norm < tol
-    H = hessian(coef, y, X)
+    score_norm = float(np.max(np.abs(grad)))
     try:
-        vcov = np.linalg.inv(-H)
+        vcov = np.linalg.inv(_information(X, w))
     except np.linalg.LinAlgError as exc:
         raise ProbitError("observed information is singular at the optimum") from exc
     vcov = 0.5 * (vcov + vcov.T)
@@ -206,7 +202,7 @@ def fit(y, X, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, labels=None) -> Probit
         vcov=vcov,
         loglik=ll,
         iterations=iterations,
-        converged=converged,
+        converged=score_norm < tol,
         score_norm=score_norm,
         n=int(y.shape[0]),
         labels=labels,
@@ -223,14 +219,15 @@ def predict_prob(fit: ProbitFit, X) -> np.ndarray:
 
 
 def sandwich_vcov(fit: ProbitFit, y, X) -> np.ndarray:
-    """Robust covariance H^{-1} (sum_i s_i s_i') H^{-1}, H the negative Hessian."""
+    """Robust covariance H^{-1} (sum_i s_i s_i') H^{-1}, H the negative
+    Hessian and s_i = g_i x_i the per-observation score rows."""
     if not fit.converged:
         raise ProbitError("sandwich covariance requires a converged fit")
     y, X, _ = _prepare(y, X, fit.labels)
-    S = score_obs(fit.coef, y, X)
-    H = -hessian(fit.coef, y, X)
+    _, g, w = _terms(fit.coef, y, X)
+    S = X * g[:, None]
     try:
-        Hinv = np.linalg.inv(H)
+        Hinv = np.linalg.inv(_information(X, w))
     except np.linalg.LinAlgError as exc:
         raise ProbitError("negative Hessian is singular") from exc
     v = Hinv @ (S.T @ S) @ Hinv

@@ -3,9 +3,9 @@
 The selection correction and the probit likelihood need phi, Phi, log Phi
 and the ratio phi/Phi far into the left tail, where composing the naive
 pieces underflows long before the quantities themselves become
-unrepresentable.  All functions here accept scalars or arrays, are pure,
-and switch to a Mills-ratio asymptotic series once the complementary
-error function runs out of normal-range doubles (z < -37).
+unrepresentable.  Every function accepts scalars or arrays, is pure, passes
+NaN through, gives the limit at +-inf and switches to a Mills-ratio series
+once the complementary error function leaves normal-range doubles (z < -37).
 
 Conventions used throughout:
 
@@ -86,8 +86,8 @@ def log_normal_cdf(z):
     out = np.empty_like(arr)
 
     pos = arr > 0.0
-    mid = (~pos) & (arr >= _TAIL_Z)
     tail = arr < _TAIL_Z
+    mid = ~(pos | tail)  # also carries NaN through
 
     if np.any(pos):
         zp = arr[pos]
@@ -143,8 +143,8 @@ def inverse_mills_delta(z):
     out = np.empty_like(arr)
 
     tail = arr < _TAIL_Z
-    neg = (~tail) & (arr < 0.0)
     pos = arr >= 0.0
+    neg = ~(tail | pos)  # also carries NaN through
 
     if np.any(tail):
         zt = arr[tail]
@@ -160,9 +160,9 @@ def inverse_mills_delta(z):
         out[neg] = lam * (lam + zn)
     if np.any(pos):
         zp = arr[pos]
-        # z*z may overflow to inf for astronomically large inputs; the
-        # clamp below is the intended answer there.
-        with np.errstate(over="ignore"):
+        # z*z may overflow to inf for astronomically large inputs, and
+        # z = +inf gives -inf + inf; the clamp below is the intended answer.
+        with np.errstate(over="ignore", invalid="ignore"):
             loglam = -0.5 * zp * zp - _LOG_SQRT_2PI - log_normal_cdf(zp)
             lam = np.exp(loglam)
             vals = np.exp(loglam + np.log(zp + lam))

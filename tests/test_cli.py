@@ -122,6 +122,21 @@ def test_missing_data_file_exits_1(tmp_path, capsys):
     assert "/nonexistent/snapshot.csv" in err
 
 
+def test_nonfinite_data_cell_exits_1(tmp_path, capsys):
+    lines = packaged("snapshot.csv").read_text(encoding="utf-8").splitlines()
+    gdp = lines[0].split(",").index("gdp")
+    cells = lines[1].split(",")
+    cells[gdp] = "inf"
+    data = tmp_path / "snapshot.csv"
+    data.write_text("\n".join([lines[0], ",".join(cells), *lines[2:]]) + "\n", encoding="utf-8")
+    code = main(["replicate", "--data", str(data), "--out", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert errors == ["error: non-finite number 'inf' (row 2, column 'gdp')"]
+
+
 def test_usage_error_exits_2(capsys):
     assert main(["replicate"]) == 2  # --out is required
     assert main(["frobnicate"]) == 2

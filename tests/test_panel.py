@@ -91,11 +91,13 @@ class TestLoadPanel:
         assert "russia" in str(err.value)
 
     def test_malformed_number_names_row_and_column(self, tmp_path):
-        p = write_mini(tmp_path, ["ABW,Aruba,xyz,0.4,0,,,0,0,0,0"])
-        with pytest.raises(ParseError) as err:
-            load_panel(p, MINI_SCHEMA)
-        assert err.value.row == 2
-        assert err.value.column == "cases"
+        # non-finite values are malformed too: none may enter a fit
+        for text in ("xyz", "nan", "inf", "-inf", "1e999"):
+            p = write_mini(tmp_path, [f"ABW,Aruba,{text},0.4,0,,,0,0,0,0"])
+            with pytest.raises(ParseError) as err:
+                load_panel(p, MINI_SCHEMA)
+            assert err.value.row == 2
+            assert err.value.column == "cases"
 
     def test_ragged_row(self, tmp_path):
         p = write_mini(tmp_path, ["ABW,Aruba,1.0,0.4"])

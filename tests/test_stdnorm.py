@@ -7,6 +7,7 @@ other.
 """
 
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -211,9 +212,30 @@ class TestInverseMillsDelta:
 
 
 def test_array_and_scalar_paths_match():
-    z = np.array([-40.0, -12.0, -1.0, 0.0, 2.5, 38.0])
+    z = np.array([-np.inf, -40.0, -12.0, -1.0, np.nan, 0.0, 2.5, 38.0, np.inf])
     for fn in (normal_pdf, normal_cdf, log_normal_cdf, inverse_mills, inverse_mills_delta):
         vec = fn(z)
         assert vec.shape == z.shape
         for i, zi in enumerate(z):
-            assert vec[i] == fn(float(zi))
+            # exact equality, with NaN matching NaN
+            np.testing.assert_array_equal(vec[i], fn(float(zi)))
+
+
+# (value at -inf, value at +inf); delta stays clamped inside (0, 1)
+NONFINITE_LIMITS = {
+    normal_pdf: (0.0, 0.0),
+    normal_cdf: (0.0, 1.0),
+    log_normal_cdf: (-math.inf, 0.0),
+    inverse_mills: (math.inf, 0.0),
+    inverse_mills_delta: (np.nextafter(1.0, 0.0), np.nextafter(0.0, 1.0)),
+}
+
+
+@pytest.mark.parametrize("fn", list(NONFINITE_LIMITS), ids=lambda fn: fn.__name__)
+def test_nan_propagates_and_infinities_give_limits(fn):
+    at_minus_inf, at_plus_inf = NONFINITE_LIMITS[fn]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert math.isnan(fn(math.nan))
+        assert fn(-math.inf) == at_minus_inf
+        assert fn(math.inf) == at_plus_inf
