@@ -32,7 +32,7 @@ import numpy as np
 
 from vaxsel import probit
 from vaxsel.panel import PanelError
-from vaxsel.stdnorm import inverse_mills, inverse_mills_delta
+from vaxsel.stdnorm import inverse_mills_delta, normal_tail_terms
 
 PLAIN_ROBUST = "plain_robust"
 HECKMAN_CORRECTED = "heckman_corrected"
@@ -240,7 +240,7 @@ def fit_two_step(frame, vcov_variant: str = PLAIN_ROBUST) -> HeckmanFit:
     idx_sel = (sel_X[selected] @ first.coef)[keep]
     if idx_sel.shape[0] != n_selected:
         raise ValueError("outcome rows do not line up with the selected selection rows")
-    mills = inverse_mills(idx_sel)
+    _, mills, delta = normal_tail_terms(idx_sel)
 
     W = np.column_stack([out_X, mills])
     labels_w = out_labels + [IMR_LABEL]
@@ -254,7 +254,6 @@ def fit_two_step(frame, vcov_variant: str = PLAIN_ROBUST) -> HeckmanFit:
     coef, resid = ols(out_y, W, labels_w)
     imr_coef = float(coef[-1])
 
-    delta = inverse_mills_delta(idx_sel)
     sigma2 = float(resid @ resid / n_selected + imr_coef**2 * delta.sum() / n_selected)
     rho = imr_coef / np.sqrt(sigma2) if sigma2 > 0 else 0.0
     rho = float(np.clip(rho, -1.0, 1.0))

@@ -114,7 +114,12 @@ class Panel:
 def load_schema(path) -> list:
     """Read the variable schema (YAML list of code/transform/source_label)."""
     raw = Path(path).read_text(encoding="utf-8")
-    entries = yaml.safe_load(raw)
+    try:
+        entries = yaml.safe_load(raw)
+    except yaml.YAMLError as exc:
+        mark = getattr(exc, "problem_mark", None)
+        where = f" (line {mark.line + 1}, column {mark.column + 1})" if mark else ""
+        raise SchemaError(f"schema file {path} is not valid YAML{where}") from exc
     if not isinstance(entries, list) or not entries:
         raise SchemaError(f"schema file {path} must hold a non-empty list of variables")
     defs = []

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from vaxsel.stdnorm import inverse_mills, inverse_mills_delta, log_normal_cdf, normal_cdf
+from vaxsel.stdnorm import normal_cdf, normal_tail_terms
 
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 100
@@ -87,8 +87,8 @@ def _terms(coef, y, X):
     idx = X @ np.asarray(coef, dtype=float)
     ones = y == 1.0
     s = np.where(ones, idx, -idx)
-    lam = inverse_mills(s)
-    return float(np.sum(log_normal_cdf(s))), np.where(ones, lam, -lam), inverse_mills_delta(s)
+    log_cdf, lam, w = normal_tail_terms(s)
+    return float(np.sum(log_cdf)), np.where(ones, lam, -lam), w
 
 
 def _information(X, w):

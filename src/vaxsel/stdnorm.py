@@ -15,7 +15,9 @@ Conventions used throughout:
 
 delta is the negative derivative of lambda and lives strictly inside
 (0, 1); it supplies the probit Hessian weights and the weight matrix of
-the corrected two-step covariance.
+the corrected two-step covariance.  normal_tail_terms computes log Phi,
+lambda and delta together in one pass; log_normal_cdf, inverse_mills and
+inverse_mills_delta are views of its three results.
 """
 
 from __future__ import annotations
@@ -60,7 +62,9 @@ def _unwrap(out, scalar):
 def normal_pdf(z):
     """Standard normal density phi(z)."""
     arr, scalar = _wrap(z)
-    return _unwrap(_INV_SQRT_2PI * np.exp(-0.5 * arr * arr), scalar)
+    # z*z overflows to inf beyond |z| ~ 1.3e154; exp(-inf) = 0 is the answer.
+    with np.errstate(over="ignore"):
+        return _unwrap(_INV_SQRT_2PI * np.exp(-0.5 * arr * arr), scalar)
 
 
 def normal_cdf(z):
@@ -73,98 +77,74 @@ def normal_cdf(z):
     return _unwrap(0.5 * erfc(-arr / _SQRT2), scalar)
 
 
-def log_normal_cdf(z):
-    """log Phi(z), accurate over the whole double range.
+def normal_tail_terms(z):
+    """(log Phi(z), lambda(z), delta(z)) from one split into three regimes.
 
-    Three regimes: log1p against the upper tail for z > 0, a direct log of
-    the erfc form down to z = -37, and the Mills-ratio series beyond that.
-    The series keeps the result finite until -z^2/2 itself overflows
-    (|z| > 1.3e154), at which point -inf is the nearest representable
-    answer.
+    - z < -37: the Mills-ratio series gives all three.  log Phi stays
+      finite until -z^2/2 itself overflows (|z| > 1.3e154), where -inf is
+      the nearest representable answer.  lambda comes straight from the
+      series, which never rounds lambda(z) + z down to zero, and
+      z^2 (1 - M) has its own series, so delta suffers no cancellation.
+    - -37 <= z < 0, and NaN: log Phi is the log of the erfc form, lambda
+      is exp(log phi - log Phi), so the ratio survives where either factor
+      alone would underflow, and delta = lambda (lambda + z).
+    - z >= 0: log Phi is log1p against the upper tail; lambda and delta
+      are formed in log space.
+
+    lambda is strictly positive and strictly decreasing, with
+    lambda(z) ~ -z + (-1/z) in the far left tail and lambda(z) ~ phi(z) in
+    the right tail.  delta lies strictly in (0, 1) for every finite z,
+    tending to 1 as z -> -inf and to 0 as z -> +inf; where the true value
+    falls outside the open unit interval representable in float64 (|z|
+    beyond roughly 1e8 on the left, 38.6 on the right) it is clamped to the
+    nearest interior double rather than returning an exact 0 or 1.
     """
     arr, scalar = _wrap(z)
-    out = np.empty_like(arr)
+    log_cdf, lam, delta = np.empty_like(arr), np.empty_like(arr), np.empty_like(arr)
 
-    pos = arr > 0.0
     tail = arr < _TAIL_Z
-    mid = ~(pos | tail)  # also carries NaN through
+    pos = arr >= 0.0
+    mid = ~(tail | pos)  # also carries NaN through
 
-    if np.any(pos):
-        zp = arr[pos]
-        out[pos] = np.log1p(-0.5 * erfc(zp / _SQRT2))
-    if np.any(mid):
-        zm = arr[mid]
-        out[mid] = np.log(0.5 * erfc(-zm / _SQRT2))
     if np.any(tail):
         zt = arr[tail]
         with np.errstate(over="ignore"):
             u = 1.0 / (zt * zt)
             m_minus_1 = u * _horner(_MILLS_M[1:], u)
-            out[tail] = (-0.5 * zt * zt - _LOG_SQRT_2PI) - np.log(-zt) + np.log1p(m_minus_1)
-    return _unwrap(out, scalar)
+            log_cdf[tail] = (-0.5 * zt * zt - _LOG_SQRT_2PI) - np.log(-zt) + np.log1p(m_minus_1)
+        m = m_minus_1 + 1.0
+        lam[tail] = -zt / m
+        vals = _horner(_MILLS_T, u) / (m * m)
+        delta[tail] = np.where(vals < 1.0, vals, np.nextafter(1.0, 0.0))
+    if np.any(mid):
+        zm = arr[mid]
+        lc = np.log(0.5 * erfc(-zm / _SQRT2))
+        lm = np.exp(-0.5 * zm * zm - _LOG_SQRT_2PI - lc)
+        log_cdf[mid], lam[mid], delta[mid] = lc, lm, lm * (lm + zm)
+    if np.any(pos):
+        zp = arr[pos]
+        # z*z overflows to inf beyond |z| ~ 1.3e154 and z = +inf gives
+        # -inf + inf; lambda = 0 and the clamp below are the intended answers.
+        with np.errstate(over="ignore", invalid="ignore"):
+            lc = np.log1p(-0.5 * erfc(zp / _SQRT2))
+            loglam = -0.5 * zp * zp - _LOG_SQRT_2PI - lc
+            lp = np.exp(loglam)
+            vals = np.exp(loglam + np.log(zp + lp))
+        log_cdf[pos], lam[pos] = lc, lp
+        delta[pos] = np.where(vals > 0.0, vals, np.nextafter(0.0, 1.0))
+    return _unwrap(log_cdf, scalar), _unwrap(lam, scalar), _unwrap(delta, scalar)
+
+
+def log_normal_cdf(z):
+    """log Phi(z), accurate over the whole double range (see normal_tail_terms)."""
+    return normal_tail_terms(z)[0]
 
 
 def inverse_mills(z):
-    """Inverse Mills ratio lambda(z) = phi(z)/Phi(z).
-
-    Computed as exp(log phi - log Phi) so the ratio survives where either
-    factor alone would underflow; past z = -37 it is taken straight from
-    the Mills-ratio series, which never rounds lambda(z) + z down to zero.
-    Strictly positive and strictly decreasing, with lambda(z) ~ -z + (-1/z)
-    in the far left tail and lambda(z) ~ phi(z) in the right tail.
-    """
-    arr, scalar = _wrap(z)
-    out = np.empty_like(arr)
-
-    tail = arr < _TAIL_Z
-    rest = ~tail
-
-    if np.any(tail):
-        zt = arr[tail]
-        with np.errstate(over="ignore"):
-            u = 1.0 / (zt * zt)
-        out[tail] = -zt / _horner(_MILLS_M, u)
-    if np.any(rest):
-        zr = arr[rest]
-        out[rest] = np.exp(-0.5 * zr * zr - _LOG_SQRT_2PI - log_normal_cdf(zr))
-    return _unwrap(out, scalar)
+    """Inverse Mills ratio lambda(z) = phi(z)/Phi(z) (see normal_tail_terms)."""
+    return normal_tail_terms(z)[1]
 
 
 def inverse_mills_delta(z):
-    """delta(z) = lambda(z) * (lambda(z) + z), the negative slope of lambda.
-
-    Lies strictly in (0, 1) for every finite z; tends to 1 as z -> -inf and
-    to 0 as z -> +inf.  Where the true value falls outside the open unit
-    interval representable in float64 (|z| beyond roughly 1e8 on the left,
-    38.6 on the right) the result is clamped to the nearest interior double
-    rather than returning an exact 0 or 1.
-    """
-    arr, scalar = _wrap(z)
-    out = np.empty_like(arr)
-
-    tail = arr < _TAIL_Z
-    pos = arr >= 0.0
-    neg = ~(tail | pos)  # also carries NaN through
-
-    if np.any(tail):
-        zt = arr[tail]
-        with np.errstate(over="ignore"):
-            u = 1.0 / (zt * zt)
-        m = _horner(_MILLS_M, u)
-        # z^2*(1 - M) evaluated by its own series: no cancellation.
-        vals = _horner(_MILLS_T, u) / (m * m)
-        out[tail] = np.where(vals < 1.0, vals, np.nextafter(1.0, 0.0))
-    if np.any(neg):
-        zn = arr[neg]
-        lam = inverse_mills(zn)
-        out[neg] = lam * (lam + zn)
-    if np.any(pos):
-        zp = arr[pos]
-        # z*z may overflow to inf for astronomically large inputs, and
-        # z = +inf gives -inf + inf; the clamp below is the intended answer.
-        with np.errstate(over="ignore", invalid="ignore"):
-            loglam = -0.5 * zp * zp - _LOG_SQRT_2PI - log_normal_cdf(zp)
-            lam = np.exp(loglam)
-            vals = np.exp(loglam + np.log(zp + lam))
-        out[pos] = np.where(vals > 0.0, vals, np.nextafter(0.0, 1.0))
-    return _unwrap(out, scalar)
+    """delta(z) = lambda(z) * (lambda(z) + z), strictly inside (0, 1) (see normal_tail_terms)."""
+    return normal_tail_terms(z)[2]

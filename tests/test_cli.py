@@ -137,6 +137,17 @@ def test_nonfinite_data_cell_exits_1(tmp_path, capsys):
     assert errors == ["error: non-finite number 'inf' (row 2, column 'gdp')"]
 
 
+def test_malformed_schema_yaml_exits_1(tmp_path, capsys):
+    schema = tmp_path / "bad.yaml"
+    schema.write_text("a: [1, 2\n", encoding="utf-8")
+    code = main(["describe", "--schema", str(schema), "--out", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert errors == [f"error: schema file {schema} is not valid YAML (line 2, column 1)"]
+
+
 def test_usage_error_exits_2(capsys):
     assert main(["replicate"]) == 2  # --out is required
     assert main(["frobnicate"]) == 2

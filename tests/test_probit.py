@@ -2,7 +2,6 @@
 
 import hashlib
 import math
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -286,26 +285,26 @@ class TestSandwich:
 
 
 class TestEvaluationCount:
-    """Each evaluated coefficient vector costs one log Phi, one lambda and
-    one delta pass over the n rows; accepted points are not re-evaluated."""
+    """Each evaluated coefficient vector costs one normal_tail_terms pass
+    (log Phi, lambda and delta) over the n rows; accepted points are not
+    re-evaluated."""
 
     @staticmethod
     def count_stdnorm(monkeypatch):
         calls = []
-        for name in ("log_normal_cdf", "inverse_mills", "inverse_mills_delta"):
-            def counted(z, _name=name, _fn=getattr(probit, name)):
-                calls.append((_name, np.size(z)))
-                return _fn(z)
+        kernel = probit.normal_tail_terms
 
-            monkeypatch.setattr(probit, name, counted)
+        def counted(z):
+            calls.append(np.size(z))
+            return kernel(z)
+
+        monkeypatch.setattr(probit, "normal_tail_terms", counted)
         return calls
 
     @staticmethod
-    def per_function(calls, n):
-        assert {size for _, size in calls} == {n}
-        counts = Counter(name for name, _ in calls)
-        assert len(counts) == 3 and len(set(counts.values())) == 1
-        return next(iter(counts.values()))
+    def per_point(calls, n):
+        assert set(calls) == {n}
+        return len(calls)
 
     def test_fit_without_halvings_and_sandwich(self, monkeypatch):
         rng = np.random.default_rng(3)
@@ -315,10 +314,10 @@ class TestEvaluationCount:
         calls = self.count_stdnorm(monkeypatch)
         fit = probit.fit(y, X)
         assert fit.converged and len(fit.loglik_path) == fit.iterations + 1
-        assert self.per_function(calls, n) == fit.iterations + 1
+        assert self.per_point(calls, n) == fit.iterations + 1
         calls.clear()
         probit.sandwich_vcov(fit, y, X)
-        assert self.per_function(calls, n) == 1
+        assert self.per_point(calls, n) == 1
 
     def test_fit_with_halvings_makes_one_pass_per_candidate(self, monkeypatch):
         # near this draw's optimum the likelihood is flat to an ulp: full
@@ -339,7 +338,7 @@ class TestEvaluationCount:
         calls = self.count_stdnorm(monkeypatch)
         fit = probit.fit(y, X)
         assert fit.converged and len(points) > fit.iterations + 1
-        assert self.per_function(calls, n) == len(points)
+        assert self.per_point(calls, n) == len(points)
 
 
 def _pinned_digest(n):
