@@ -32,7 +32,7 @@ import numpy as np
 
 from vaxsel import probit
 from vaxsel.panel import PanelError
-from vaxsel.stdnorm import inverse_mills_delta, normal_tail_terms
+from vaxsel.stdnorm import normal_tail_terms
 
 PLAIN_ROBUST = "plain_robust"
 HECKMAN_CORRECTED = "heckman_corrected"
@@ -65,7 +65,8 @@ class HeckmanFit:
     imr_coef mirrors that last entry.  In the degenerate all-selected
     case the Mills column is skipped, outcome_coef has no extra entry and
     imr_coef is 0.  outcome_vcov and selection_vcov are the vcov_variant
-    covariances; covariances() gives either variant.
+    covariances; covariances() gives either variant.  delta is
+    lambda(lambda + z) at the outcome rows' index z (None if degenerate).
     """
 
     first_stage: probit.ProbitFit
@@ -83,6 +84,7 @@ class HeckmanFit:
     degenerate: bool = False
     design: np.ndarray = field(default=None, repr=False)
     outcome_keep: np.ndarray = field(default=None, repr=False)
+    delta: np.ndarray = field(default=None, repr=False)
     frame: object = field(default=None, repr=False)
 
     def covariances(self, variant: str):
@@ -153,15 +155,13 @@ def heckman_corrected_vcov(fit: HeckmanFit, frame) -> np.ndarray:
     W = fit.design
     selected = np.asarray(frame.selection_y, dtype=float) == 1.0
     Z = np.asarray(frame.selection_X, dtype=float)[selected][fit.outcome_keep]
-    idx = Z @ fit.first_stage.coef
-    delta = inverse_mills_delta(idx)
 
     sigma2 = fit.sigma2
     rho2 = fit.rho**2
     wtw_inv = np.linalg.inv(W.T @ W)
-    WdZ = (W * delta[:, None]).T @ Z
+    WdZ = (W * fit.delta[:, None]).T @ Z
     Q = rho2 * WdZ @ fit.first_stage.vcov @ WdZ.T
-    core = (W * (1.0 - rho2 * delta)[:, None]).T @ W + Q
+    core = (W * (1.0 - rho2 * fit.delta)[:, None]).T @ W + Q
     v = sigma2 * wtw_inv @ core @ wtw_inv
     return 0.5 * (v + v.T)
 
@@ -273,6 +273,7 @@ def fit_two_step(frame, vcov_variant: str = PLAIN_ROBUST) -> HeckmanFit:
         selection_vcov=None,
         design=W,
         outcome_keep=keep,
+        delta=delta,
         frame=frame,
     )
     fit.outcome_vcov, fit.selection_vcov = _covariances(fit, vcov_variant)

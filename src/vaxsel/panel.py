@@ -3,15 +3,17 @@
 The panel is a single flat CSV snapshot, one row per country, raw values
 only, empty cell for missing.  Variable handling is driven by a schema
 (code, transform, source_label); log transforms are applied at load time
-and the raw value is kept alongside for audit.  Every transformation that
-turns a value into a missing one is recorded on the panel's audit list.
+and the raw value is kept alongside for audit.  In memory the panel is
+held by column, as every reader reads it one variable at a time.  Every
+transformation that turns a value into a missing one is recorded on the
+panel's audit list.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from datetime import date
 from pathlib import Path
 
@@ -63,22 +65,33 @@ class VariableDef:
             raise SchemaError(f"unknown transform {self.transform!r} for {self.code!r}")
 
 
-@dataclass
-class CountryRecord:
-    """One country's values: transformed storage plus the raw originals."""
+@dataclass(eq=False)
+class Panel:
+    """The panel stored by column, one row per country.
 
-    iso3: str
-    name: str
+    values and raw map each code to a read-only float64 array (transformed
+    and as read), NaN where the value is missing; iso3 and name are string
+    arrays of the same length.
+    """
+
+    iso3: np.ndarray
+    name: np.ndarray
     values: dict
     raw: dict
-
-
-@dataclass
-class Panel:
-    records: list
     defs: list
-    snapshot_date: date = SNAPSHOT_DATE
     audit: list = field(default_factory=list)
+
+    def __post_init__(self):
+        n = len(self.iso3)
+        self.iso3 = _read_only(self.iso3, str, n, "iso3")
+        self.name = _read_only(self.name, str, n, "name")
+        for store in ("values", "raw"):
+            columns = getattr(self, store)
+            missing = [c for c in self.codes if c not in columns]
+            if missing:
+                raise FrameError(f"panel {store} have no column for {missing}")
+            setattr(self, store, {c: _read_only(v, float, n, f"{store} column {c!r}")
+                                  for c, v in columns.items()})
 
     @property
     def codes(self):
@@ -86,11 +99,11 @@ class Panel:
 
     @property
     def n_records(self):
-        return len(self.records)
+        return len(self.iso3)
 
     @property
     def n_started(self):
-        return int(sum(1 for r in self.records if r.values.get(CODE_STARTED) == 1.0))
+        return int((self.values.get(CODE_STARTED, np.empty(0)) == 1.0).sum())
 
     def def_for(self, code):
         for d in self.defs:
@@ -99,21 +112,38 @@ class Panel:
         raise SchemaError(f"variable {code!r} is not in the panel schema")
 
     def column(self, code):
-        """Transformed values as a float array, NaN where missing."""
-        return self._floats(code, "values")
+        """Transformed values as a read-only float array, NaN where missing."""
+        self.def_for(code)
+        return self.values[code]
 
     def raw_column(self, code):
-        return self._floats(code, "raw")
-
-    def _floats(self, code, store):
         self.def_for(code)
-        values = (getattr(r, store).get(code) for r in self.records)
-        return np.array([np.nan if v is None else v for v in values], dtype=float)
+        return self.raw[code]
+
+    def take(self, rows):
+        """The panel restricted to rows (a boolean mask or index array)."""
+        return replace(
+            self, iso3=self.iso3[rows], name=self.name[rows],
+            values={c: v[rows] for c, v in self.values.items()},
+            raw={c: v[rows] for c, v in self.raw.items()},
+        )
+
+
+def _read_only(values, dtype, n, what):
+    """values as a read-only view of n entries (the caller's array keeps its flags)."""
+    array = np.asarray(values, dtype=dtype).view()
+    if array.shape != (n,):
+        raise FrameError(f"{what} has shape {array.shape}, expected ({n},)")
+    array.flags.writeable = False
+    return array
 
 
 def load_schema(path) -> list:
     """Read the variable schema (YAML list of code/transform/source_label)."""
-    raw = Path(path).read_text(encoding="utf-8")
+    try:
+        raw = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"schema file {path} is not UTF-8 text (byte {exc.start})") from exc
     try:
         entries = yaml.safe_load(raw)
     except yaml.YAMLError as exc:
@@ -155,31 +185,6 @@ def apply_log(value, audit=None, context=""):
     return math.log(value)
 
 
-def average_gov_response(daily_index, first_case_date, end_date):
-    """Mean of a daily index over [first_case_date, end_date].
-
-    daily_index maps dates to index values (a mapping or a sequence of
-    (date, value) pairs).  Returns None for an empty window.
-    """
-    if hasattr(daily_index, "items"):
-        items = daily_index.items()
-    else:
-        items = daily_index
-    window = [v for d, v in items if first_case_date <= d <= end_date]
-    if not window:
-        return None
-    return float(sum(window) / len(window))
-
-
-def days_since_first_vaccination(first_vaccination_date, end_date) -> int:
-    """Whole-day difference; raises on reversed dates."""
-    if first_vaccination_date > end_date:
-        raise ValueError(
-            f"first vaccination {first_vaccination_date} is after the end date {end_date}"
-        )
-    return (end_date - first_vaccination_date).days
-
-
 def _parse_cell(text, vdef, row_no, audit, iso3):
     text = text.strip()
     if text == "":
@@ -204,19 +209,20 @@ def _parse_cell(text, vdef, row_no, audit, iso3):
     return raw, raw
 
 
-def _validate_record(rec, codes, row_no):
-    started = rec.values.get(CODE_STARTED)
-    if CODE_STARTED in codes:
+def _validate_row(values, row_no):
+    """Check the row last appended to the per-code value lists."""
+    if CODE_STARTED in values:
+        started = values[CODE_STARTED][-1]
         if started is None:
             raise ParseError("started flag missing", row=row_no, column=CODE_STARTED)
         for code in (CODE_VAC, CODE_DAYS):
-            if code in codes and started == 0.0 and rec.values.get(code) is not None:
+            if code in values and started == 0.0 and values[code][-1] is not None:
                 raise ParseError(
                     f"{code} present for a country with started=0", row=row_no, column=code
                 )
 
 
-def load_panel(path, schema, snapshot_date=SNAPSHOT_DATE) -> Panel:
+def load_panel(path, schema) -> Panel:
     """Load the flat CSV snapshot into a Panel.
 
     The header must be iso3,name followed by exactly the schema codes in
@@ -226,9 +232,15 @@ def load_panel(path, schema, snapshot_date=SNAPSHOT_DATE) -> Panel:
     path = Path(path)
     if not path.exists():
         raise PanelError(f"data file not found: {path}")
-    text = path.read_text(encoding="utf-8")
-    reader = csv.reader(text.splitlines())
-    rows = list(reader)
+    try:
+        text = path.read_text(encoding="utf-8")
+        rows = list(csv.reader(text.splitlines()))
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"data file {path} is not UTF-8 text (byte {exc.start})") from exc
+    except csv.Error as exc:
+        raise ParseError(f"data file {path} is not readable as CSV: {exc}") from exc
+    if "\0" in text:  # numpy string arrays drop trailing NULs: "A\0" would read as "A"
+        raise ParseError(f"data file {path} contains a NUL character")
     if not rows:
         raise ParseError(f"{path} is empty (no header row)")
 
@@ -236,6 +248,9 @@ def load_panel(path, schema, snapshot_date=SNAPSHOT_DATE) -> Panel:
     if header[:2] != ["iso3", "name"]:
         raise SchemaError(f"header must start with iso3,name; got {header[:2]}")
     codes = header[2:]
+    duplicated = sorted({c for c in codes if codes.count(c) > 1})
+    if duplicated:
+        raise SchemaError(f"columns named more than once in header: {duplicated}")
     schema_codes = [d.code for d in schema]
     unknown = [c for c in codes if c not in schema_codes]
     missing = [c for c in schema_codes if c not in codes]
@@ -249,7 +264,10 @@ def load_panel(path, schema, snapshot_date=SNAPSHOT_DATE) -> Panel:
         raise ParseError(f"{path} has a header but no data rows")
 
     audit = []
-    records = []
+    iso3s, names = [], []
+    # one list per code; a missing cell is None, which becomes NaN in Panel
+    values = {c: [] for c in codes}
+    raw = {c: [] for c in codes}
     seen_iso = set()
     for row_no, row in enumerate(rows[1:], start=2):
         if len(row) != len(header):
@@ -263,32 +281,25 @@ def load_panel(path, schema, snapshot_date=SNAPSHOT_DATE) -> Panel:
         if iso3 in seen_iso:
             raise ParseError(f"duplicate country {iso3}", row=row_no, column="iso3")
         seen_iso.add(iso3)
-        values, raw = {}, {}
         for code, cell in zip(codes, row[2:]):
             v, r = _parse_cell(cell, def_map[code], row_no, audit, iso3)
-            values[code] = v
-            raw[code] = r
-        rec = CountryRecord(iso3=iso3, name=name, values=values, raw=raw)
-        _validate_record(rec, set(codes), row_no)
-        records.append(rec)
+            values[code].append(v)
+            raw[code].append(r)
+        _validate_row(values, row_no)
+        iso3s.append(iso3)
+        names.append(name)
 
-    return Panel(records=records, defs=list(schema), snapshot_date=snapshot_date, audit=audit)
+    return Panel(iso3=iso3s, name=names, values=values, raw=raw, defs=list(schema), audit=audit)
 
 
 def save_panel(panel: Panel, path) -> None:
-    """Write the panel back to CSV (raw values, shortest round-trip reprs)."""
-    lines = [",".join(["iso3", "name"] + panel.codes)]
-    for rec in panel.records:
-        cells = [rec.iso3, _csv_quote(rec.name)]
-        for d in panel.defs:
-            v = rec.raw.get(d.code)
-            if v is None:
-                cells.append("")
-            elif d.transform == "binary":
-                cells.append(str(int(v)))
-            else:
-                cells.append(repr(v))
-        lines.append(",".join(cells))
+    """Write the panel back to CSV (raw values as shortest reprs, NaN as an empty cell)."""
+    columns = [[_csv_quote(s) for s in panel.iso3.tolist()],
+               [_csv_quote(s) for s in panel.name.tolist()]]
+    for d in panel.defs:
+        fmt = (lambda v: str(int(v))) if d.transform == "binary" else repr
+        columns.append(["" if math.isnan(v) else fmt(v) for v in panel.raw[d.code].tolist()])
+    lines = [",".join(["iso3", "name"] + panel.codes)] + [",".join(r) for r in zip(*columns)]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -324,14 +335,7 @@ def filter_percentile(panel: Panel, variable, low_p, high_p) -> Panel:
     present = col[~np.isnan(col)]
     lo = quantile(present, low_p)
     hi = quantile(present, high_p)
-    kept = [
-        rec
-        for rec, v in zip(panel.records, col)
-        if np.isnan(v) or (lo <= v <= hi)
-    ]
-    return Panel(
-        records=kept, defs=panel.defs, snapshot_date=panel.snapshot_date, audit=panel.audit
-    )
+    return panel.take(np.isnan(col) | ((lo <= col) & (col <= hi)))
 
 
 @dataclass
@@ -395,7 +399,6 @@ def build_model_frame(panel: Panel, spec) -> ModelFrame:
         raise FrameError(f"{spec.name}: no usable rows after listwise deletion")
 
     idx = np.where(keep_sel)[0]
-    row_labels = [panel.records[i].iso3 for i in idx]
     selection_y = started[idx]
     selection_X = np.column_stack([sel_cols[c][idx] for c in sel_vars] + [np.ones(idx.size)])
     selection_labels = sel_vars + ["const"]
@@ -425,8 +428,8 @@ def build_model_frame(panel: Panel, spec) -> ModelFrame:
         outcome_y=outcome_y,
         outcome_X=outcome_X,
         outcome_labels=outcome_labels,
-        row_labels=row_labels,
-        outcome_row_labels=[panel.records[i].iso3 for i in out_rows],
+        row_labels=panel.iso3[idx].tolist(),
+        outcome_row_labels=panel.iso3[out_rows].tolist(),
         outcome_keep=keep_out,
         spec_name=spec.name,
     )

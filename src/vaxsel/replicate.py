@@ -279,7 +279,6 @@ def goveff_scatter_fit(panel: Panel) -> FigureData:
     ge = panel.column("gov_eff")
     vac = panel.column("vac_php")
     st = panel.column("started")
-    iso = [r.iso3 for r in panel.records]
     mask = (st == 1.0) & ~np.isnan(ge) & ~np.isnan(vac)
     n = int(mask.sum())
     if n < 3:
@@ -290,11 +289,7 @@ def goveff_scatter_fit(panel: Panel) -> FigureData:
     s2 = float(resid @ resid) / dof if dof > 0 else 0.0
     se = math.sqrt(max(s2, 0.0) * np.linalg.inv(X.T @ X)[0, 0]) if dof > 0 else 0.0
     pval = two_sided_p(coef[0] / se) if se > 0 else 0.0
-    rows = [
-        (iso_i, float(g), float(v))
-        for iso_i, g, v, m in zip(iso, ge, vac, mask)
-        if m
-    ]
+    rows = list(zip(panel.iso3[mask].tolist(), ge[mask].tolist(), vac[mask].tolist()))
     return FigureData(
         figure_id="fig3",
         columns=["iso3", "gov_eff", "log_vac_php"],

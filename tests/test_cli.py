@@ -137,6 +137,20 @@ def test_nonfinite_data_cell_exits_1(tmp_path, capsys):
     assert errors == ["error: non-finite number 'inf' (row 2, column 'gdp')"]
 
 
+def test_duplicate_header_column_exits_1(tmp_path, capsys):
+    # a second cases column, all 5s, must not replace the first
+    lines = packaged("snapshot.csv").read_text(encoding="utf-8").splitlines()
+    data = tmp_path / "dup.csv"
+    data.write_text("\n".join([lines[0] + ",cases"] + [line + ",5" for line in lines[1:]]) + "\n",
+                    encoding="utf-8")
+    code = main(["describe", "--data", str(data), "--out", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert errors == ["error: columns named more than once in header: ['cases']"]
+
+
 def test_malformed_schema_yaml_exits_1(tmp_path, capsys):
     schema = tmp_path / "bad.yaml"
     schema.write_text("a: [1, 2\n", encoding="utf-8")

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from vaxsel import heckman, synth
+from vaxsel import heckman, stdnorm, synth
 from vaxsel.panel import ModelFrame
 from vaxsel.probit import RankDeficientError
 
@@ -313,6 +313,19 @@ class TestHeckmanCorrectedVcov:
         v = heckman.heckman_corrected_vcov(forced, frame)
         unadjusted = forced.sigma2 * np.linalg.inv(fit.design.T @ fit.design)
         assert_allclose(v, unadjusted, atol=1e-10)
+
+    def test_reads_delta_from_the_fit(self, monkeypatch):
+        frame = simple_frame(np.random.default_rng(15))
+        fit = heckman.fit_two_step(frame, vcov_variant=heckman.HECKMAN_CORRECTED)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the corrected covariance recomputed a normal tail term")
+
+        for module in (stdnorm, heckman):
+            for name in ("normal_tail_terms", "inverse_mills_delta", "inverse_mills"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, refuse)
+        assert np.array_equal(heckman.heckman_corrected_vcov(fit, frame), fit.outcome_vcov)
 
     def test_symmetric(self):
         frame = simple_frame(np.random.default_rng(14))

@@ -1,7 +1,6 @@
 """Datastore tests: ingestion, transforms, quantiles, filters, frames."""
 
 import math
-from datetime import date
 
 import numpy as np
 import pytest
@@ -16,15 +15,14 @@ from vaxsel.panel import (
     SchemaError,
     VariableDef,
     apply_log,
-    average_gov_response,
     build_model_frame,
-    days_since_first_vaccination,
     filter_percentile,
     load_panel,
+    load_schema,
     quantile,
     save_panel,
 )
-from vaxsel.specs import ModelSpec, builtin_specs
+from vaxsel.specs import ModelSpec, apply_outlier_filter, builtin_specs
 
 MINI_SCHEMA = [
     VariableDef("cases", "log"),
@@ -47,6 +45,17 @@ def write_mini(tmp_path, rows, header=MINI_HEADER):
     return p
 
 
+def assert_panels_equal(a, b):
+    assert a.codes == b.codes
+    assert a.iso3.tolist() == b.iso3.tolist()
+    assert a.name.tolist() == b.name.tolist()
+    for code in a.codes:
+        assert np.array_equal(a.values[code], b.values[code], equal_nan=True), code
+        assert np.array_equal(a.raw[code], b.raw[code], equal_nan=True), code
+    # audit lines follow the file's column order, which save_panel may change
+    assert sorted(a.audit) == sorted(b.audit)
+
+
 class TestLoadPanel:
     def test_snapshot_counts(self, snapshot):
         assert snapshot.n_records == 189
@@ -67,9 +76,8 @@ class TestLoadPanel:
         p = write_mini(tmp_path, ["ABW,Aruba,1200.0,0.4,1,2.5,20,0,1,0,0"])
         pan = load_panel(p, MINI_SCHEMA)
         assert pan.n_records == 1
-        rec = pan.records[0]
-        assert rec.values["cases"] == pytest.approx(math.log(1200.0))
-        assert rec.raw["cases"] == 1200.0
+        assert pan.column("cases")[0] == pytest.approx(math.log(1200.0))
+        assert pan.raw_column("cases")[0] == 1200.0
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(panel.PanelError) as err:
@@ -119,9 +127,155 @@ class TestLoadPanel:
     def test_nonpositive_log_becomes_missing_with_audit(self, tmp_path):
         p = write_mini(tmp_path, ["ABW,Aruba,0,0.4,0,,,0,0,0,0"])
         pan = load_panel(p, MINI_SCHEMA)
-        assert pan.records[0].values["cases"] is None
-        assert pan.records[0].raw["cases"] == 0.0
+        assert np.isnan(pan.column("cases")[0])
+        assert pan.raw_column("cases")[0] == 0.0
         assert any("ABW:cases" in line for line in pan.audit)
+
+    def test_duplicate_header_column_is_schema_error(self, tmp_path):
+        # the second cases column must not silently replace the first
+        p = write_mini(tmp_path, ["ABW,Aruba,1200.0,0.4,0,,,0,0,0,0,5"],
+                       header=MINI_HEADER + ",cases")
+        with pytest.raises(SchemaError) as err:
+            load_panel(p, MINI_SCHEMA)
+        assert "more than once" in str(err.value)
+        assert "'cases'" in str(err.value)
+
+    def test_unreadable_data_file_names_path(self, tmp_path):
+        good = "ABW,Aruba,1,0.4,0,,,0,0,0,0"
+        for body in (
+            (MINI_HEADER + "\n" + good.replace("Aruba", "Ar\xfcba") + "\n").encode("latin-1"),
+            (MINI_HEADER + "\n" + good.replace("ABW", "ABW\0") + "\n").encode("utf-8"),
+            (MINI_HEADER + "\n" + good.replace("Aruba", "x" * 200_000) + "\n").encode("utf-8"),
+        ):
+            p = tmp_path / "odd.csv"
+            p.write_bytes(body)
+            with pytest.raises(ParseError) as err:
+                load_panel(p, MINI_SCHEMA)
+            assert str(p) in str(err.value)
+
+    def test_non_utf8_schema_names_path(self, tmp_path):
+        p = tmp_path / "schema.yaml"
+        p.write_bytes("- {code: pa\xeds, transform: none}\n".encode("latin-1"))
+        with pytest.raises(SchemaError) as err:
+            load_schema(p)
+        assert str(err.value) == f"schema file {p} is not UTF-8 text (byte 11)"
+
+
+# cells a numeric column may hold, and junk cells
+NUMBER_CELLS = st.one_of(
+    st.sampled_from(["", "0", "-2", " 3.5 ", "1e-300", "7"]),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+)
+JUNK_CELLS = st.one_of(
+    st.sampled_from(["", " ", "nan", "inf", "-inf", "1e999", "x", "2", '"', '""', '"1.5"',
+                     '"1,5"', "1,5", '"a""b"', "1_0", "\t3\t"]),
+    st.text(max_size=4),
+)
+CODES = [d.code for d in MINI_SCHEMA]
+BINARY = {d.code for d in MINI_SCHEMA if d.transform == "binary"}
+
+
+@st.composite
+def snapshot_like_csv(draw):
+    """A CSV text in the mini schema's format, with malformed parts: a
+    header with permuted, duplicated, dropped or unknown codes, and rows
+    that are ragged or hold junk, quoted or non-finite cells."""
+    if draw(st.integers(0, 3)):
+        codes = draw(st.permutations(CODES))
+    else:
+        codes = draw(st.lists(st.sampled_from(CODES + ["mystery"]), max_size=len(CODES) + 2))
+    lines = [",".join(["iso3", "name"] + list(codes))]
+    for i in range(draw(st.integers(0, 6))):
+        iso3 = draw(st.sampled_from([f"C{i}"] * 4 + ["C0", "", '"D,E"', " C9 "]))
+        name = draw(st.one_of(st.sampled_from(["Land", '"Korea, Rep."', 'say "hi"', ""]),
+                              st.text(max_size=5)))
+        started = draw(st.sampled_from(["0", "1"]))
+        cells = {}
+        for code in codes:
+            if code in BINARY:
+                cells[code] = started if code == "started" else draw(st.sampled_from("01"))
+            elif code in ("vac_php", "days") and started == "0":
+                cells[code] = ""
+            else:
+                cells[code] = draw(NUMBER_CELLS)
+        row = [iso3, name] + [cells[c] for c in codes]
+        if draw(st.integers(0, 3)) == 0:
+            row[draw(st.integers(0, len(row) - 1))] = draw(JUNK_CELLS)
+        if draw(st.integers(0, 9)) == 0:
+            row = row[:-1] if draw(st.booleans()) else row + [draw(JUNK_CELLS)]
+        lines.append(",".join(row))
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+@st.composite
+def malformed_csv(draw):
+    """Snapshot-like CSV bytes, the same with a few bytes spliced in, or any bytes."""
+    kind = draw(st.sampled_from(["csv", "csv", "csv", "spliced", "bytes"]))
+    if kind == "bytes":
+        return draw(st.binary(max_size=300))
+    data = draw(snapshot_like_csv())
+    if kind == "spliced":
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.binary(min_size=1, max_size=3)) + data[at:]
+    return data
+
+
+class TestMalformedCsv:
+    @given(data=malformed_csv())
+    @settings(max_examples=200, deadline=None)
+    def test_loads_or_raises_panel_error(self, data, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("fuzz")
+        p = tmp / "fuzz.csv"
+        p.write_bytes(data)
+        try:
+            pan = load_panel(p, MINI_SCHEMA)
+        except panel.PanelError:
+            return
+        n = pan.n_records
+        assert pan.iso3.shape == pan.name.shape == (n,)
+        for code in pan.codes:
+            assert pan.values[code].shape == pan.raw[code].shape == (n,)
+        out = tmp / "again.csv"
+        save_panel(pan, out)
+        assert_panels_equal(load_panel(out, MINI_SCHEMA), pan)
+
+
+class TestColumnar:
+    @pytest.mark.parametrize("name", ["table3", "table4"])
+    def test_outlier_filters_keep_rows_whole_and_in_order(self, snapshot, name):
+        filtered = apply_outlier_filter(snapshot, name)
+        position = {iso: i for i, iso in enumerate(snapshot.iso3.tolist())}
+        rows = [position[iso] for iso in filtered.iso3.tolist()]
+        assert 0 < len(rows) < snapshot.n_records
+        assert rows == sorted(set(rows))
+        assert filtered.name.tolist() == snapshot.name[rows].tolist()
+        for code in snapshot.codes:
+            assert np.array_equal(filtered.values[code], snapshot.values[code][rows],
+                                  equal_nan=True), code
+            assert np.array_equal(filtered.raw[code], snapshot.raw[code][rows],
+                                  equal_nan=True), code
+
+    def test_columns_are_read_only(self, snapshot):
+        for read in (snapshot.column, snapshot.raw_column):
+            col = read("gdp")
+            before = col.copy()
+            with pytest.raises(ValueError):
+                col[0] = 1.0
+            assert np.array_equal(read("gdp"), before, equal_nan=True)
+
+    def test_wrong_length_or_missing_column_is_frame_error(self):
+        defs = [VariableDef("gdp", "none"), VariableDef("started", "binary")]
+        good = {"gdp": [1.0, np.nan], "started": [1.0, 0.0]}
+        Panel(iso3=["A", "B"], name=["a", "b"], values=good, raw=good, defs=defs)
+        for bad in (
+            {"gdp": [1.0], "started": [1.0, 0.0]},
+            {"gdp": [[1.0, 2.0], [3.0, 4.0]], "started": [1.0, 0.0]},
+            {"started": [1.0, 0.0]},
+        ):
+            with pytest.raises(FrameError):
+                Panel(iso3=["A", "B"], name=["a", "b"], values=bad, raw=good, defs=defs)
+            with pytest.raises(FrameError):
+                Panel(iso3=["A", "B"], name=["a", "b"], values=good, raw=bad, defs=defs)
 
 
 class TestTransforms:
@@ -134,30 +288,11 @@ class TestTransforms:
         assert apply_log(0.0, audit, context="X:military_exp") is None
         assert audit and "X:military_exp" in audit[0]
 
-    def test_average_gov_response_constant(self):
-        series = {date(2020, 3, 1 + i): 50.0 for i in range(10)}
-        assert average_gov_response(series, date(2020, 3, 1), date(2020, 3, 10)) == 50.0
-
-    def test_average_gov_response_two_days(self):
-        series = [(date(2020, 3, 1), 40.0), (date(2020, 3, 2), 60.0)]
-        assert average_gov_response(series, date(2020, 3, 1), date(2020, 3, 2)) == 50.0
-
-    def test_average_gov_response_empty_window(self):
-        assert average_gov_response({}, date(2020, 3, 1), date(2020, 3, 2)) is None
-
     def test_snapshot_gov_response_raw_mean(self, snapshot):
         raw = snapshot.raw_column("gov_response")
         # the reference table labels this row as a log but prints the raw
         # index mean; the snapshot follows the raw-mean reading
         assert np.nanmean(raw) == pytest.approx(57.22, abs=0.1)
-
-    def test_days_since_first_vaccination(self):
-        assert days_since_first_vaccination(date(2020, 12, 15), date(2021, 1, 30)) == 46
-        assert days_since_first_vaccination(date(2021, 1, 30), date(2021, 1, 30)) == 0
-
-    def test_days_reversed_dates(self):
-        with pytest.raises(ValueError):
-            days_since_first_vaccination(date(2021, 2, 1), date(2021, 1, 30))
 
     def test_snapshot_days_mean(self, snapshot):
         days = snapshot.column("days")
@@ -193,8 +328,8 @@ class TestFilterPercentile:
 
     def test_retains_missing(self, snapshot):
         filtered = filter_percentile(snapshot, "gdp", 0.05, 0.95)
-        missing_before = sum(1 for r in snapshot.records if r.values.get("gdp") is None)
-        missing_after = sum(1 for r in filtered.records if r.values.get("gdp") is None)
+        missing_before = int(np.isnan(snapshot.column("gdp")).sum())
+        missing_after = int(np.isnan(filtered.column("gdp")).sum())
         assert missing_before == missing_after > 0
 
     def test_table3_model1_rows(self, snapshot):
@@ -268,12 +403,7 @@ class TestBuildModelFrame:
     def test_order_invariance(self, snapshot, schema):
         rng = np.random.default_rng(13)
         perm = rng.permutation(snapshot.n_records)
-        shuffled = Panel(
-            records=[snapshot.records[i] for i in perm],
-            defs=snapshot.defs,
-            snapshot_date=snapshot.snapshot_date,
-            audit=snapshot.audit,
-        )
+        shuffled = snapshot.take(perm)
         spec = builtin_specs()[1]
         f1 = build_model_frame(snapshot, spec)
         f2 = build_model_frame(shuffled, spec)
@@ -292,11 +422,7 @@ class TestRoundTrip:
         save_panel(snapshot, out)
         again = load_panel(out, snapshot.defs)
         assert again.n_records == snapshot.n_records
-        for a, b in zip(snapshot.records, again.records):
-            assert a.iso3 == b.iso3
-            assert a.name == b.name
-            assert a.raw == b.raw
-            assert a.values == b.values
+        assert_panels_equal(again, snapshot)
 
     @given(rows=st.lists(
         st.tuples(
@@ -322,9 +448,7 @@ class TestRoundTrip:
         out = tmp / "again.csv"
         save_panel(pan, out)
         again = load_panel(out, MINI_SCHEMA)
-        for a, b in zip(pan.records, again.records):
-            assert a.raw == b.raw
-            assert a.values == b.values
+        assert_panels_equal(again, pan)
 
     def test_soft_power_started_share(self, snapshot):
         sp = snapshot.column("soft_power_30")

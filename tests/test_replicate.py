@@ -4,13 +4,25 @@ import numpy as np
 import pytest
 
 from vaxsel import heckman, render, replicate
-from vaxsel.panel import filter_percentile
+from vaxsel.panel import Panel, VariableDef, filter_percentile
 from vaxsel.specs import ANCHOR_CELLS, ModelSpec, apply_outlier_filter, builtin_specs
 
 
 @pytest.fixture(scope="module")
 def table2(snapshot):
     return replicate.run_model_suite(snapshot)
+
+
+def with_column(panel, vdef, values, raw):
+    """panel with one more variable."""
+    return Panel(
+        iso3=panel.iso3,
+        name=panel.name,
+        values={**panel.values, vdef.code: values},
+        raw={**panel.raw, vdef.code: raw},
+        defs=panel.defs + [vdef],
+        audit=panel.audit,
+    )
 
 
 class TestSpecs:
@@ -50,10 +62,7 @@ class TestDescriptiveTable:
             assert table.cells[code].value == pytest.approx(want, abs=0.05)
 
     def test_single_record_group_has_blank_sd(self, snapshot):
-        from vaxsel.panel import Panel
-
-        one = Panel(records=snapshot.records[:1], defs=snapshot.defs,
-                    snapshot_date=snapshot.snapshot_date)
+        one = snapshot.take([0])
         table = replicate.descriptive_table(one)
         for (row, col), cell in table.cells.items():
             assert cell.spread is None
@@ -136,7 +145,7 @@ class TestOutlierSuites:
     def test_filter_registry(self, snapshot):
         assert apply_outlier_filter(snapshot, "none") is snapshot
         t4 = apply_outlier_filter(snapshot, "table4")
-        assert t4.n_records == len(filter_percentile(snapshot, "vac_php", 0.0, 0.95).records)
+        assert t4.n_records == filter_percentile(snapshot, "vac_php", 0.0, 0.95).n_records
         with pytest.raises(ValueError, match="unknown filter"):
             apply_outlier_filter(snapshot, "table5")
 
@@ -161,23 +170,8 @@ class TestCorrelationMatrix:
         assert lookup[("gov_eff", "gov_eff")] == pytest.approx(1.0, abs=1e-12)
 
     def test_negated_column_gives_minus_one(self, snapshot):
-        import dataclasses
-
-        from vaxsel.panel import Panel, VariableDef
-
-        records = []
-        for r in snapshot.records:
-            values = dict(r.values)
-            raw = dict(r.raw)
-            v = values.get("gov_eff")
-            values["neg_gov_eff"] = None if v is None else -v
-            raw["neg_gov_eff"] = values["neg_gov_eff"]
-            records.append(dataclasses.replace(r, values=values, raw=raw))
-        pan = Panel(
-            records=records,
-            defs=snapshot.defs + [VariableDef("neg_gov_eff", "none")],
-            snapshot_date=snapshot.snapshot_date,
-        )
+        neg = -snapshot.column("gov_eff")
+        pan = with_column(snapshot, VariableDef("neg_gov_eff", "none"), neg, neg)
         fig = replicate.correlation_matrix(pan, ["gov_eff", "neg_gov_eff"])
         lookup = {(a, b): v for a, b, v in fig.rows}
         assert lookup[("gov_eff", "neg_gov_eff")] == pytest.approx(-1.0, abs=1e-12)
@@ -188,18 +182,8 @@ class TestCorrelationMatrix:
         assert lookup[("gov_eff", "gdp_pc_ppp")] == pytest.approx(0.83, abs=0.03)
 
     def test_constant_column_is_blank(self, snapshot):
-        import dataclasses
-
-        from vaxsel.panel import Panel, VariableDef
-
-        records = [
-            dataclasses.replace(
-                r, values={**r.values, "flat": 1.0}, raw={**r.raw, "flat": 1.0}
-            )
-            for r in snapshot.records
-        ]
-        pan = Panel(records=records, defs=snapshot.defs + [VariableDef("flat", "none")],
-                    snapshot_date=snapshot.snapshot_date)
+        flat = np.ones(snapshot.n_records)
+        pan = with_column(snapshot, VariableDef("flat", "none"), flat, flat)
         fig = replicate.correlation_matrix(pan, ["gov_eff", "flat"])
         lookup = {(a, b): v for a, b, v in fig.rows}
         assert lookup[("gov_eff", "flat")] is None
@@ -216,16 +200,15 @@ class TestFigures:
         assert mn <= q1 <= med <= q3 <= mx
 
     def test_boxplot_single_value_group(self):
-        from vaxsel.panel import CountryRecord, Panel, VariableDef
-
         defs = [VariableDef("gdp", "log"), VariableDef("started", "binary")]
-        records = [
-            CountryRecord("AAA", "A", {"gdp": 25.0, "started": 1.0},
-                          {"gdp": np.exp(25.0), "started": 1.0}),
-            CountryRecord("BBB", "B", {"gdp": 22.0, "started": 0.0},
-                          {"gdp": np.exp(22.0), "started": 0.0}),
-        ]
-        fig = replicate.gdp_boxplot_stats(Panel(records=records, defs=defs))
+        pan = Panel(
+            iso3=["AAA", "BBB"],
+            name=["A", "B"],
+            values={"gdp": [25.0, 22.0], "started": [1.0, 0.0]},
+            raw={"gdp": [np.exp(25.0), np.exp(22.0)], "started": [1.0, 0.0]},
+            defs=defs,
+        )
+        fig = replicate.gdp_boxplot_stats(pan)
         stats = {row[0]: row[1:] for row in fig.rows}
         assert stats["started"] == (25.0, 25.0, 25.0, 25.0, 25.0)
         assert stats["not_started"] == (22.0, 22.0, 22.0, 22.0, 22.0)
@@ -252,27 +235,19 @@ class TestFigures:
 
     def test_scatter_perfect_line(self):
         # perfectly collinear synthetic points: exact slope, p ~ 0
-        import dataclasses
-
-        from vaxsel.panel import CountryRecord, Panel, VariableDef
-
         defs = [
             VariableDef("gov_eff", "none"),
             VariableDef("vac_php", "log"),
             VariableDef("started", "binary"),
         ]
-        records = []
-        for i in range(8):
-            x = float(i)
-            records.append(
-                CountryRecord(
-                    iso3=f"C{i:02d}",
-                    name=f"Land{i}",
-                    values={"gov_eff": x, "vac_php": 1.0 + 2.0 * x, "started": 1.0},
-                    raw={"gov_eff": x, "vac_php": np.exp(1.0 + 2.0 * x), "started": 1.0},
-                )
-            )
-        pan = Panel(records=records, defs=defs)
+        x = np.arange(8.0)
+        pan = Panel(
+            iso3=[f"C{i:02d}" for i in range(8)],
+            name=[f"Land{i}" for i in range(8)],
+            values={"gov_eff": x, "vac_php": 1.0 + 2.0 * x, "started": np.ones(8)},
+            raw={"gov_eff": x, "vac_php": np.exp(1.0 + 2.0 * x), "started": np.ones(8)},
+            defs=defs,
+        )
         fig = replicate.goveff_scatter_fit(pan)
         assert fig.meta["slope"] == pytest.approx(2.0, abs=1e-9)
         assert fig.meta["p"] < 1e-12
