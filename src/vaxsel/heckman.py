@@ -174,7 +174,7 @@ def _covariances(fit: HeckmanFit, variant: str):
     return heckman_corrected_vcov(fit, frame), fit.first_stage.vcov
 
 
-def fit_two_step(frame, vcov_variant: str = PLAIN_ROBUST) -> HeckmanFit:
+def fit_two_step(frame, vcov_variant: str = PLAIN_ROBUST, first_stage=None) -> HeckmanFit:
     """Estimate the two-step selection model on a model frame.
 
     Parameters
@@ -185,6 +185,8 @@ def fit_two_step(frame, vcov_variant: str = PLAIN_ROBUST) -> HeckmanFit:
         'heckman_corrected' (classic two-step inference, first stage
         reported with the observed-information covariance).  Only this
         variant is computed here; HeckmanFit.covariances gives the other.
+    first_stage : this frame's selection probit, or the estimation error its
+        fit raised (see probit.fit_many); fitted here when None.
 
     Raises
     ------
@@ -229,7 +231,9 @@ def fit_two_step(frame, vcov_variant: str = PLAIN_ROBUST) -> HeckmanFit:
         fit.outcome_vcov = plain_robust_vcov(fit)
         return fit
 
-    first = probit.fit(sel_y, sel_X, labels=list(frame.selection_labels))
+    first = first_stage or probit.fit(sel_y, sel_X, labels=list(frame.selection_labels))
+    if isinstance(first, Exception):
+        raise first
     if not first.converged:
         raise probit.ProbitError(
             f"first-stage probit did not converge (score norm {first.score_norm:.2e})"

@@ -210,7 +210,7 @@ def _parse_cell(text, vdef, row_no, audit, iso3):
 
 
 def _validate_row(values, row_no):
-    """Check the row last appended to the per-code value lists."""
+    """Check the row last appended to the per-code raw cell lists."""
     if CODE_STARTED in values:
         started = values[CODE_STARTED][-1]
         if started is None:
@@ -285,7 +285,7 @@ def load_panel(path, schema) -> Panel:
             v, r = _parse_cell(cell, def_map[code], row_no, audit, iso3)
             values[code].append(v)
             raw[code].append(r)
-        _validate_row(values, row_no)
+        _validate_row(raw, row_no)
         iso3s.append(iso3)
         names.append(name)
 

@@ -54,6 +54,9 @@ class ProbitFit:
     n: int
     labels: list[str] = field(default_factory=list)
     loglik_path: list[float] = field(default_factory=list, repr=False)
+    # score factors and Hessian weights at coef, read by sandwich_vcov
+    g: np.ndarray = field(default=None, repr=False)
+    w: np.ndarray = field(default=None, repr=False)
 
 
 def collinear_columns(X, labels):
@@ -114,13 +117,70 @@ def hessian(coef, y, X):
     return -_information(X, _terms(coef, y, X)[2])
 
 
-_Point = namedtuple("_Point", "coef ll grad w")
+_Point = namedtuple("_Point", "coef ll g grad w")
 
 
-def _point(coef, y, X):
-    """Evaluate coef once; fit reuses the point's loglik, score and weights."""
-    ll, g, w = _terms(coef, y, X)
-    return _Point(coef, ll, X.T @ g, w)
+def _newton(y, X, labels, tol, max_iter):
+    """fit's Newton loop on prepared y and X, as a generator: it yields each
+    coefficient vector to evaluate, is sent its _Point (log L, score factors
+    g, score X'g, weights w) and returns the ProbitFit."""
+    collinear = collinear_columns(X, labels)
+    if collinear:
+        raise RankDeficientError(collinear)
+    if y.min() == y.max():
+        raise ValueError("y contains a single class; probit is not estimable")
+
+    coef, ll, g, grad, w = yield np.zeros(X.shape[1])
+    path = [ll]
+    iterations = 0
+
+    for iterations in range(1, max_iter + 1):
+        sn = np.max(np.abs(grad))
+        if sn < tol:
+            iterations -= 1
+            break
+        try:
+            step = np.linalg.solve(_information(X, w), grad)
+        except np.linalg.LinAlgError as exc:
+            raise ProbitError(f"singular Hessian at iteration {iterations}") from exc
+
+        full = yield coef + step
+        for halvings in range(MAX_STEP_HALVINGS):
+            cand = (yield coef + 0.5**halvings * step) if halvings else full
+            # Near the optimum the quadratic gain falls below float
+            # resolution and the likelihood ties; accept the step if it
+            # still contracts the score, keeping the path nondecreasing.
+            if np.isfinite(cand.ll) and (
+                    cand.ll > ll or (cand.ll == ll and np.max(np.abs(cand.grad)) <= 0.9 * sn)):
+                break
+        else:
+            # Terminal refinement: the quadratic step may wiggle the
+            # likelihood a ulp below its current value while landing the
+            # score inside tolerance.  That is convergence, not descent.
+            cand = full
+            drop = ll - cand.ll
+            if not (np.isfinite(cand.ll) and drop <= 64.0 * np.finfo(float).eps * max(1.0, abs(ll))
+                    and np.max(np.abs(cand.grad)) < tol):
+                break
+        coef, ll, g, grad, w = cand
+        path.append(ll)
+
+        if np.max(np.abs(coef)) > SEPARATION_COEF_BOUND and np.max(np.abs(grad)) > tol:
+            raise SeparationError(
+                "coefficients diverging beyond +-50 with nonzero score; "
+                "the classes appear perfectly separated"
+            )
+
+    score_norm = float(np.max(np.abs(grad)))
+    try:
+        vcov = np.linalg.inv(_information(X, w))
+    except np.linalg.LinAlgError as exc:
+        raise ProbitError("observed information is singular at the optimum") from exc
+    vcov = 0.5 * (vcov + vcov.T)
+
+    return ProbitFit(coef=coef, vcov=vcov, loglik=ll, iterations=iterations,
+                     converged=score_norm < tol, score_norm=score_norm, n=int(y.shape[0]),
+                     labels=labels, loglik_path=path, g=g, w=w)
 
 
 def fit(y, X, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, labels=None) -> ProbitFit:
@@ -143,71 +203,53 @@ def fit(y, X, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, labels=None) -> Probit
         still above tolerance (perfect or quasi-perfect separation).
     """
     y, X, labels = _prepare(y, X, labels)
-    collinear = collinear_columns(X, labels)
-    if collinear:
-        raise RankDeficientError(collinear)
-    if y.min() == y.max():
-        raise ValueError("y contains a single class; probit is not estimable")
-
-    coef, ll, grad, w = _point(np.zeros(X.shape[1]), y, X)
-    path = [ll]
-    iterations = 0
-
-    for iterations in range(1, max_iter + 1):
-        sn = np.max(np.abs(grad))
-        if sn < tol:
-            iterations -= 1
-            break
+    newton = _newton(y, X, labels, tol, max_iter)
+    coef = next(newton)
+    while True:
+        ll, g, w = _terms(coef, y, X)
         try:
-            step = np.linalg.solve(_information(X, w), grad)
-        except np.linalg.LinAlgError as exc:
-            raise ProbitError(f"singular Hessian at iteration {iterations}") from exc
+            coef = newton.send(_Point(coef, ll, g, X.T @ g, w))
+        except StopIteration as done:
+            return done.value
 
-        full = _point(coef + step, y, X)
-        for halvings in range(MAX_STEP_HALVINGS):
-            cand = _point(coef + 0.5**halvings * step, y, X) if halvings else full
-            # Near the optimum the quadratic gain falls below float
-            # resolution and the likelihood ties; accept the step if it
-            # still contracts the score, keeping the path nondecreasing.
-            if np.isfinite(cand.ll) and (
-                    cand.ll > ll or (cand.ll == ll and np.max(np.abs(cand.grad)) <= 0.9 * sn)):
-                break
-        else:
-            # Terminal refinement: the quadratic step may wiggle the
-            # likelihood a ulp below its current value while landing the
-            # score inside tolerance.  That is convergence, not descent.
-            cand = full
-            drop = ll - cand.ll
-            if not (np.isfinite(cand.ll) and drop <= 64.0 * np.finfo(float).eps * max(1.0, abs(ll))
-                    and np.max(np.abs(cand.grad)) < tol):
-                break
-        coef, ll, grad, w = cand
-        path.append(ll)
 
-        if np.max(np.abs(coef)) > SEPARATION_COEF_BOUND and np.max(np.abs(grad)) > tol:
-            raise SeparationError(
-                "coefficients diverging beyond +-50 with nonzero score; "
-                "the classes appear perfectly separated"
-            )
+def fit_many(Y, X, labels=None) -> list:
+    """fit for R samples at once, Y of shape (R, n) and X of shape (R, n, k):
+    one _newton generator per sample, and one stacked normal_tail_terms call
+    per round on the (m, n) block of the m pending coefficient vectors.
+    Returns per sample its ProbitFit, bit-identical to fit's, or the
+    estimation error its fit raised; malformed Y or X raises ValueError."""
+    Y, X = np.asarray(Y, dtype=float), np.asarray(X, dtype=float)
+    if Y.ndim != 2 or X.ndim != 3 or X.shape[:2] != Y.shape:
+        raise ValueError(f"Y must be (R, n) and X (R, n, k); got {Y.shape} and {X.shape}")
+    # binary y and finite X, checked over the whole batch
+    labels = _prepare(Y.ravel(), X.reshape(-1, X.shape[-1]), labels)[2]
+    newtons = [_newton(y, x, labels, DEFAULT_TOL, DEFAULT_MAX_ITER) for y, x in zip(Y, X)]
+    results, pending, y_ones = [None] * len(Y), {}, Y == 1.0
 
-    score_norm = float(np.max(np.abs(grad)))
-    try:
-        vcov = np.linalg.inv(_information(X, w))
-    except np.linalg.LinAlgError as exc:
-        raise ProbitError("observed information is singular at the optimum") from exc
-    vcov = 0.5 * (vcov + vcov.T)
+    def advance(r, point):
+        try:
+            pending[r] = newtons[r].send(point)
+        except StopIteration as done:
+            results[r] = done.value
+        except (ProbitError, ValueError, np.linalg.LinAlgError) as exc:
+            results[r] = exc
 
-    return ProbitFit(
-        coef=coef,
-        vcov=vcov,
-        loglik=ll,
-        iterations=iterations,
-        converged=score_norm < tol,
-        score_norm=score_norm,
-        n=int(y.shape[0]),
-        labels=labels,
-        loglik_path=path,
-    )
+    for r in range(len(Y)):
+        advance(r, None)
+    while pending:
+        reps, coefs = list(pending), list(pending.values())
+        pending.clear()
+        # gathering rows copies the block; while every sample is pending it is not needed
+        Xm, ones = (X, y_ones) if len(reps) == len(Y) else (X[reps], y_ones[reps])
+        idx = np.matmul(Xm, np.array(coefs)[:, :, None])[:, :, 0]
+        log_cdf, lam, w = normal_tail_terms(np.where(ones, idx, -idx))
+        g = np.where(ones, lam, -lam)
+        grad = np.matmul(g[:, None, :], Xm)[:, 0, :]
+        for i, (r, ll) in enumerate(zip(reps, log_cdf.sum(axis=1).tolist())):
+            # copies: a fit holding row views would keep the whole round's block alive
+            advance(r, _Point(coefs[i], ll, g[i].copy(), grad[i], w[i].copy()))
+    return results
 
 
 def predict_prob(fit: ProbitFit, X) -> np.ndarray:
@@ -224,10 +266,11 @@ def sandwich_vcov(fit: ProbitFit, y, X) -> np.ndarray:
     if not fit.converged:
         raise ProbitError("sandwich covariance requires a converged fit")
     y, X, _ = _prepare(y, X, fit.labels)
-    _, g, w = _terms(fit.coef, y, X)
-    S = X * g[:, None]
+    if X.shape[0] != fit.n:
+        raise ValueError(f"fit has {fit.n} rows; y and X have {X.shape[0]}")
+    S = X * fit.g[:, None]
     try:
-        Hinv = np.linalg.inv(_information(X, w))
+        Hinv = np.linalg.inv(_information(X, fit.w))
     except np.linalg.LinAlgError as exc:
         raise ProbitError("negative Hessian is singular") from exc
     v = Hinv @ (S.T @ S) @ Hinv

@@ -93,15 +93,8 @@ def render_table_csv(table: TableResult) -> str:
 def render_figure_csv(fig: FigureData) -> str:
     lines = [",".join(fig.columns)]
     for row in fig.rows:
-        cells = []
-        for v in row:
-            if v is None:
-                cells.append("")
-            elif isinstance(v, float):
-                cells.append(repr(v))
-            else:
-                cells.append(str(v))
-        lines.append(",".join(cells))
+        lines.append(",".join("" if v is None else repr(v) if isinstance(v, float) else str(v)
+                              for v in row))
     for note in fig.notes:
         lines.append(f"# {note}")
     return "\n".join(lines) + "\n"

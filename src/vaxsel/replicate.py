@@ -190,14 +190,9 @@ def correlation_matrix(panel: Panel, codes=None) -> FigureData:
         for b in codes:
             va, vb = cols[a], cols[b]
             ok = ~np.isnan(va) & ~np.isnan(vb)
-            if ok.sum() < 2:
-                rows.append((a, b, None))
-                continue
             xa, xb = va[ok], vb[ok]
-            if xa.std() == 0.0 or xb.std() == 0.0:
-                rows.append((a, b, None))
-                continue
-            rows.append((a, b, float(np.corrcoef(xa, xb)[0, 1])))
+            defined = ok.sum() >= 2 and xa.std() != 0.0 and xb.std() != 0.0
+            rows.append((a, b, float(np.corrcoef(xa, xb)[0, 1]) if defined else None))
     return FigureData(
         figure_id="figA1",
         columns=["var_row", "var_col", "corr"],
@@ -214,16 +209,7 @@ def gdp_boxplot_stats(panel: Panel) -> FigureData:
     rows = []
     for label, mask in (("not_started", st == 0.0), ("started", st == 1.0)):
         vals = gdp[mask & ~np.isnan(gdp)]
-        rows.append(
-            (
-                label,
-                float(vals.min()),
-                quantile(vals, 0.25),
-                quantile(vals, 0.5),
-                quantile(vals, 0.75),
-                float(vals.max()),
-            )
-        )
+        rows.append((label, *(quantile(vals, p) for p in (0.0, 0.25, 0.5, 0.75, 1.0))))
     return FigureData(
         figure_id="fig1",
         columns=["group", "min", "q1", "median", "q3", "max"],
@@ -345,14 +331,9 @@ def replication_diff(panel: Panel, tables=None) -> str:
             continue
         # both variants tabulate the same fits, so both cells exist
         comp_r, comp_c = (f"{c.value:.3f}{c.stars} ({c.spread:.3f})" for c in (robust, corrected))
-        if a.ref_stars == "":
-            sign_match = "n/a"  # sign of a noise-level estimate is not informative
-        else:
-            sign_match = (
-                "yes"
-                if math.copysign(1, robust.value) == math.copysign(1, a.ref_coef)
-                else "no"
-            )
+        same_sign = math.copysign(1, robust.value) == math.copysign(1, a.ref_coef)
+        # the sign of a noise-level estimate is not informative
+        sign_match = "n/a" if a.ref_stars == "" else ("yes" if same_sign else "no")
         stars_match = "yes" if robust.stars == a.ref_stars else "no"
         lines.append(
             f"| {a.table} | {a.model} | {a.stage} | {a.variable} | {ref} "

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from vaxsel import heckman
+from vaxsel import heckman, probit
 from vaxsel.cli import main
 from vaxsel.probit import ProbitError
 from tests.conftest import packaged
@@ -160,6 +160,42 @@ def test_malformed_schema_yaml_exits_1(tmp_path, capsys):
     assert "Traceback" not in err
     errors = [line for line in err.splitlines() if line.startswith("error:")]
     assert errors == [f"error: schema file {schema} is not valid YAML (line 2, column 1)"]
+
+
+# every estimation error class the CLI catches; `vaxsel figures` fits the
+# start-probability probit outside any per-model handler, so an error raised
+# by that fit reaches cli.main
+ESTIMATION_FAILURES = [
+    probit.SeparationError("the classes appear perfectly separated"),
+    probit.RankDeficientError(["gdp"]),
+    heckman.CollinearMillsError("Mills column is collinear with the outcome design"),
+    probit.ProbitError("singular Hessian at iteration 3"),
+]
+
+
+@pytest.mark.parametrize("failure", ESTIMATION_FAILURES, ids=lambda exc: type(exc).__name__)
+def test_estimation_error_exits_1(tmp_path, monkeypatch, capsys, failure):
+    def fail(*args, **kwargs):
+        raise failure
+
+    monkeypatch.setattr(probit, "fit", fail)
+    code = main(["figures", "--out", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert errors == [f"error: {failure}"]
+
+
+def test_unwritable_out_exits_1(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("not a directory\n", encoding="utf-8")
+    code = main(["describe", "--out", str(blocker / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and str(blocker) in errors[0]
 
 
 def test_usage_error_exits_2(capsys):

@@ -124,6 +124,15 @@ class TestLoadPanel:
             load_panel(p, MINI_SCHEMA)
         assert "vac_php" in str(err.value)
 
+    def test_nonpositive_vac_for_nonstarter_rejected(self, tmp_path):
+        # the rule reads the raw cell: a 0 or negative vac_php, which the log
+        # turns into a missing value, is still a value for a non-starter
+        for cell in ("0", "-1.5"):
+            p = write_mini(tmp_path, [f"ABW,Aruba,1.0,0.4,0,{cell},,0,0,0,0"])
+            with pytest.raises(ParseError) as err:
+                load_panel(p, MINI_SCHEMA)
+            assert err.value.column == "vac_php"
+
     def test_nonpositive_log_becomes_missing_with_audit(self, tmp_path):
         p = write_mini(tmp_path, ["ABW,Aruba,0,0.4,0,,,0,0,0,0"])
         pan = load_panel(p, MINI_SCHEMA)

@@ -273,6 +273,16 @@ class TestSandwich:
         lam0 = inverse_mills(0.0)
         assert v[0, 0] == pytest.approx(1.0 / (n * lam0**2), rel=1e-8)
 
+    def test_rows_must_match_the_fit(self):
+        rng = np.random.default_rng(9)
+        X = np.column_stack([np.ones(80), rng.normal(size=80)])
+        y = (rng.uniform(size=80) < normal_cdf(0.3 + 0.5 * X[:, 1])).astype(float)
+        fit = probit.fit(y, X)
+        with pytest.raises(ValueError, match="80 rows"):
+            probit.sandwich_vcov(fit, y[:-1], X[:-1])
+        with pytest.raises(ValueError, match="binary"):
+            probit.sandwich_vcov(fit, 2.0 * y, X)
+
     def test_information_equality_large_n(self):
         rng = np.random.default_rng(99)
         n = 20000
@@ -317,7 +327,7 @@ class TestEvaluationCount:
         assert self.per_point(calls, n) == fit.iterations + 1
         calls.clear()
         probit.sandwich_vcov(fit, y, X)
-        assert self.per_point(calls, n) == 1
+        assert calls == []  # the sandwich reads g and w kept on the fit
 
     def test_fit_with_halvings_makes_one_pass_per_candidate(self, monkeypatch):
         # near this draw's optimum the likelihood is flat to an ulp: full
@@ -339,6 +349,95 @@ class TestEvaluationCount:
         fit = probit.fit(y, X)
         assert fit.converged and len(points) > fit.iterations + 1
         assert self.per_point(calls, n) == len(points)
+
+
+def _mixed_batch():
+    """Five 100-row samples: an ordinary fit, the step-halving draw of
+    TestEvaluationCount, a separated sample, a rank-deficient design and a
+    single-class y."""
+    n = 100
+    ones = np.ones(n)
+    rng = np.random.default_rng(17)
+    x = rng.normal(size=n)
+    ordinary = ((rng.uniform(size=n) < normal_cdf(0.2 + 0.7 * x)).astype(float),
+                np.column_stack([ones, x]))
+    rng = np.random.default_rng(1)
+    x = rng.normal(size=n)
+    halving = ((rng.uniform(size=n) < normal_cdf(0.5 + 2.0 * x)).astype(float),
+               np.column_stack([ones, x]))
+    x = np.concatenate([np.linspace(-2, -0.02, n // 2), np.linspace(0.02, 2, n // 2)])
+    separated = ((x > 0).astype(float), np.column_stack([ones, x]))
+    rank_deficient = (ordinary[0], np.column_stack([ones, 2.0 * ones]))
+    single_class = (ones, ordinary[1])
+    return [ordinary, halving, separated, rank_deficient, single_class]
+
+
+class TestFitMany:
+    """fit_many drives fit's Newton loop for a batch of samples."""
+
+    FIELDS = ("coef", "vcov", "loglik", "iterations", "converged", "score_norm", "n",
+              "labels", "loglik_path", "g", "w")
+
+    def test_matches_fit_bit_for_bit_and_isolates_errors(self):
+        batch = _mixed_batch()
+        many = probit.fit_many([y for y, _ in batch], [X for _, X in batch], labels=["a", "b"])
+        assert len(many) == len(batch)
+        for (y, X), got in zip(batch, many):
+            try:
+                want = probit.fit(y, X, labels=["a", "b"])
+            except (probit.ProbitError, ValueError) as exc:
+                assert type(got) is type(exc) and str(got) == str(exc)
+                continue
+            for name in self.FIELDS:
+                assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        kinds = [type(r) for r in many]
+        assert kinds == [probit.ProbitFit, probit.ProbitFit, probit.SeparationError,
+                         probit.RankDeficientError, ValueError]
+
+    def test_one_kernel_call_per_round(self, monkeypatch):
+        batch = _mixed_batch()
+        evaluations = []
+        terms = probit._terms
+
+        def counted_terms(coef, y, X):
+            evaluations[-1] += 1
+            return terms(coef, y, X)
+
+        monkeypatch.setattr(probit, "_terms", counted_terms)
+        for y, X in batch:
+            evaluations.append(0)
+            try:
+                probit.fit(y, X)
+            except (probit.ProbitError, ValueError):
+                pass
+        calls = TestEvaluationCount.count_stdnorm(monkeypatch)
+        probit.fit_many([y for y, _ in batch], [X for _, X in batch])
+        # a round stacks every pending sample, so the batch takes as many
+        # rounds as its longest fit takes evaluations
+        assert len(calls) == max(evaluations) == evaluations[1] > 30  # the halving draw
+        assert calls[0] == 3 * 100  # the rank-deficient and single-class samples never start
+
+    def test_programming_error_propagates(self, monkeypatch):
+        def broken(X, w):
+            raise TypeError("bug inside the Newton loop")
+
+        monkeypatch.setattr(probit, "_information", broken)
+        batch = _mixed_batch()
+        with pytest.raises(TypeError):
+            probit.fit_many([y for y, _ in batch], [X for _, X in batch])
+
+    def test_malformed_batch_rejected(self):
+        y, X = _mixed_batch()[0]
+        with pytest.raises(ValueError, match="must be"):
+            probit.fit_many(y, X)
+        with pytest.raises(ValueError, match="must be"):
+            probit.fit_many([y], [X[:-1]])
+        with pytest.raises(ValueError, match="binary"):
+            probit.fit_many([y, 2.0 * y], [X, X])
+        bad = X.copy()
+        bad[5, 1] = np.nan
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            probit.fit_many([y, y], [X, bad])
 
 
 def _pinned_digest(n):
@@ -368,3 +467,20 @@ PINNED_DIGESTS = {
 @pytest.mark.parametrize("n", sorted(PINNED_DIGESTS))
 def test_fit_bits_pinned_on_monte_carlo_streams(n):
     assert _pinned_digest(n) == PINNED_DIGESTS[n]
+
+
+@pytest.mark.parametrize("n", sorted(PINNED_DIGESTS))
+def test_fit_many_matches_fit_on_monte_carlo_streams(n):
+    # the stacked pass must give the pinned per-sample bits, sandwich included
+    config = synth.DgpConfig(selection_coef=SIM_SELECTION_COEF, outcome_coef=SIM_OUTCOME_COEF,
+                             rho=0.5, sigma_u=1.0, n=n, seed=7)
+    frames = [synth._generate_with(config, synth.replication_stream(config, rep)).frame
+              for rep in range(10)]
+    many = probit.fit_many([f.selection_y for f in frames], [f.selection_X for f in frames],
+                           labels=frames[0].selection_labels)
+    for frame, got in zip(frames, many):
+        want = probit.fit(frame.selection_y, frame.selection_X, labels=frame.selection_labels)
+        for name in TestFitMany.FIELDS:
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        assert np.array_equal(probit.sandwich_vcov(got, frame.selection_y, frame.selection_X),
+                              probit.sandwich_vcov(want, frame.selection_y, frame.selection_X))

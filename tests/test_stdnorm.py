@@ -47,6 +47,32 @@ def mp_delta(z):
     return lam * (lam + z)
 
 
+def mp_lambda_delta(z):
+    """(lambda(z), delta(z)) to about 110 digits for every finite double z.
+
+    Below -30 both come from Laplace's continued fraction for the Mills
+    ratio, which gives lambda(z) + z = 1/(x + 2/(x + 3/(x + ...))), x = -z,
+    without the cancellation of mp_delta (which loses 2 log10(x) digits)
+    and without mpmath's erfc, which overflows for |z| near 1e154.  Above
+    40, Phi(z) is 1 to beyond 300 digits.
+    """
+    z = mp.mpf(z)
+    if z < -30:
+        x, t = -z, mp.mpf(0)
+        for k in range(200, 1, -1):
+            t = k / (x + t)
+        t = 1 / (x + t)
+        return x + t, (x + t) * t
+    lam = mp.npdf(z) / (mp_cdf(z) if z < 40 else 1)
+    return lam, lam * (lam + z)
+
+
+def within(got, want, rtol):
+    """Relative error below rtol, allowing one subnormal step (2^-1074)
+    where the true value underflows the double range."""
+    return abs(mp.mpf(got) - want) <= rtol * want + mp.mpf(2) ** -1074
+
+
 def series_log_cdf(z):
     """Asymptotic-series oracle for log Phi(z), z << -1.
 
@@ -175,6 +201,17 @@ class TestInverseMills:
         for z in [-36.0, -20.0, -12.5, -3.0, -0.5, 0.7, 4.0, 15.0, 30.0]:
             assert rel_err(inverse_mills(z), mp_lambda(z)) < 1e-12
 
+    def test_continued_fraction_oracle_agrees_with_erfc_route(self):
+        for z in [-30.5, -37.0, -100.0, -1e4]:
+            lam, delta = mp_lambda_delta(z)
+            assert rel_err(lam, mp_lambda(z)) < 1e-100
+            assert rel_err(delta, mp_delta(z)) < 1e-100
+
+    @given(st.floats(allow_nan=False, allow_infinity=False))
+    @settings(max_examples=300, deadline=None)
+    def test_relative_accuracy_whole_line(self, z):
+        assert within(inverse_mills(z), mp_lambda_delta(z)[0], 1e-12)
+
 
 class TestInverseMillsDelta:
     def test_at_zero_is_lambda_squared(self):
@@ -191,6 +228,12 @@ class TestInverseMillsDelta:
         assert 0.0 < got < 1.0
         assert got < 1e-80
         assert rel_err(got, mp_delta(20.0)) < 1e-12
+
+    @given(st.floats(allow_nan=False, allow_infinity=False))
+    @settings(max_examples=300, deadline=None)
+    def test_relative_accuracy_whole_line(self, z):
+        # the mid regime forms lambda + z by cancellation: up to 4e-10 near -37
+        assert within(inverse_mills_delta(z), mp_lambda_delta(z)[1], 1e-9)
 
     @given(st.floats(min_value=-1e300, max_value=1e300, allow_nan=False))
     @settings(max_examples=300)

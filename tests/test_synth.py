@@ -148,6 +148,17 @@ class TestMonteCarlo:
                 wins += 1
         assert wins >= 0.9 * reps
 
+    def test_chunking_does_not_change_the_report(self, monkeypatch):
+        # 53 reps in chunks of 8 leave a short last chunk; one rep per chunk
+        # is the unbatched order
+        cfg = dataclasses.replace(BASE, n=200)
+        monkeypatch.setattr(synth, "MC_CHUNK_ROWS", 8 * cfg.n)
+        chunked = synth.monte_carlo(cfg, 53)
+        monkeypatch.setattr(synth, "MC_CHUNK_ROWS", cfg.n)
+        single = synth.monte_carlo(cfg, 53)
+        assert chunked.to_csv_text() == single.to_csv_text()
+        assert chunked.to_markdown() == single.to_markdown()
+
     def test_failed_reps_are_counted(self):
         report = synth.monte_carlo(BASE, 50)
         assert report.reps_used + report.reps_failed == 50
@@ -157,7 +168,7 @@ class TestMonteCarlo:
         def broken(*args, **kwargs):
             raise TypeError("bug inside the fit")
 
-        monkeypatch.setattr(heckman.probit, "fit", broken)
+        monkeypatch.setattr(heckman.probit, "fit_many", broken)
         with pytest.raises(TypeError):
             synth.monte_carlo(dataclasses.replace(BASE, n=100), 50)
 
