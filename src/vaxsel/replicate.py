@@ -236,6 +236,9 @@ def conditional_start_curve(panel: Panel, grid=None, n_points: int = 100) -> Fig
 
     X = np.column_stack([gdp[ok], np.ones(int(ok.sum()))])
     fit = probit.fit(st[ok], X, labels=["gdp", "const"])
+    if not fit.converged:
+        raise probit.ProbitError(
+            f"start-probability probit did not converge (score norm {fit.score_norm:.2e})")
     G = np.column_stack([grid, np.ones(grid.size)])
     index = G @ fit.coef
     se_index = np.sqrt(np.einsum("ij,jk,ik->i", G, fit.vcov, G))

@@ -78,7 +78,7 @@ def normal_cdf(z):
 
 
 def normal_tail_terms(z):
-    """(log Phi(z), lambda(z), delta(z)) from one split into three regimes.
+    """(log Phi(z), lambda(z), delta(z)) from three regimes.
 
     - z < -37: the Mills-ratio series gives all three.  log Phi stays
       finite until -z^2/2 itself overflows (|z| > 1.3e154), where -inf is
@@ -91,6 +91,11 @@ def normal_tail_terms(z):
     - z >= 0: log Phi is log1p against the upper tail; lambda and delta
       are formed in log space.
 
+    The last two regimes share one erfc(|z|/sqrt(2)) and lambda's formula.
+    Both run on the whole flattened block and np.where keeps, per element,
+    the regime it belongs to; the rare z < -37 elements are then
+    overwritten from the series.  No element is gathered outside the tail.
+
     lambda is strictly positive and strictly decreasing, with
     lambda(z) ~ -z + (-1/z) in the far left tail and lambda(z) ~ phi(z) in
     the right tail.  delta lies strictly in (0, 1) for every finite z,
@@ -100,14 +105,25 @@ def normal_tail_terms(z):
     nearest interior double rather than returning an exact 0 or 1.
     """
     arr, scalar = _wrap(z)
-    log_cdf, lam, delta = np.empty_like(arr), np.empty_like(arr), np.empty_like(arr)
-
-    tail = arr < _TAIL_Z
-    pos = arr >= 0.0
-    mid = ~(tail | pos)  # also carries NaN through
-
+    flat = arr.reshape(-1)
+    pos = flat >= 0.0
+    # Each element keeps one regime's value; the other regime's overflow and
+    # log(0) are thrown away.  A kept value warns only in the z >= 0 regime,
+    # where z*z overflows beyond |z| ~ 1.3e154 and z = +inf gives -inf + inf;
+    # lambda = 0 and the clamp below are the intended answers there.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        # erfc(|z|/sqrt2) is erfc(-z/sqrt2) for z < 0 and erfc(z/sqrt2) for
+        # z >= 0.  No where=: scipy 1.17.1's erfc then corrupts later elements.
+        e = erfc(np.abs(flat) / _SQRT2)
+        log_cdf = np.where(pos, np.log1p(-0.5 * e), np.log(0.5 * e))
+        loglam = -0.5 * flat * flat - _LOG_SQRT_2PI - log_cdf
+        lam = np.exp(loglam)
+        vals = np.exp(loglam + np.log(flat + lam))
+        delta = np.where(pos, np.where(vals > 0.0, vals, np.nextafter(0.0, 1.0)),
+                         lam * (lam + flat))
+    tail = flat < _TAIL_Z
     if np.any(tail):
-        zt = arr[tail]
+        zt = flat[tail]
         with np.errstate(over="ignore"):
             u = 1.0 / (zt * zt)
             m_minus_1 = u * _horner(_MILLS_M[1:], u)
@@ -116,23 +132,7 @@ def normal_tail_terms(z):
         lam[tail] = -zt / m
         vals = _horner(_MILLS_T, u) / (m * m)
         delta[tail] = np.where(vals < 1.0, vals, np.nextafter(1.0, 0.0))
-    if np.any(mid):
-        zm = arr[mid]
-        lc = np.log(0.5 * erfc(-zm / _SQRT2))
-        lm = np.exp(-0.5 * zm * zm - _LOG_SQRT_2PI - lc)
-        log_cdf[mid], lam[mid], delta[mid] = lc, lm, lm * (lm + zm)
-    if np.any(pos):
-        zp = arr[pos]
-        # z*z overflows to inf beyond |z| ~ 1.3e154 and z = +inf gives
-        # -inf + inf; lambda = 0 and the clamp below are the intended answers.
-        with np.errstate(over="ignore", invalid="ignore"):
-            lc = np.log1p(-0.5 * erfc(zp / _SQRT2))
-            loglam = -0.5 * zp * zp - _LOG_SQRT_2PI - lc
-            lp = np.exp(loglam)
-            vals = np.exp(loglam + np.log(zp + lp))
-        log_cdf[pos], lam[pos] = lc, lp
-        delta[pos] = np.where(vals > 0.0, vals, np.nextafter(0.0, 1.0))
-    return _unwrap(log_cdf, scalar), _unwrap(lam, scalar), _unwrap(delta, scalar)
+    return tuple(_unwrap(out.reshape(arr.shape), scalar) for out in (log_cdf, lam, delta))
 
 
 def log_normal_cdf(z):

@@ -187,6 +187,21 @@ def test_estimation_error_exits_1(tmp_path, monkeypatch, capsys, failure):
     assert errors == [f"error: {failure}"]
 
 
+def test_unconverged_start_probit_exits_1(tmp_path, monkeypatch, capsys):
+    # without step-halving the start-probability probit stops short of the
+    # optimum; figure 2 must not be drawn from that fit
+    monkeypatch.setattr(probit, "MAX_STEP_HALVINGS", 0)
+    out = tmp_path / "out"
+    code = main(["figures", "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1
+    assert errors[0].startswith("error: start-probability probit did not converge (score norm ")
+    assert not list(out.rglob("fig2*"))
+
+
 def test_unwritable_out_exits_1(tmp_path, capsys):
     blocker = tmp_path / "file"
     blocker.write_text("not a directory\n", encoding="utf-8")

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vaxsel import stdnorm
 from vaxsel.stdnorm import (
     inverse_mills,
     inverse_mills_delta,
@@ -301,6 +302,50 @@ def test_array_and_scalar_paths_match():
         terms = normal_tail_terms(float(zi))
         assert isinstance(terms, tuple) and all(type(t) is float for t in terms)
         np.testing.assert_array_equal([v[i] for v in vecs], terms)
+
+
+def _layouts():
+    """One (6, 12) block mixing every regime, NaN and +-inf, in four memory
+    layouts, plus empty inputs."""
+    rng = np.random.default_rng(3)
+    base = rng.normal(scale=25.0, size=(6, 12))
+    base[0, :4] = [np.nan, -np.inf, np.inf, -0.0]
+    base[1, :3] = [-1e200, 1e200, -37.0]
+    fortran = np.asfortranarray(base)
+    assert not fortran.flags.c_contiguous
+    return {"C": base, "F": fortran, "strided": base[:, ::3], "transposed": base.T,
+            "empty": np.empty((0,)), "empty_rows": np.empty((3, 0))}
+
+
+@pytest.mark.parametrize("layout", list(_layouts()))
+def test_block_and_row_calls_give_the_same_bits(layout):
+    # fit_many evaluates a round of samples as one (m, n) block and must give
+    # the same bits as fit, which calls the kernel on one row
+    block = _layouts()[layout]
+    whole = normal_tail_terms(block)
+    assert all(out.shape == block.shape for out in whole)
+    for i in range(block.shape[0] if block.ndim == 2 else 0):
+        for out, out_row in zip(whole, normal_tail_terms(block[i])):
+            assert out[i].tobytes() == out_row.tobytes()
+
+
+def test_one_erfc_call_over_the_whole_input(monkeypatch):
+    # both erfc regimes read one erfc(|z|/sqrt2); where= is never passed,
+    # because scipy 1.17.1's erfc returns wrong values and corrupts the heap with it
+    sizes = []
+    erfc = stdnorm.erfc
+
+    def counted(x, *args, **kwargs):
+        assert not kwargs
+        sizes.append(np.size(x))
+        return erfc(x, *args)
+
+    monkeypatch.setattr(stdnorm, "erfc", counted)
+    z = np.array([[-1e3, -40.0, -37.0, -5.0], [-0.5, 0.0, 3.0, 40.0],
+                  [np.nan, -np.inf, np.inf, 1.0]])
+    assert np.any(z < -37.0) and np.any((z >= -37.0) & (z < 0.0)) and np.any(z >= 0.0)
+    normal_tail_terms(z)
+    assert sizes == [z.size]
 
 
 # (value at -inf, value at +inf); delta stays clamped inside (0, 1)
