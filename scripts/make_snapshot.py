@@ -13,7 +13,8 @@ real library code paths before a single byte is written.
 Usage:
     python scripts/make_snapshot.py [--seed N] [--check-only]
 
-Writes src/vaxsel/data/snapshot.csv and src/vaxsel/data/schema.yaml.
+Writes src/vaxsel/data/snapshot.csv, through vaxsel.panel.save_panel so that
+a re-save of the loaded panel gives the same bytes, and src/vaxsel/data/schema.yaml.
 """
 
 from __future__ import annotations
@@ -497,7 +498,6 @@ class Builder:
             "health_exp", "military_exp", "gov_eff", "pop_65",
             "soft_power_30", "started", "vac_php", "west", "china", "russia",
         ]
-        int_codes = {"soft_power_30", "started", "west", "china", "russia", "days"}
         log_codes = {
             "cases", "gdp", "gdp_pc_ppp", "exports", "health_exp",
             "military_exp", "pop_65", "vac_php",
@@ -512,18 +512,12 @@ class Builder:
             for code in codes:
                 v = self.cols[code][i]
                 if code == "military_exp" and iso3 in self.military_zero:
-                    cells.append("0")
-                    continue
-                if np.isnan(v):
-                    cells.append("")
-                elif code in int_codes:
-                    cells.append(str(int(v)))
-                elif code == "gov_response":
-                    cells.append(repr(float(self.gov_resp_raw[i])))
+                    v = 0.0
+                elif code == "gov_response" and not np.isnan(v):
+                    v = self.gov_resp_raw[i]
                 elif code in log_codes:
-                    cells.append(repr(float(np.exp(v))))
-                else:
-                    cells.append(repr(float(v)))
+                    v = np.exp(v)
+                cells.append("" if np.isnan(v) else panel.format_number(float(v)))
             lines.append(",".join(cells))
         return "\n".join(lines) + "\n"
 
@@ -738,7 +732,7 @@ def main():
 
     data_dir = REPO / "src" / "vaxsel" / "data"
     data_dir.mkdir(parents=True, exist_ok=True)
-    (data_dir / "snapshot.csv").write_text(csv_text, encoding="utf-8")
+    panel.save_panel(pan, data_dir / "snapshot.csv")
     (data_dir / "schema.yaml").write_text(SCHEMA_YAML, encoding="utf-8")
     print(f"wrote {data_dir / 'snapshot.csv'} and schema.yaml")
     return 0

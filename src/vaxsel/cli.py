@@ -197,7 +197,7 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return args.func(args)
-    except (*heckman.ESTIMATION_ERRORS, OSError) as exc:
+    except (*heckman.ESTIMATION_ERRORS, synth.WorkerError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -28,6 +28,8 @@ CODE_STARTED = "started"
 CODE_VAC = "vac_php"
 CODE_DAYS = "days"
 DUMMY_CODES = ("west", "china", "russia")
+# libyaml's loader builds the same objects about ten times faster than the pure one
+YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 TRANSFORMS = ("log", "none", "binary")
 
@@ -145,7 +147,7 @@ def load_schema(path) -> list:
     except UnicodeDecodeError as exc:
         raise SchemaError(f"schema file {path} is not UTF-8 text (byte {exc.start})") from exc
     try:
-        entries = yaml.safe_load(raw)
+        entries = yaml.load(raw, Loader=YAML_LOADER)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         where = f" (line {mark.line + 1}, column {mark.column + 1})" if mark else ""
@@ -292,13 +294,19 @@ def load_panel(path, schema) -> Panel:
     return Panel(iso3=iso3s, name=names, values=values, raw=raw, defs=list(schema), audit=audit)
 
 
+def format_number(value: float) -> str:
+    """Shortest repr of a raw value, without the '.0' of an integral one ('37', '0', '1.5')."""
+    text = repr(value)
+    return text[:-2] if text.endswith(".0") else text
+
+
 def save_panel(panel: Panel, path) -> None:
-    """Write the panel back to CSV (raw values as shortest reprs, NaN as an empty cell)."""
+    """Write the panel back to CSV (raw values through format_number, NaN as an empty cell)."""
     columns = [[_csv_quote(s) for s in panel.iso3.tolist()],
                [_csv_quote(s) for s in panel.name.tolist()]]
     for d in panel.defs:
-        fmt = (lambda v: str(int(v))) if d.transform == "binary" else repr
-        columns.append(["" if math.isnan(v) else fmt(v) for v in panel.raw[d.code].tolist()])
+        columns.append(["" if math.isnan(v) else format_number(v)
+                        for v in panel.raw[d.code].tolist()])
     lines = [",".join(["iso3", "name"] + panel.codes)] + [",".join(r) for r in zip(*columns)]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 

@@ -13,14 +13,22 @@ Randomness comes from numpy's Philox counter-based bit generator, keyed
 by the config seed.  Monte Carlo replication r draws from the stream
 ``Philox(seed).jumped(r + 1)``: jumped streams are independent by
 construction, so replications can run in any order, or concurrently,
-without changing a single draw.  monte_carlo uses that to batch the first
-stage: it draws a chunk of samples (at most MC_CHUNK_ROWS rows in all),
-fits their selection probits together with probit.fit_many, one stacked
-kernel call per Newton round, and then runs each second stage on its own.
+without changing a single draw.  monte_carlo uses that twice.  It batches
+the first stage: it draws a chunk of samples (at most MC_CHUNK_ROWS rows
+in all), fits their selection probits together with probit.fit_many, one
+stacked kernel call per Newton round, and then runs each second stage on
+its own.  And it spreads the chunks over W = min(chunks, usable CPUs)
+processes: the calling process fits chunks 0::W and one forked worker
+fits each w::W, and the outcomes are put back in replication order before
+any sum, so the report has the same bytes for every W.  A run of one
+chunk forks nothing, and where the fork start method is unavailable the
+chunks run serially.
 """
 
 from __future__ import annotations
 
+import os
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,6 +39,10 @@ from vaxsel.panel import ModelFrame
 COVARIATE_LAWS = ("iid_standard_normal",)
 Z_95 = 1.959964
 MC_CHUNK_ROWS = 16_384  # rows per first-stage batch; larger kernel blocks fall out of cache
+
+
+class WorkerError(RuntimeError):
+    """A Monte Carlo worker process ended before it returned its chunks."""
 
 
 @dataclass(frozen=True)
@@ -180,15 +192,78 @@ class RecoveryReport:
         return "\n".join(head) + "\n"
 
 
+def _usable_cpus():
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _fit_chunks(config, vcov_variant, truth, chunks) -> list:
+    """One list per chunk of replications: (estimate, covered) per rep, None where it failed.
+
+    A replication whose fit fails to estimate is marked here; any other
+    exception propagates.
+    """
+    outcomes = []
+    for reps in chunks:
+        frames = [_generate_with(config, replication_stream(config, rep)).frame for rep in reps]
+        firsts = probit.fit_many([f.selection_y for f in frames], [f.selection_X for f in frames],
+                                 labels=frames[0].selection_labels)
+        chunk = []
+        for frame, first in zip(frames, firsts):
+            try:
+                fit = heckman.fit_two_step(frame, vcov_variant=vcov_variant, first_stage=first)
+            except heckman.ESTIMATION_ERRORS:
+                chunk.append(None)
+                continue
+            est = fit.outcome_coef
+            se = np.sqrt(np.diag(fit.outcome_vcov))
+            chunk.append((est, np.abs(est - truth) <= Z_95 * se))
+        outcomes.append(chunk)
+    return outcomes
+
+
+def _fit_chunks_in_parallel(config, vcov_variant, truth, chunks) -> list:
+    """_fit_chunks over every chunk, spread over the calling process and forked workers."""
+    workers = min(len(chunks), _usable_cpus())
+    if workers > 1:
+        import multiprocessing
+
+        if "fork" not in multiprocessing.get_all_start_methods():
+            workers = 1
+    if workers == 1:
+        return _fit_chunks(config, vcov_variant, truth, chunks)
+
+    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+
+    # a forked worker would write out a copy of anything still buffered
+    sys.stdout.flush()
+    sys.stderr.flush()
+    outcomes = [None] * len(chunks)
+    with ProcessPoolExecutor(workers - 1, mp_context=multiprocessing.get_context("fork")) as pool:
+        futures = [pool.submit(_fit_chunks, config, vcov_variant, truth, chunks[w::workers])
+                   for w in range(1, workers)]
+        outcomes[0::workers] = _fit_chunks(config, vcov_variant, truth, chunks[0::workers])
+        for w, future in enumerate(futures, 1):
+            try:
+                outcomes[w::workers] = future.result()
+            except BrokenProcessPool as exc:
+                raise WorkerError("a Monte Carlo worker process ended abruptly "
+                                  "before returning its replications") from exc
+    return outcomes
+
+
 def monte_carlo(
     config: DgpConfig, reps: int, vcov_variant: str = heckman.HECKMAN_CORRECTED
 ) -> RecoveryReport:
     """Repeated generate-and-fit with per-parameter bias, RMSE and coverage.
 
     Each replication runs on its own jumped Philox stream, so the report
-    is a pure function of (config, reps).  Replications whose fit fails
-    to estimate are counted as failed and excluded from the summaries;
-    a ValueError is raised when none is left.
+    is a pure function of (config, reps), whichever process fits it.
+    Replications whose fit fails to estimate are counted as failed and
+    excluded from the summaries; a ValueError is raised when none is
+    left, and a WorkerError when a worker process dies.
     """
     if reps < 50:
         raise ValueError("need at least 50 replications for a meaningful report")
@@ -196,24 +271,13 @@ def monte_carlo(
     names = [f"x{j + 1}" for j in range(config.n_shared)] + ["const", heckman.IMR_LABEL]
     truth = np.array(list(config.outcome_coef) + [config.rho * config.sigma_u])
 
-    estimates, covered = [], []
-    failed = 0
-    chunk = max(1, MC_CHUNK_ROWS // config.n)
-    for start in range(0, reps, chunk):
-        frames = [_generate_with(config, replication_stream(config, rep)).frame
-                  for rep in range(start, min(start + chunk, reps))]
-        firsts = probit.fit_many([f.selection_y for f in frames], [f.selection_X for f in frames],
-                                 labels=frames[0].selection_labels)
-        for frame, first in zip(frames, firsts):
-            try:
-                fit = heckman.fit_two_step(frame, vcov_variant=vcov_variant, first_stage=first)
-            except heckman.ESTIMATION_ERRORS:
-                failed += 1
-                continue
-            est = fit.outcome_coef
-            se = np.sqrt(np.diag(fit.outcome_vcov))
-            estimates.append(est)
-            covered.append(np.abs(est - truth) <= Z_95 * se)
+    size = max(1, MC_CHUNK_ROWS // config.n)
+    chunks = [range(start, min(start + size, reps)) for start in range(0, reps, size)]
+    fitted = [o for chunk in _fit_chunks_in_parallel(config, vcov_variant, truth, chunks)
+              for o in chunk]
+    estimates = [o[0] for o in fitted if o is not None]
+    covered = [o[1] for o in fitted if o is not None]
+    failed = len(fitted) - len(estimates)
 
     if not estimates:
         raise ValueError(f"all {reps} replications failed to estimate")

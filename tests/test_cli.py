@@ -2,11 +2,14 @@
 
 import hashlib
 import json
+import multiprocessing
+import os
+import signal
 from pathlib import Path
 
 import pytest
 
-from vaxsel import heckman, probit
+from vaxsel import heckman, probit, synth
 from vaxsel.cli import main
 from vaxsel.probit import ProbitError
 from tests.conftest import packaged
@@ -82,6 +85,32 @@ def test_simulate_with_every_fit_failing_exits_1(tmp_path, monkeypatch, capsys):
     assert "Traceback" not in err
     errors = [line for line in err.splitlines() if line.startswith("error:")]
     assert errors == ["error: all 50 replications failed to estimate"]
+
+
+@pytest.mark.parametrize("death", ["exit", "kill"])
+def test_simulate_worker_death_exits_1(tmp_path, monkeypatch, capsys, death):
+    # 50 reps at n=2000 make seven chunks; the forked worker dies in its first
+    parent = os.getpid()
+    fit_many = probit.fit_many
+
+    def dying_in_worker(*args, **kwargs):
+        if os.getpid() != parent:
+            if death == "exit":
+                os._exit(1)
+            os.kill(os.getpid(), signal.SIGKILL)
+        return fit_many(*args, **kwargs)
+
+    monkeypatch.setattr(probit, "fit_many", dying_in_worker)
+    monkeypatch.setattr(synth, "_usable_cpus", lambda: 2)
+    code = main(["simulate", "--reps", "50", "--out", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert errors == ["error: a Monte Carlo worker process ended abruptly "
+                      "before returning its replications"]
+    assert multiprocessing.active_children() == []
+    assert not (tmp_path / "out").exists()
 
 
 def test_simulate_deterministic(tmp_path):

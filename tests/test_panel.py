@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -23,6 +24,7 @@ from vaxsel.panel import (
     save_panel,
 )
 from vaxsel.specs import ModelSpec, apply_outlier_filter, builtin_specs
+from tests.conftest import packaged
 
 MINI_SCHEMA = [
     VariableDef("cases", "log"),
@@ -168,6 +170,20 @@ class TestLoadPanel:
         with pytest.raises(SchemaError) as err:
             load_schema(p)
         assert str(err.value) == f"schema file {p} is not UTF-8 text (byte 11)"
+
+    def test_libyaml_and_pure_loaders_agree(self, monkeypatch, tmp_path):
+        # equal definitions from the shipped schema, the same mark on bad YAML
+        bad = tmp_path / "bad.yaml"
+        bad.write_text("- {code: a, transform: log\n- b\n", encoding="utf-8")
+        results = []
+        for loader in (yaml.SafeLoader, getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
+            monkeypatch.setattr(panel, "YAML_LOADER", loader)
+            with pytest.raises(SchemaError) as err:
+                load_schema(bad)
+            results.append((load_schema(packaged("schema.yaml")), str(err.value)))
+        assert results[0] == results[1]
+        assert results[0][1].endswith("is not valid YAML (line 3, column 1)")
+        assert [d.code for d in results[0][0]][:2] == ["cases", "gov_response"]
 
 
 # cells a numeric column may hold, and junk cells
@@ -432,6 +448,12 @@ class TestRoundTrip:
         again = load_panel(out, snapshot.defs)
         assert again.n_records == snapshot.n_records
         assert_panels_equal(again, snapshot)
+
+    def test_resaved_snapshot_is_byte_equal(self, snapshot, tmp_path):
+        # the snapshot script writes through save_panel: '37' stays '37', not '37.0'
+        out = tmp_path / "copy.csv"
+        save_panel(snapshot, out)
+        assert out.read_bytes() == packaged("snapshot.csv").read_bytes()
 
     @given(rows=st.lists(
         st.tuples(

@@ -1,12 +1,19 @@
 """DGP and Monte Carlo harness tests."""
 
 import dataclasses
+import multiprocessing
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from vaxsel import heckman, synth
 from vaxsel.stdnorm import inverse_mills
+
+REPO = Path(__file__).resolve().parents[1]
 
 BASE = synth.DgpConfig(
     selection_coef=(1.0, -0.5, 1.0, 0.0),
@@ -179,3 +186,81 @@ class TestMonteCarlo:
         monkeypatch.setattr(heckman, "fit_two_step", fail)
         with pytest.raises(ValueError, match="all 50 replications failed"):
             synth.monte_carlo(dataclasses.replace(BASE, n=100), 50)
+
+
+class TestWorkerProcesses:
+    """Chunks spread over forked workers give the bytes of a serial run."""
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """The os.fork calls this process makes."""
+        calls = []
+        fork = os.fork
+
+        def counting_fork():
+            calls.append(1)
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counting_fork)
+        return calls
+
+    @pytest.mark.parametrize("reps", [53, 64])
+    def test_report_bytes_do_not_depend_on_the_worker_count(self, monkeypatch, forks, reps):
+        # chunks of 8 reps: 7 chunks with a short last one, or 8 full ones;
+        # some samples fail their second stage, in whichever process
+        cfg = dataclasses.replace(BASE, n=200)
+        monkeypatch.setattr(synth, "MC_CHUNK_ROWS", 8 * cfg.n)
+        fit_two_step = heckman.fit_two_step
+
+        def sometimes_failing(frame, *args, **kwargs):
+            if int(frame.selection_y.sum()) % 4 == 0:
+                raise heckman.probit.ProbitError("forced failure")
+            return fit_two_step(frame, *args, **kwargs)
+
+        monkeypatch.setattr(heckman, "fit_two_step", sometimes_failing)
+        reports = {}
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(synth, "_usable_cpus", lambda cpus=cpus: cpus)
+            forks.clear()
+            reports[cpus] = synth.monte_carlo(cfg, reps)
+            assert len(forks) == cpus - 1
+        serial = reports[1]
+        assert 0 < serial.reps_failed < reps
+        for report in reports.values():
+            assert report.reps_failed == serial.reps_failed
+            assert report.to_csv_text().encode() == serial.to_csv_text().encode()
+            assert report.to_markdown().encode() == serial.to_markdown().encode()
+
+    def test_one_chunk_forks_nothing(self, monkeypatch, forks):
+        # 50 reps at n=189 fit in one chunk of MC_CHUNK_ROWS rows
+        monkeypatch.setattr(synth, "_usable_cpus", lambda: 3)
+        synth.monte_carlo(dataclasses.replace(BASE, n=189), 50)
+        assert forks == []
+
+    def test_programming_error_in_a_worker_propagates(self, monkeypatch):
+        parent = os.getpid()
+        fit_many = heckman.probit.fit_many
+
+        def broken_in_worker(*args, **kwargs):
+            if os.getpid() != parent:
+                raise TypeError("bug inside a worker's fit")
+            return fit_many(*args, **kwargs)
+
+        monkeypatch.setattr(heckman.probit, "fit_many", broken_in_worker)
+        monkeypatch.setattr(synth, "_usable_cpus", lambda: 2)
+        with pytest.raises(TypeError, match="bug inside a worker's fit"):
+            synth.monte_carlo(dataclasses.replace(BASE, n=4000), 50)
+        assert multiprocessing.active_children() == []
+
+    def test_progress_lines_are_written_once(self, tmp_path):
+        env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "vaxsel.cli", "simulate", "--reps", "50",
+             "--out", str(tmp_path / "out")],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.splitlines() == [
+            "simulate: 50 replications at n=2000, rho=0.5",
+            f"simulate: wrote recovery report under {tmp_path / 'out'}",
+        ]
