@@ -7,30 +7,34 @@ per-model sample sizes, the pooled correlation between government
 effectiveness and GDP per capita is pinned exactly, and the latent
 outcome process is tuned so the built-in model suite reproduces the
 reference sign and significance-star pattern, including the robustness
-filters.  Every one of those properties is asserted here against the
-real library code paths before a single byte is written.
+filters.  Every one of those properties is checked before a single byte
+is written, and every number checked comes from the functions behind
+`vaxsel replicate`: the cells, sample sizes and fits of its tables 2-4,
+its descriptive table and its figure data.
 
 Usage:
-    python scripts/make_snapshot.py [--seed N] [--check-only]
+    python scripts/make_snapshot.py [--seed N] [--check-only] [--quiet]
 
-Writes src/vaxsel/data/snapshot.csv, through vaxsel.panel.save_panel so that
-a re-save of the loaded panel gives the same bytes, and src/vaxsel/data/schema.yaml.
+Reads the variable schema from src/vaxsel/data/schema.yaml, the one source
+of the variable list (this script never writes it), and writes
+src/vaxsel/data/snapshot.csv through vaxsel.panel.save_panel, so that a
+re-save of the loaded panel gives the same bytes.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from datetime import timedelta
+import tempfile
 from pathlib import Path
 
 import numpy as np
 
 REPO = Path(__file__).resolve().parent.parent
+DATA_DIR = REPO / "src" / "vaxsel" / "data"
 sys.path.insert(0, str(REPO / "src"))
 
-from vaxsel import heckman, panel, probit, specs  # noqa: E402
-from vaxsel.panel import SNAPSHOT_DATE  # noqa: E402
+from vaxsel import panel, replicate, specs  # noqa: E402
 
 SEED = 11
 
@@ -135,60 +139,6 @@ NONSTARTED_OTHER = [
     ("PLW", "Palau"), ("NRU", "Nauru"), ("TUV", "Tuvalu"), ("AND", "Andorra"),
 ]
 
-SCHEMA_YAML = """\
-# Variable schema for the country snapshot: one entry per CSV column
-# beyond iso3,name.  transform=log is applied at load time (raw kept
-# for audit); binary columns take 0/1 only.
-- code: cases
-  transform: log
-  source_label: Confirmed COVID-19 cases per million population (Our World in Data)
-- code: gov_response
-  transform: log
-  source_label: Average daily government response index since the first case (Oxford tracker)
-- code: days
-  transform: none
-  source_label: Days between first vaccination and the snapshot date
-- code: gdp
-  transform: log
-  source_label: GDP at purchaser's prices, current USD (World Bank WDI)
-- code: gdp_pc_ppp
-  transform: log
-  source_label: GDP per capita, PPP, current international dollars (World Bank WDI)
-- code: exports
-  transform: log
-  source_label: Exports of goods and services, percent of GDP (World Bank WDI)
-- code: health_exp
-  transform: log
-  source_label: Current health expenditure, percent of GDP (World Bank WDI)
-- code: military_exp
-  transform: log
-  source_label: Military expenditure, percent of GDP (World Bank WDI / SIPRI)
-- code: gov_eff
-  transform: none
-  source_label: Government effectiveness indicator (World Bank WGI)
-- code: pop_65
-  transform: log
-  source_label: Population ages 65 and above, percent of total (World Bank WDI)
-- code: soft_power_30
-  transform: binary
-  source_label: Membership in the Soft Power 30 ranking
-- code: started
-  transform: binary
-  source_label: Whether vaccination started by the snapshot date (Our World in Data)
-- code: vac_php
-  transform: log
-  source_label: Vaccination doses administered per hundred people (Our World in Data)
-- code: west
-  transform: binary
-  source_label: Western-block vaccine present in the country
-- code: china
-  transform: binary
-  source_label: Chinese vaccine present in the country
-- code: russia
-  transform: binary
-  source_label: Russian vaccine present in the country
-"""
-
 
 def standardize_exact(values, mean, sd):
     """Affine-map a sample to the exact target mean and ddof=1 sd."""
@@ -236,7 +186,6 @@ class Builder:
         self.yes = self.started == 1.0
         self.no = ~self.yes
         self.cols = {}      # transformed values, np.nan = missing
-        self.raw_override = {}  # code -> {iso: raw value} for audit rows
 
     def idx(self, iso3):
         return int(np.where(self.iso == iso3)[0][0])
@@ -479,36 +428,22 @@ class Builder:
                 col[i], col[j] = col[j], col[i]
 
     def _table3_drop_set(self):
-        """Countries removed by the table-3 percentile filter bands in
-        order, computed with the library quantile convention."""
-        keep = np.ones(self.n, dtype=bool)
-        for code, (low_p, high_p) in TABLE3_BANDS.items():
-            col = self.cols[code]
-            present = keep & ~np.isnan(col)
-            lo = panel.quantile(col[present], low_p)
-            hi = panel.quantile(col[present], high_p)
-            keep &= np.isnan(col) | ((col >= lo) & (col <= hi))
-        return set(self.iso[~keep])
+        """Countries the library's table-3 outlier filter removes."""
+        cols = {code: self.cols[code] for code in TABLE3_BANDS}
+        bands = panel.Panel(iso3=self.iso, name=self.iso, values=cols, raw=cols,
+                            defs=[panel.VariableDef(code, "none") for code in cols])
+        return set(self.iso) - set(specs.apply_outlier_filter(bands, "table3").iso3)
 
     # ----- serialization -----
 
-    def csv_text(self):
-        codes = [
-            "cases", "gov_response", "days", "gdp", "gdp_pc_ppp", "exports",
-            "health_exp", "military_exp", "gov_eff", "pop_65",
-            "soft_power_30", "started", "vac_php", "west", "china", "russia",
-        ]
-        log_codes = {
-            "cases", "gdp", "gdp_pc_ppp", "exports", "health_exp",
-            "military_exp", "pop_65", "vac_php",
-        }
+    def csv_text(self, schema):
+        """The candidate CSV, with the schema's columns in the schema's order."""
+        codes = [d.code for d in schema]
+        log_codes = {d.code for d in schema if d.transform == "log"}
         lines = [",".join(["iso3", "name"] + codes)]
         for i in range(self.n):
             iso3 = self.iso[i]
-            name = self.name[iso3]
-            if "," in name:
-                name = f'"{name}"'
-            cells = [iso3, name]
+            cells = [iso3, panel.csv_quote(self.name[iso3])]
             for code in codes:
                 v = self.cols[code][i]
                 if code == "military_exp" and iso3 in self.military_zero:
@@ -526,175 +461,132 @@ class Builder:
 # verification battery
 
 
-def stars_of(fit, stage, var):
-    if stage == "outcome":
-        j = fit.outcome_labels.index(var)
-        coef = float(fit.outcome_coef[j])
-        se = float(np.sqrt(fit.outcome_vcov[j, j]))
-    else:
-        j = fit.first_stage.labels.index(var)
-        coef = float(fit.first_stage.coef[j])
-        se = float(np.sqrt(fit.selection_vcov[j, j]))
-    return coef, se, heckman.significance_stars(coef, se)
-
-
 def verify(pan, verbose=True):
-    """Assert every calibration anchor against the loaded panel."""
+    """(failed checks, unmet soft preferences) of every calibration anchor
+    on the loaded panel, each number read from `vaxsel replicate`'s functions."""
     checks = []
+    soft_failures = []
 
-    def check(label, ok, detail=""):
-        checks.append((label, bool(ok), detail))
+    def check(label, ok, detail="", soft=False):
+        """Record a check; a soft one that fails is only noted."""
+        (soft_failures if soft and not ok else checks).append((label, bool(ok), detail))
         if verbose:
-            print(f"  [{'ok' if ok else 'FAIL'}] {label} {detail}")
-        return ok
+            print(f"  [{'ok' if ok else 'soft-fail' if soft else 'FAIL'}] {label} {detail}")
 
     check("counts 189/133/56", pan.n_records == 189 and pan.n_started == 56)
     sp = pan.column("soft_power_30")
     st = pan.column("started")
     check("soft-power started share 26/30", int((sp * st).sum()) == 26 and int(sp.sum()) == 30)
 
-    for code, col_idx in (("cases", 0), ("gov_eff", 0), ("pop_65", 0)):
-        col = pan.column(code)
-        (m0, s0), (m1, s1) = MOMENTS[code]
-        ok = ~np.isnan(col)
-        m_all = col[ok].mean()
-        m_no = col[ok & (st == 0)].mean()
-        m_yes = col[ok & (st == 1)].mean()
+    desc = replicate.descriptive_table(pan)
+    for code in ("cases", "gov_eff", "pop_65"):
+        (m0, _), (m1, _) = MOMENTS[code]
+        m_all, m_no, m_yes = (desc.cell(code, g).value for g in ("all", "not_started", "started"))
+        ok = ~np.isnan(pan.column(code))
         pooled = (m0 * (ok & (st == 0)).sum() + m1 * (ok & (st == 1)).sum()) / ok.sum()
-        check(
-            f"{code} group means",
-            abs(m_no - m0) < 1e-9 and abs(m_yes - m1) < 1e-9 and abs(m_all - pooled) < 1e-9,
-            f"all={m_all:.4f}",
-        )
+        check(f"{code} group means", abs(m_no - m0) < 1e-9 and abs(m_yes - m1) < 1e-9
+              and abs(m_all - pooled) < 1e-9, f"all={m_all:.4f}")
 
-    grr = pan.raw_column("gov_response")
-    check("gov_response raw mean ~57.2", abs(np.nanmean(grr) - 57.22) < 0.1,
-          f"{np.nanmean(grr):.3f}")
-    d = pan.column("days")
-    check("days mean ~27.11", abs(np.nanmean(d) - 27.11) < 0.05, f"{np.nanmean(d):.3f}")
+    grr = float(np.nanmean(pan.raw_column("gov_response")))
+    check("gov_response raw mean ~57.2", abs(grr - 57.22) < 0.1, f"{grr:.3f}")
+    days = desc.cell("days", "all").value
+    check("days mean ~27.11", abs(days - 27.11) < 0.05, f"{days:.3f}")
 
-    ge, gp = pan.column("gov_eff"), pan.column("gdp_pc_ppp")
-    ok = ~np.isnan(ge) & ~np.isnan(gp)
-    corr = float(np.corrcoef(ge[ok], gp[ok])[0, 1])
+    # rows: (gov_eff, gov_eff), (gov_eff, gdp_pc_ppp), ...
+    corr = replicate.correlation_matrix(pan, ["gov_eff", "gdp_pc_ppp"]).rows[1][2]
     check("corr(gov_eff, gdp_pc_ppp) = 0.83", abs(corr - CORR_TARGET) < 1e-6, f"{corr:.6f}")
 
-    # per-model sample sizes
-    model_specs = specs.builtin_specs()
-    frames = {s.name: panel.build_model_frame(pan, s) for s in model_specs}
-    expected_n = {"model1": 165, "model2": 187, "model3": 151, "model4": 148, "model5": 148}
-    for name, n in expected_n.items():
-        check(f"{name} selection rows = {n}", frames[name].n_selection_rows == n,
-              str(frames[name].n_selection_rows))
-        check(f"{name} outcome rows = 56", frames[name].n_outcome_rows == 56,
-              str(frames[name].n_outcome_rows))
+    # replicate's tables 2-4; a model that fails to estimate, through a
+    # first stage that does not converge too, is a column error there
+    tables = replicate.replication_tables(pan)
+    selection_rows = {
+        ("table2", "model1"): 165, ("table2", "model2"): 187, ("table2", "model3"): 151,
+        ("table2", "model4"): 148, ("table2", "model5"): 148,
+        ("table3", "model1"): 131, ("table4", "model1"): 162,
+    }
+    for (table, m), n in selection_rows.items():
+        n_sel = tables[table].observations.get(f"{m}:selection")
+        check(f"{table} {m} selection rows = {n}", n_sel == n, str(n_sel))
+    models = [s.name for s in specs.builtin_specs()]
+    for m in models:
+        fit = tables["table2"].fits.get(m)
+        n_out = fit.n_selected if fit else None
+        check(f"table2 {m} outcome rows = 56", n_out == 56, str(n_out))
+    for table, result in tables.items():
+        errors = sorted(set(result.column_errors.values()))
+        check(f"{table} every model estimated", not errors, "; ".join(errors))
 
-    fits = {name: heckman.fit_two_step(fr) for name, fr in frames.items()}
-    for name, fit in fits.items():
-        check(f"{name} first stage converged", fit.first_stage.converged)
-
-    soft_failures = []
-
-    def expect(table, fit, stage, var, sign, stars_req, label, soft=False):
-        coef, se, stars = stars_of(fit, stage, var)
-        ok = (coef > 0) if sign == "+" else True
-        if stars_req == "***":
-            ok = ok and stars == "***"
-        elif stars_req == "**+":
-            ok = ok and stars in ("**", "***")
-        elif stars_req == "ns":
-            # no sign requirement on a noise-level coefficient, and keep a
-            # margin below the 10% threshold so the pattern is draw-robust
-            ok = abs(coef / se) < 1.4
+    def expect(table, model, stage, var, rule, min_t=None, soft=False):
+        """One cell of a replicate table: rule '+' asks for a positive estimate,
+        '***' and '**+' for a positive one at 1% and at 5% or better, and 'ns'
+        for |t| < 1.4, a margin below the 10% threshold so the pattern is
+        draw-robust, with no sign (a noise-level estimate has none); min_t
+        adds a margin on the t statistic."""
+        label = f"{table} {model} {stage} {var} {rule}" + (f" t>{min_t}" if min_t else "")
+        cell = tables[table].cell(var, f"{model}:{stage}")
+        if cell is None:
+            return check(label, False, "(not estimated)", soft)
+        coef, se, stars = cell.value, cell.spread, cell.stars
         t = coef / se
-        detail = f"coef={coef:.3f} se={se:.3f} t={t:.2f} [{stars}]"
-        if soft:
-            if not ok:
-                soft_failures.append((f"{table} {label}", detail))
-            if verbose:
-                print(f"  [{'ok' if ok else 'soft-fail'}] {table} {label} {detail}")
-        else:
-            check(f"{table} {label}", ok, detail)
+        ok = {
+            "+": coef > 0,
+            "***": coef > 0 and stars == "***",
+            "**+": coef > 0 and stars in ("**", "***"),
+            "ns": abs(t) < 1.4,
+        }[rule] and (min_t is None or t > min_t)
+        check(label, ok, f"coef={coef:.3f} se={se:.3f} t={t:.2f} [{stars}]", soft)
 
-    for m in ("model1", "model2", "model3", "model4"):
-        expect("table2", fits[m], "selection", "cases", "+", "***", f"{m} sel cases ***")
-    c, s, _ = stars_of(fits["model5"], "selection", "cases")
-    check("table2 model5 sel cases positive", c > 0, f"coef={c:.3f} t={c / s:.2f}")
-    expect("table2", fits["model2"], "selection", "soft_power_30", "+", "***", "m2 sel sp30 ***")
-    expect("table2", fits["model3"], "selection", "soft_power_30", "+", "***", "m3 sel sp30 ***")
-    expect("table2", fits["model4"], "selection", "soft_power_30", "+", "**+", "m4 sel sp30 sig")
-    expect("table2", fits["model5"], "selection", "soft_power_30", "+", "**+", "m5 sel sp30 sig")
-    expect("table2", fits["model4"], "selection", "gdp", "+", "***", "m4 sel gdp ***")
-    expect("table2", fits["model5"], "selection", "gdp_pc_ppp", "+", "***", "m5 sel gdp_pc ***")
-    for m in ("model1", "model2", "model3", "model4", "model5"):
-        c, s_, stars = stars_of(fits[m], "outcome", "days")
-        check(f"table2 {m} out days *** with margin",
-              c > 0 and stars == "***" and c / s_ > 2.9,
-              f"coef={c:.3f} se={s_:.3f} t={c / s_:.2f} [{stars}]")
-    expect("table2", fits["model2"], "outcome", "gov_eff", "+", "***", "m2 out gov_eff ***")
-    expect("table2", fits["model4"], "outcome", "gov_eff", "+", "***", "m4 out gov_eff ***")
-    expect("table2", fits["model5"], "outcome", "gov_eff", "any", "ns", "m5 out gov_eff ns")
-    expect(
-        "table2", fits["model5"], "outcome", "gdp_pc_ppp", "any", "ns",
-        "m5 out gdp_pc ns", soft=True,
-    )
-
-    # robustness suites
-    t3_panel = specs.apply_outlier_filter(pan, "table3")
-    t4_panel = specs.apply_outlier_filter(pan, "table4")
-    f3 = {s.name: heckman.fit_two_step(panel.build_model_frame(t3_panel, s))
-          for s in model_specs[:4]}
-    f4 = {s.name: heckman.fit_two_step(panel.build_model_frame(t4_panel, s))
-          for s in model_specs[:4]}
-    check("table3 model1 selection rows = 131",
-          panel.build_model_frame(t3_panel, model_specs[0]).n_selection_rows == 131,
-          str(panel.build_model_frame(t3_panel, model_specs[0]).n_selection_rows))
-    check("table4 model1 selection rows = 162",
-          panel.build_model_frame(t4_panel, model_specs[0]).n_selection_rows == 162,
-          str(panel.build_model_frame(t4_panel, model_specs[0]).n_selection_rows))
+    for m, rule in zip(models, ("***", "***", "***", "***", "+")):
+        expect("table2", m, "selection", "cases", rule)
+    for m, rule in (("model2", "***"), ("model3", "***"), ("model4", "**+"), ("model5", "**+")):
+        expect("table2", m, "selection", "soft_power_30", rule)
+    expect("table2", "model4", "selection", "gdp", "***")
+    expect("table2", "model5", "selection", "gdp_pc_ppp", "***")
+    for m in models:
+        expect("table2", m, "outcome", "days", "***", min_t=2.9)
+    expect("table2", "model2", "outcome", "gov_eff", "***")
+    expect("table2", "model4", "outcome", "gov_eff", "***")
+    expect("table2", "model5", "outcome", "gov_eff", "ns")
+    expect("table2", "model5", "outcome", "gdp_pc_ppp", "ns", soft=True)
 
     for m in ("model2", "model4"):
-        c, s_, stars = stars_of(f3[m], "outcome", "gov_eff")
-        check(f"table3 {m} out gov_eff *** with margin",
-              c > 0 and stars == "***" and c / s_ > 2.75,
-              f"coef={c:.3f} se={s_:.3f} t={c / s_:.2f} [{stars}]")
-    expect("table3", f3["model2"], "selection", "soft_power_30", "+", "***", "m2 sel sp30 ***")
-    for m in ("model3", "model4"):
-        c, s, _ = stars_of(f3[m], "selection", "soft_power_30")
-        check(f"table3 {m} sel sp30 positive", c > 0, f"coef={c:.3f} t={c / s:.2f}")
-    expect("table4", f4["model2"], "outcome", "gov_eff", "+", "***", "m2 out gov_eff ***")
-    expect("table4", f4["model4"], "outcome", "gov_eff", "+", "**+", "m4 out gov_eff sig")
+        expect("table3", m, "outcome", "gov_eff", "***", min_t=2.75)
+    for m, rule in (("model2", "***"), ("model3", "+"), ("model4", "+")):
+        expect("table3", m, "selection", "soft_power_30", rule)
+    expect("table4", "model2", "outcome", "gov_eff", "***")
+    expect("table4", "model4", "outcome", "gov_eff", "**+")
     for m in ("model2", "model3", "model4"):
-        c, s, _ = stars_of(f4[m], "selection", "soft_power_30")
-        check(f"table4 {m} sel sp30 positive", c > 0, f"coef={c:.3f} t={c / s:.2f}")
+        expect("table4", m, "selection", "soft_power_30", "+")
 
-    # figure-level claims
-    gdp = pan.column("gdp")
-    g1 = gdp[(st == 1) & ~np.isnan(gdp)]
-    g0 = gdp[(st == 0) & ~np.isnan(gdp)]
-    check("gdp boxplot medians ordered", np.median(g1) > np.median(g0))
+    # figure-level claims; box rows: group, min, q1, median, q3, max
+    box = {row[0]: row[1:] for row in replicate.gdp_boxplot_stats(pan).rows}
+    check("gdp boxplot medians ordered", box["started"][2] > box["not_started"][2])
     check("gdp started Q1 vs not-started Q3",
-          panel.quantile(g1, 0.25) >= panel.quantile(g0, 0.75) - 0.5)
+          box["started"][1] >= box["not_started"][3] - 0.5)
 
-    ok = ~np.isnan(gdp)
-    pf = probit.fit(st[ok], np.column_stack([gdp[ok], np.ones(int(ok.sum()))]))
-    slope_t = pf.coef[0] / np.sqrt(pf.vcov[0, 0])
-    check("start-probability slope positive, 1%", pf.coef[0] > 0 and slope_t > 2.575829,
+    curve = replicate.conditional_start_curve(pan).meta
+    slope_t = curve["slope"] / curve["slope_se"]
+    check("start-probability slope positive, 1%", curve["slope"] > 0 and slope_t > 2.575829,
           f"t={slope_t:.2f}")
 
-    vac = pan.column("vac_php")
-    sel = (st == 1) & ~np.isnan(vac) & ~np.isnan(ge)
-    X = np.column_stack([ge[sel], np.ones(int(sel.sum()))])
-    coef, resid = heckman.ols(vac[sel], X)
-    dof = int(sel.sum()) - 2
-    s2 = resid @ resid / dof
-    se = float(np.sqrt(s2 * np.linalg.inv(X.T @ X)[0, 0]))
-    check("gov_eff/vac scatter slope positive, 1%",
-          coef[0] > 0 and coef[0] / se > 2.575829,
-          f"n={int(sel.sum())} t={coef[0] / se:.2f}")
-    check("scatter has 56 points", int(sel.sum()) == 56)
+    scatter = replicate.goveff_scatter_fit(pan)
+    slope, se = scatter.meta["slope"], scatter.meta["se"]
+    check("gov_eff/vac scatter slope positive, 1%", slope > 0 and slope / se > 2.575829,
+          f"n={len(scatter.rows)} t={slope / se:.2f}")
+    check("scatter has 56 points", len(scatter.rows) == 56)
 
     failures = [c for c in checks if not c[1]]
     return failures, soft_failures
+
+
+def candidate_panel(seed, schema):
+    """The snapshot built at seed, written to a temporary CSV and loaded back."""
+    b = Builder(seed)
+    b.build()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "snapshot.csv"
+        path.write_text(b.csv_text(schema), encoding="utf-8")
+        return panel.load_panel(path, schema)
 
 
 def main():
@@ -704,22 +596,10 @@ def main():
     ap.add_argument("--quiet", action="store_true")
     args = ap.parse_args()
 
-    b = Builder(args.seed)
-    b.build()
-    csv_text = b.csv_text()
-
-    tmp = REPO / "scripts" / ".snapshot_candidate.csv"
-    tmp.write_text(csv_text, encoding="utf-8")
-    schema_path = REPO / "scripts" / ".schema_candidate.yaml"
-    schema_path.write_text(SCHEMA_YAML, encoding="utf-8")
-    schema = panel.load_schema(schema_path)
-    pan = panel.load_panel(tmp, schema)
-
+    pan = candidate_panel(args.seed, panel.load_schema(DATA_DIR / "schema.yaml"))
     print(f"seed {args.seed}: verifying calibration anchors")
     failures, soft = verify(pan, verbose=not args.quiet)
-    tmp.unlink()
-    schema_path.unlink()
-    for label, detail in soft:
+    for label, _, detail in soft:
         print(f"  note: soft preference unmet: {label} {detail}")
     if failures:
         print(f"FAILED {len(failures)} checks:")
@@ -730,11 +610,8 @@ def main():
         print("all checks pass (check-only, nothing written)")
         return 0
 
-    data_dir = REPO / "src" / "vaxsel" / "data"
-    data_dir.mkdir(parents=True, exist_ok=True)
-    panel.save_panel(pan, data_dir / "snapshot.csv")
-    (data_dir / "schema.yaml").write_text(SCHEMA_YAML, encoding="utf-8")
-    print(f"wrote {data_dir / 'snapshot.csv'} and schema.yaml")
+    panel.save_panel(pan, DATA_DIR / "snapshot.csv")
+    print(f"wrote {DATA_DIR / 'snapshot.csv'}")
     return 0
 
 

@@ -44,7 +44,8 @@ IMR_LABEL = "imr_lambda"
 CONDITION_LIMIT = 1e10
 
 # two-sided normal critical values for 1%, 5% and 10%
-STAR_THRESHOLDS = ((2.575829, "***"), (1.959964, "**"), (1.644854, "*"))
+Z_95 = 1.959964
+STAR_THRESHOLDS = ((2.575829, "***"), (Z_95, "**"), (1.644854, "*"))
 
 
 class CollinearMillsError(Exception):

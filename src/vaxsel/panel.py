@@ -14,15 +14,12 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field, replace
-from datetime import date
 from pathlib import Path
 
 import numpy as np
 import yaml
 
 from vaxsel.probit import collinear_columns
-
-SNAPSHOT_DATE = date(2021, 1, 30)
 
 CODE_STARTED = "started"
 CODE_VAC = "vac_php"
@@ -302,8 +299,8 @@ def format_number(value: float) -> str:
 
 def save_panel(panel: Panel, path) -> None:
     """Write the panel back to CSV (raw values through format_number, NaN as an empty cell)."""
-    columns = [[_csv_quote(s) for s in panel.iso3.tolist()],
-               [_csv_quote(s) for s in panel.name.tolist()]]
+    columns = [[csv_quote(s) for s in panel.iso3.tolist()],
+               [csv_quote(s) for s in panel.name.tolist()]]
     for d in panel.defs:
         columns.append(["" if math.isnan(v) else format_number(v)
                         for v in panel.raw[d.code].tolist()])
@@ -311,7 +308,8 @@ def save_panel(panel: Panel, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _csv_quote(text):
+def csv_quote(text):
+    """text as one CSV field: quoted, with doubled quotes, when it holds a comma or a quote."""
     if "," in text or '"' in text:
         return '"' + text.replace('"', '""') + '"'
     return text

@@ -17,8 +17,6 @@ from vaxsel.panel import Panel, build_model_frame, quantile
 from vaxsel.specs import ANCHOR_CELLS, TABLE_ROW_ORDER, apply_outlier_filter, builtin_specs
 from vaxsel.stdnorm import normal_cdf
 
-Z_95 = 1.959964
-
 DESCRIPTIVE_ORDER = (
     "vac_php",
     "cases",
@@ -243,8 +241,8 @@ def conditional_start_curve(panel: Panel, grid=None, n_points: int = 100) -> Fig
     index = G @ fit.coef
     se_index = np.sqrt(np.einsum("ij,jk,ik->i", G, fit.vcov, G))
     prob = normal_cdf(index)
-    lower = normal_cdf(index - Z_95 * se_index)
-    upper = normal_cdf(index + Z_95 * se_index)
+    lower = normal_cdf(index - heckman.Z_95 * se_index)
+    upper = normal_cdf(index + heckman.Z_95 * se_index)
     if not (np.all(upper >= prob) and np.all(prob >= lower)):
         raise AssertionError("confidence band must bracket the point estimate")
     slope = float(fit.coef[0])

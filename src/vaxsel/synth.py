@@ -36,8 +36,6 @@ import numpy as np
 from vaxsel import heckman, probit
 from vaxsel.panel import ModelFrame
 
-COVARIATE_LAWS = ("iid_standard_normal",)
-Z_95 = 1.959964
 MC_CHUNK_ROWS = 16_384  # rows per first-stage batch; larger kernel blocks fall out of cache
 
 
@@ -61,7 +59,6 @@ class DgpConfig:
     sigma_u: float
     n: int
     seed: int
-    covariate_law: str = "iid_standard_normal"
 
     def __post_init__(self):
         if not -1.0 < self.rho < 1.0:
@@ -70,8 +67,6 @@ class DgpConfig:
             raise ValueError("sigma_u must be positive")
         if self.n < 50:
             raise ValueError("n must be at least 50")
-        if self.covariate_law not in COVARIATE_LAWS:
-            raise ValueError(f"unsupported covariate law {self.covariate_law!r}")
         if len(self.selection_coef) <= len(self.outcome_coef):
             raise ValueError("selection stage must add at least one excluded instrument")
 
@@ -219,7 +214,7 @@ def _fit_chunks(config, vcov_variant, truth, chunks) -> list:
                 continue
             est = fit.outcome_coef
             se = np.sqrt(np.diag(fit.outcome_vcov))
-            chunk.append((est, np.abs(est - truth) <= Z_95 * se))
+            chunk.append((est, np.abs(est - truth) <= heckman.Z_95 * se))
         outcomes.append(chunk)
     return outcomes
 
