@@ -33,6 +33,13 @@ def _progress(message):
     print(message, file=sys.stderr)
 
 
+def _grid_points(text):
+    points = int(text)
+    if points < 2:
+        raise argparse.ArgumentTypeError(f"grid needs at least 2 points, got {points}")
+    return points
+
+
 def _add_data_args(p):
     p.add_argument("--data", default=None,
                    help="panel CSV (default: built-in snapshot)")
@@ -161,13 +168,13 @@ def build_parser():
     _add_data_args(p)
     p.add_argument("--vcov", default="robust", choices=["robust", "heckman"],
                    help="second-stage covariance (default: robust)")
-    p.add_argument("--grid", type=int, default=100,
+    p.add_argument("--grid", type=_grid_points, default=100,
                    help="grid resolution for the start-probability curve (default: 100)")
     p.set_defaults(func=cmd_replicate)
 
     p = sub.add_parser("figures", help="figure data and svg renderings only")
     _add_data_args(p)
-    p.add_argument("--grid", type=int, default=100,
+    p.add_argument("--grid", type=_grid_points, default=100,
                    help="grid resolution for the start-probability curve (default: 100)")
     p.set_defaults(func=cmd_figures)
 

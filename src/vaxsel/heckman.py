@@ -99,26 +99,40 @@ class HeckmanFit:
         return _covariances(self, variant)
 
 
-def ols(y, X, labels=None):
-    """Least squares through an orthogonal (SVD) decomposition.
-
-    Returns (coef, resid).  Raises probit.RankDeficientError naming the
-    offending columns when X is not full column rank.
-    """
+def _finite(y, X):
+    """y as a float vector and X as a float matrix; ValueError on NaN or +-inf."""
     y = np.asarray(y, dtype=float).ravel()
     X = np.atleast_2d(np.asarray(X, dtype=float))
+    if not (np.isfinite(y).all() and np.isfinite(X).all()):
+        raise ValueError("outcome y or X contains NaN or infinite values")
+    return y, X
+
+
+def _check_rows_and_rank(X, s, labels):
+    """ValueError when X has fewer than k + 1 rows; probit.RankDeficientError
+    when its singular values s have s_min <= max(n, k) * eps * s_max, naming
+    the columns that collinear_columns finds (every column if it finds none)."""
     n, k = X.shape
-    if y.shape[0] != n:
-        raise ValueError("y and X row counts differ")
     if n < k + 1:
         raise ValueError(f"need at least {k + 1} rows to fit {k} coefficients")
-    labels = list(labels) if labels is not None else [f"x{j}" for j in range(k)]
-    collinear = probit.collinear_columns(X, labels)
-    if collinear:
-        raise probit.RankDeficientError(collinear)
-    coef, *_ = np.linalg.lstsq(X, y, rcond=None)
-    resid = y - X @ coef
-    return coef, resid
+    if s[-1] <= max(n, k) * np.finfo(float).eps * s[0]:
+        raise probit.RankDeficientError(probit.collinear_columns(X, labels) or labels)
+
+
+def ols(y, X, labels=None):
+    """Least squares through lstsq's SVD, whose singular values are the rank test.
+
+    Returns (coef, resid).  Raises ValueError on non-finite data or too few
+    rows, and probit.RankDeficientError naming the offending columns when X
+    is not full column rank.
+    """
+    y, X = _finite(y, X)
+    if y.shape[0] != X.shape[0]:
+        raise ValueError("y and X row counts differ")
+    labels = list(labels) if labels is not None else [f"x{j}" for j in range(X.shape[1])]
+    coef, _, _, s = np.linalg.lstsq(X, y, rcond=None)
+    _check_rows_and_rank(X, s, labels)
+    return coef, y - X @ coef
 
 
 def significance_stars(coef: float, se: float) -> str:
@@ -143,17 +157,17 @@ def plain_robust_vcov(fit: HeckmanFit) -> np.ndarray:
     return 0.5 * (v + v.T)
 
 
-def heckman_corrected_vcov(fit: HeckmanFit, frame) -> np.ndarray:
+def heckman_corrected_vcov(fit: HeckmanFit) -> np.ndarray:
     """Two-step covariance with the generated-regressor adjustment.
 
     sigma^2 (W'W)^{-1} [ W'(I - rho^2 D) W + Q ] (W'W)^{-1}, where D is
     the diagonal of delta at the first-stage index of selected rows and
     Q = rho^2 (W'D Z) V1 (Z'D W) propagates the first-stage estimation
-    error through the Mills column.
+    error through the Mills column.  The selection design is fit.frame's.
     """
     if fit.degenerate:
         raise CollinearMillsError("no correction term in a degenerate all-selected fit")
-    W = fit.design
+    W, frame = fit.design, fit.frame
     selected = np.asarray(frame.selection_y, dtype=float) == 1.0
     Z = np.asarray(frame.selection_X, dtype=float)[selected][fit.outcome_keep]
 
@@ -168,11 +182,12 @@ def heckman_corrected_vcov(fit: HeckmanFit, frame) -> np.ndarray:
 
 
 def _covariances(fit: HeckmanFit, variant: str):
-    frame = fit.frame
+    if fit.degenerate:
+        return plain_robust_vcov(fit), None
     if variant == PLAIN_ROBUST:
         return plain_robust_vcov(fit), probit.sandwich_vcov(
-            fit.first_stage, frame.selection_y, frame.selection_X)
-    return heckman_corrected_vcov(fit, frame), fit.first_stage.vcov
+            fit.first_stage, fit.frame.selection_y, fit.frame.selection_X)
+    return heckman_corrected_vcov(fit), fit.first_stage.vcov
 
 
 def fit_two_step(frame, vcov_variant: str = PLAIN_ROBUST, first_stage=None) -> HeckmanFit:
@@ -186,100 +201,71 @@ def fit_two_step(frame, vcov_variant: str = PLAIN_ROBUST, first_stage=None) -> H
         'heckman_corrected' (classic two-step inference, first stage
         reported with the observed-information covariance).  Only this
         variant is computed here; HeckmanFit.covariances gives the other.
-    first_stage : this frame's selection probit, or the estimation error its
-        fit raised (see probit.fit_many); fitted here when None.
+    first_stage : this frame's fitted selection probit (a ProbitFit), or
+        None to fit it here.
 
     Raises
     ------
-    probit errors from the first stage; CollinearMillsError when the
-    Mills column is numerically collinear with the outcome covariates
+    ValueError when outcome_y or outcome_X holds NaN or +-inf; probit
+    errors from the first stage.  The outcome design W (outcome_X plus
+    the Mills column) is decomposed once, by the SVD in lstsq, and its
+    singular values are checked in this order: CollinearMillsError when
+    the Mills column is numerically collinear with the outcome covariates
     (condition number above 1e10), which usually means the selection
-    equation needs an exclusion restriction.
+    equation needs an exclusion restriction; ValueError when W has fewer
+    than k + 1 rows; probit.RankDeficientError when W is not full rank.
     """
     if vcov_variant not in VCOV_VARIANTS:
         raise ValueError(f"unknown vcov variant {vcov_variant!r}; choose from {VCOV_VARIANTS}")
 
     sel_y = np.asarray(frame.selection_y, dtype=float).ravel()
     sel_X = np.asarray(frame.selection_X, dtype=float)
-    out_y = np.asarray(frame.outcome_y, dtype=float).ravel()
-    out_X = np.atleast_2d(np.asarray(frame.outcome_X, dtype=float))
-    n_total = sel_y.shape[0]
+    out_y, out_X = _finite(frame.outcome_y, frame.outcome_X)
     n_selected = out_y.shape[0]
-    out_labels = list(frame.outcome_labels)
+    keep = np.asarray(frame.outcome_keep, dtype=bool)
+    labels_w = list(frame.outcome_labels)
 
     if np.all(sel_y == 1.0):
         # Phi of the index is ~1 for every row, so the Mills column is a
         # near-zero constant collinear with the intercept; fall back to
         # plain least squares and say so.
-        coef, resid = ols(out_y, out_X, out_labels)
-        fit = HeckmanFit(
-            first_stage=None,
-            outcome_coef=coef,
-            imr_coef=0.0,
-            outcome_vcov=None,
-            vcov_variant=PLAIN_ROBUST,
-            outcome_labels=out_labels,
-            n_total=n_total,
-            n_selected=n_selected,
-            residuals=resid,
-            sigma2=float(resid @ resid / n_selected),
-            rho=0.0,
-            selection_vcov=None,
-            degenerate=True,
-            design=out_X,
-            outcome_keep=np.ones(n_selected, dtype=bool),
-        )
-        fit.outcome_vcov = plain_robust_vcov(fit)
-        return fit
+        first, W, delta, vcov_variant = None, out_X, None, PLAIN_ROBUST
+        coef, resid = ols(out_y, W, labels_w)
+        imr_coef = rho = 0.0
+        sigma2 = float(resid @ resid / n_selected)
+    else:
+        first = first_stage or probit.fit(sel_y, sel_X, labels=list(frame.selection_labels))
+        if not first.converged:
+            raise probit.ProbitError(
+                f"first-stage probit did not converge (score norm {first.score_norm:.2e})"
+            )
+        idx_sel = (sel_X[sel_y == 1.0] @ first.coef)[keep]
+        if idx_sel.shape[0] != n_selected:
+            raise ValueError("outcome rows do not line up with the selected selection rows")
+        _, mills, delta = normal_tail_terms(idx_sel)
 
-    first = first_stage or probit.fit(sel_y, sel_X, labels=list(frame.selection_labels))
-    if isinstance(first, Exception):
-        raise first
-    if not first.converged:
-        raise probit.ProbitError(
-            f"first-stage probit did not converge (score norm {first.score_norm:.2e})"
-        )
-
-    selected = sel_y == 1.0
-    keep = np.asarray(frame.outcome_keep, dtype=bool)
-    idx_sel = (sel_X[selected] @ first.coef)[keep]
-    if idx_sel.shape[0] != n_selected:
-        raise ValueError("outcome rows do not line up with the selected selection rows")
-    _, mills, delta = normal_tail_terms(idx_sel)
-
-    W = np.column_stack([out_X, mills])
-    labels_w = out_labels + [IMR_LABEL]
-    cond = np.linalg.cond(W)
-    if cond > CONDITION_LIMIT:
-        raise CollinearMillsError(
-            f"Mills column is collinear with the outcome design (condition {cond:.2e}); "
-            "add an exclusion restriction to the selection equation"
-        )
-
-    coef, resid = ols(out_y, W, labels_w)
-    imr_coef = float(coef[-1])
-
-    sigma2 = float(resid @ resid / n_selected + imr_coef**2 * delta.sum() / n_selected)
-    rho = imr_coef / np.sqrt(sigma2) if sigma2 > 0 else 0.0
-    rho = float(np.clip(rho, -1.0, 1.0))
+        W = np.column_stack([out_X, mills])
+        labels_w.append(IMR_LABEL)
+        coef, _, _, s = np.linalg.lstsq(W, out_y, rcond=None)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cond = s[0] / s[-1] if s.size else 0.0  # a W without rows fails the row check
+        if not cond <= CONDITION_LIMIT:
+            raise CollinearMillsError(
+                f"Mills column is collinear with the outcome design (condition {cond:.2e}); "
+                "add an exclusion restriction to the selection equation"
+            )
+        _check_rows_and_rank(W, s, labels_w)
+        resid = out_y - W @ coef
+        imr_coef = float(coef[-1])
+        sigma2 = float(resid @ resid / n_selected + imr_coef**2 * delta.sum() / n_selected)
+        rho = imr_coef / np.sqrt(sigma2) if sigma2 > 0 else 0.0
+        rho = float(np.clip(rho, -1.0, 1.0))
 
     fit = HeckmanFit(
-        first_stage=first,
-        outcome_coef=coef,
-        imr_coef=imr_coef,
-        outcome_vcov=None,
-        vcov_variant=vcov_variant,
-        outcome_labels=labels_w,
-        n_total=n_total,
-        n_selected=n_selected,
-        residuals=resid,
-        sigma2=sigma2,
-        rho=rho,
-        selection_vcov=None,
-        design=W,
-        outcome_keep=keep,
-        delta=delta,
-        frame=frame,
+        first_stage=first, outcome_coef=coef, imr_coef=imr_coef, outcome_vcov=None,
+        vcov_variant=vcov_variant, outcome_labels=labels_w, n_total=sel_y.shape[0],
+        n_selected=n_selected, residuals=resid, sigma2=sigma2, rho=rho, selection_vcov=None,
+        degenerate=first is None, design=W, outcome_keep=keep, delta=delta, frame=frame,
     )
     fit.outcome_vcov, fit.selection_vcov = _covariances(fit, vcov_variant)
     return fit

@@ -63,8 +63,10 @@ class DgpConfig:
     def __post_init__(self):
         if not -1.0 < self.rho < 1.0:
             raise ValueError("rho must lie strictly inside (-1, 1)")
-        if self.sigma_u <= 0.0:
-            raise ValueError("sigma_u must be positive")
+        if not 0.0 < self.sigma_u < np.inf:
+            raise ValueError("sigma_u must be positive and finite")
+        if not np.all(np.isfinite([*self.selection_coef, *self.outcome_coef])):
+            raise ValueError("coefficients must be finite")
         if self.n < 50:
             raise ValueError("n must be at least 50")
         if len(self.selection_coef) <= len(self.outcome_coef):
@@ -197,8 +199,8 @@ def _usable_cpus():
 def _fit_chunks(config, vcov_variant, truth, chunks) -> list:
     """One list per chunk of replications: (estimate, covered) per rep, None where it failed.
 
-    A replication whose fit fails to estimate is marked here; any other
-    exception propagates.
+    A replication whose first stage (as fit_many returned it) or second
+    stage fails to estimate is marked here; any other exception propagates.
     """
     outcomes = []
     for reps in chunks:
@@ -207,6 +209,9 @@ def _fit_chunks(config, vcov_variant, truth, chunks) -> list:
                                  labels=frames[0].selection_labels)
         chunk = []
         for frame, first in zip(frames, firsts):
+            if isinstance(first, Exception):  # fit_many's record of a failed first stage
+                chunk.append(None)
+                continue
             try:
                 fit = heckman.fit_two_step(frame, vcov_variant=vcov_variant, first_stage=first)
             except heckman.ESTIMATION_ERRORS:

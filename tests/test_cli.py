@@ -113,6 +113,17 @@ def test_simulate_worker_death_exits_1(tmp_path, monkeypatch, capsys, death):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("sigma_u", ["nan", "inf"])
+def test_simulate_non_finite_sigma_exits_1(tmp_path, capsys, sigma_u):
+    code = main(["simulate", "--sigma-u", sigma_u, "--reps", "50", "--out", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert errors == ["error: sigma_u must be positive and finite"]
+    assert not (tmp_path / "out").exists()
+
+
 def test_simulate_deterministic(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     args = ["simulate", "--rho", "0.5", "--n", "500", "--reps", "60", "--seed", "7"]
@@ -245,6 +256,14 @@ def test_unwritable_out_exits_1(tmp_path, capsys):
 def test_usage_error_exits_2(capsys):
     assert main(["replicate"]) == 2  # --out is required
     assert main(["frobnicate"]) == 2
+
+
+@pytest.mark.parametrize("command", ["replicate", "figures"])
+@pytest.mark.parametrize("grid", ["1", "0", "-3"])
+def test_grid_below_two_is_a_usage_error(tmp_path, capsys, command, grid):
+    assert main([command, "--grid", grid, "--out", str(tmp_path / "out")]) == 2
+    assert "--grid: grid needs at least 2 points" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_inputs_not_mutated(tmp_path):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from vaxsel import heckman, stdnorm, synth
+from vaxsel import heckman, probit, stdnorm, synth
 from vaxsel.panel import ModelFrame
 from vaxsel.probit import RankDeficientError
 
@@ -75,6 +75,15 @@ class TestOls:
         X = np.column_stack([np.ones(3), np.arange(3.0), np.arange(3.0) ** 2])
         with pytest.raises(ValueError):
             heckman.ols(np.arange(3.0), X)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["y", "X"])
+    def test_non_finite_input_rejected(self, bad, where):
+        X = np.column_stack([np.ones(10), np.arange(10.0)])
+        y = 2.0 * np.arange(10.0)
+        (y if where == "y" else X)[4, ...] = bad
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            heckman.ols(y, X)
 
 
 class TestSignificanceStars:
@@ -159,6 +168,47 @@ class TestFitTwoStep:
         assert fit.imr_coef == 0.0
         ols_coef, _ = heckman.ols(y, X)
         assert_allclose(fit.outcome_coef, ols_coef, atol=1e-8)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("column", ["outcome_y", "outcome_X"])
+    def test_non_finite_outcome_data_rejected(self, bad, column):
+        frame = simple_frame(np.random.default_rng(2))
+        values = getattr(frame, column).copy()
+        values[3, ...] = bad
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            heckman.fit_two_step(dataclasses.replace(frame, **{column: values}))
+
+    def test_square_outcome_design_needs_another_row(self):
+        # three outcome rows kept for three columns of W (x, const, Mills)
+        frame = simple_frame(np.random.default_rng(4))
+        keep = np.zeros(frame.outcome_keep.shape[0], dtype=bool)
+        keep[:3] = True
+        square = dataclasses.replace(frame, outcome_keep=keep, outcome_y=frame.outcome_y[:3],
+                                     outcome_X=frame.outcome_X[:3])
+        with pytest.raises(ValueError, match="need at least 4 rows to fit 3 coefficients"):
+            heckman.fit_two_step(square)
+
+    def test_one_decomposition_of_the_outcome_design(self, monkeypatch):
+        frame = simple_frame(np.random.default_rng(6))
+        first = probit.fit(frame.selection_y, frame.selection_X, labels=frame.selection_labels)
+        calls = {"lstsq": 0, "cond": 0, "qr": 0, "collinear_columns": 0}
+
+        def counting(owner, name):
+            original = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        for name in ("lstsq", "cond", "qr"):
+            counting(np.linalg, name)
+        counting(probit, "collinear_columns")
+        for variant in heckman.VCOV_VARIANTS:
+            calls.update(dict.fromkeys(calls, 0))
+            heckman.fit_two_step(frame, variant, first_stage=first)
+            assert calls == {"lstsq": 1, "cond": 0, "qr": 0, "collinear_columns": 0}
 
     def test_rho_zero_two_step_close_to_naive_ols(self):
         rng = np.random.default_rng(77)
@@ -310,7 +360,7 @@ class TestHeckmanCorrectedVcov:
             fit, imr_coef=0.0, rho=0.0, sigma2=rss / fit.n_selected
         )
         forced.outcome_keep = fit.outcome_keep
-        v = heckman.heckman_corrected_vcov(forced, frame)
+        v = heckman.heckman_corrected_vcov(forced)
         unadjusted = forced.sigma2 * np.linalg.inv(fit.design.T @ fit.design)
         assert_allclose(v, unadjusted, atol=1e-10)
 
@@ -325,7 +375,7 @@ class TestHeckmanCorrectedVcov:
             for name in ("normal_tail_terms", "inverse_mills_delta", "inverse_mills"):
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, refuse)
-        assert np.array_equal(heckman.heckman_corrected_vcov(fit, frame), fit.outcome_vcov)
+        assert np.array_equal(heckman.heckman_corrected_vcov(fit), fit.outcome_vcov)
 
     def test_symmetric(self):
         frame = simple_frame(np.random.default_rng(14))

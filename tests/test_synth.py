@@ -34,6 +34,19 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             dataclasses.replace(BASE, sigma_u=0.0)
 
+    @pytest.mark.parametrize("sigma_u", [np.nan, np.inf])
+    def test_sigma_finite(self, sigma_u):
+        with pytest.raises(ValueError, match="sigma_u"):
+            dataclasses.replace(BASE, sigma_u=sigma_u)
+
+    @pytest.mark.parametrize("field", ["selection_coef", "outcome_coef"])
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf])
+    def test_coefficients_finite(self, field, bad):
+        coef = list(getattr(BASE, field))
+        coef[0] = bad
+        with pytest.raises(ValueError, match="coefficients must be finite"):
+            dataclasses.replace(BASE, **{field: tuple(coef)})
+
     def test_minimum_n(self):
         with pytest.raises(ValueError):
             dataclasses.replace(BASE, n=10)
@@ -178,6 +191,19 @@ class TestMonteCarlo:
         monkeypatch.setattr(heckman.probit, "fit_many", broken)
         with pytest.raises(TypeError):
             synth.monte_carlo(dataclasses.replace(BASE, n=100), 50)
+
+    def test_all_selected_replications_count_as_failed(self):
+        # a selection intercept of 4 selects every row of some samples; their
+        # first stage fails on a single class and the replication with it
+        cfg = synth.DgpConfig((1.0, -0.5, 1.0, 4.0), (1.0, 0.5, 1.0), 0.5, 1.0, 60, 3)
+        report = synth.monte_carlo(cfg, 50)
+        assert report.reps_failed > 0
+        assert report.reps_used + report.reps_failed == 50
+
+    def test_every_rep_all_selected_names_the_count(self):
+        cfg = synth.DgpConfig((1.0, -0.5, 1.0, 12.0), (1.0, 0.5, 1.0), 0.5, 1.0, 60, 3)
+        with pytest.raises(ValueError, match="all 50 replications failed to estimate"):
+            synth.monte_carlo(cfg, 50)
 
     def test_every_rep_failing_names_the_count(self, monkeypatch):
         def fail(*args, **kwargs):
