@@ -2,8 +2,8 @@
 
 Five subcommands: describe, fit, replicate, simulate, figures.  Results
 are written to files (atomically: temp file then rename); progress and
-diagnostics go to stderr; exit status is 0 on success, 1 on data or
-estimation errors, 2 on usage errors.
+diagnostics go to stderr; exit status is 0 on success, 1 on data,
+estimation or out-of-memory errors, 2 on usage errors.
 """
 
 from __future__ import annotations
@@ -204,8 +204,8 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return args.func(args)
-    except (*heckman.ESTIMATION_ERRORS, synth.WorkerError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (*heckman.ESTIMATION_ERRORS, synth.WorkerError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

@@ -8,7 +8,8 @@ estimated selection index; this is the only reading under which the
 correction removes the truncation bias, and it is the convention used
 throughout this module.
 
-Two covariance variants for the second stage are shipped:
+A fit is a function of its frame alone.  Two covariance variants for
+the second stage are read from it:
 
 ``plain_robust``
     HC1 sandwich treating the Mills column as a fixed regressor, with the
@@ -21,7 +22,7 @@ Two covariance variants for the second stage are shipped:
     sigma^2 (W'W)^{-1} when the Mills coefficient is zero.
 
 Both are functions of the same first stage and point estimates, so one
-fit serves both: HeckmanFit.covariances computes the other on demand.
+fit serves both: HeckmanFit.covariances computes each on first request.
 """
 
 from __future__ import annotations
@@ -65,38 +66,44 @@ class HeckmanFit:
     entry, the Mills-ratio coefficient (an estimate of rho * sigma_u);
     imr_coef mirrors that last entry.  In the degenerate all-selected
     case the Mills column is skipped, outcome_coef has no extra entry and
-    imr_coef is 0.  outcome_vcov and selection_vcov are the vcov_variant
-    covariances; covariances() gives either variant.  delta is
-    lambda(lambda + z) at the outcome rows' index z (None if degenerate).
+    imr_coef is 0.  covariances() gives either covariance variant.  delta
+    is lambda(lambda + z) at the outcome rows' index z (None if degenerate).
     """
 
     first_stage: probit.ProbitFit
     outcome_coef: np.ndarray
     imr_coef: float
-    outcome_vcov: np.ndarray
-    vcov_variant: str
     outcome_labels: list[str]
     n_total: int
     n_selected: int
     residuals: np.ndarray
     sigma2: float
     rho: float
-    selection_vcov: np.ndarray
     degenerate: bool = False
     design: np.ndarray = field(default=None, repr=False)
     outcome_keep: np.ndarray = field(default=None, repr=False)
     delta: np.ndarray = field(default=None, repr=False)
     frame: object = field(default=None, repr=False)
+    _cache: dict = field(default_factory=dict, init=False, repr=False)
 
     def covariances(self, variant: str):
-        """(outcome, selection) covariance under variant: the stored pair
-        for the fitted variant, else computed on each call.  A degenerate
-        fit has only its robust outcome covariance, for either variant."""
+        """(outcome, selection) covariance under variant, computed on the
+        first request and returned as the same objects on every later one.
+        A degenerate fit has only its robust outcome covariance, for either
+        variant; the selection entry is None."""
         if variant not in VCOV_VARIANTS:
             raise ValueError(f"unknown vcov variant {variant!r}; choose from {VCOV_VARIANTS}")
-        if self.degenerate or variant == self.vcov_variant:
-            return self.outcome_vcov, self.selection_vcov
-        return _covariances(self, variant)
+        key = PLAIN_ROBUST if self.degenerate else variant
+        if key not in self._cache:
+            if self.degenerate:
+                pair = plain_robust_vcov(self), None
+            elif key == PLAIN_ROBUST:
+                pair = plain_robust_vcov(self), probit.sandwich_vcov(
+                    self.first_stage, self.frame.selection_y, self.frame.selection_X)
+            else:
+                pair = heckman_corrected_vcov(self), self.first_stage.vcov
+            self._cache[key] = pair
+        return self._cache[key]
 
 
 def _finite(y, X):
@@ -181,28 +188,18 @@ def heckman_corrected_vcov(fit: HeckmanFit) -> np.ndarray:
     return 0.5 * (v + v.T)
 
 
-def _covariances(fit: HeckmanFit, variant: str):
-    if fit.degenerate:
-        return plain_robust_vcov(fit), None
-    if variant == PLAIN_ROBUST:
-        return plain_robust_vcov(fit), probit.sandwich_vcov(
-            fit.first_stage, fit.frame.selection_y, fit.frame.selection_X)
-    return heckman_corrected_vcov(fit), fit.first_stage.vcov
-
-
-def fit_two_step(frame, vcov_variant: str = PLAIN_ROBUST, first_stage=None) -> HeckmanFit:
+def fit_two_step(frame, *, first_stage=None) -> HeckmanFit:
     """Estimate the two-step selection model on a model frame.
 
     Parameters
     ----------
     frame : ModelFrame with selection_y/selection_X over all usable rows
         and outcome_y/outcome_X over the selected subset.
-    vcov_variant : 'plain_robust' (default, robust both stages) or
-        'heckman_corrected' (classic two-step inference, first stage
-        reported with the observed-information covariance).  Only this
-        variant is computed here; HeckmanFit.covariances gives the other.
     first_stage : this frame's fitted selection probit (a ProbitFit), or
         None to fit it here.
+
+    No covariance is computed here: HeckmanFit.covariances gives either
+    variant from the returned fit.
 
     Raises
     ------
@@ -215,9 +212,6 @@ def fit_two_step(frame, vcov_variant: str = PLAIN_ROBUST, first_stage=None) -> H
     equation needs an exclusion restriction; ValueError when W has fewer
     than k + 1 rows; probit.RankDeficientError when W is not full rank.
     """
-    if vcov_variant not in VCOV_VARIANTS:
-        raise ValueError(f"unknown vcov variant {vcov_variant!r}; choose from {VCOV_VARIANTS}")
-
     sel_y = np.asarray(frame.selection_y, dtype=float).ravel()
     sel_X = np.asarray(frame.selection_X, dtype=float)
     out_y, out_X = _finite(frame.outcome_y, frame.outcome_X)
@@ -229,7 +223,7 @@ def fit_two_step(frame, vcov_variant: str = PLAIN_ROBUST, first_stage=None) -> H
         # Phi of the index is ~1 for every row, so the Mills column is a
         # near-zero constant collinear with the intercept; fall back to
         # plain least squares and say so.
-        first, W, delta, vcov_variant = None, out_X, None, PLAIN_ROBUST
+        first, W, delta = None, out_X, None
         coef, resid = ols(out_y, W, labels_w)
         imr_coef = rho = 0.0
         sigma2 = float(resid @ resid / n_selected)
@@ -261,11 +255,8 @@ def fit_two_step(frame, vcov_variant: str = PLAIN_ROBUST, first_stage=None) -> H
         rho = imr_coef / np.sqrt(sigma2) if sigma2 > 0 else 0.0
         rho = float(np.clip(rho, -1.0, 1.0))
 
-    fit = HeckmanFit(
-        first_stage=first, outcome_coef=coef, imr_coef=imr_coef, outcome_vcov=None,
-        vcov_variant=vcov_variant, outcome_labels=labels_w, n_total=sel_y.shape[0],
-        n_selected=n_selected, residuals=resid, sigma2=sigma2, rho=rho, selection_vcov=None,
+    return HeckmanFit(
+        first_stage=first, outcome_coef=coef, imr_coef=imr_coef, outcome_labels=labels_w,
+        n_total=sel_y.shape[0], n_selected=n_selected, residuals=resid, sigma2=sigma2, rho=rho,
         degenerate=first is None, design=W, outcome_keep=keep, delta=delta, frame=frame,
     )
-    fit.outcome_vcov, fit.selection_vcov = _covariances(fit, vcov_variant)
-    return fit

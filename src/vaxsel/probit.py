@@ -15,8 +15,8 @@ import numpy as np
 
 from vaxsel.stdnorm import normal_cdf, normal_tail_terms
 
-DEFAULT_TOL = 1e-8
-DEFAULT_MAX_ITER = 100
+SCORE_TOL = 1e-8
+MAX_ITER = 100
 MAX_STEP_HALVINGS = 30
 # Probit indexes beyond +-50 are numerically saturated; a coefficient this
 # large with a nonzero score indicates separation, not progress.
@@ -120,7 +120,7 @@ def hessian(coef, y, X):
 _Point = namedtuple("_Point", "coef ll g grad w")
 
 
-def _newton(y, X, labels, tol, max_iter):
+def _newton(y, X, labels):
     """fit's Newton loop on prepared y and X, as a generator: it yields each
     coefficient vector to evaluate, is sent its _Point (log L, score factors
     g, score X'g, weights w) and returns the ProbitFit."""
@@ -134,9 +134,9 @@ def _newton(y, X, labels, tol, max_iter):
     path = [ll]
     iterations = 0
 
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, MAX_ITER + 1):
         sn = np.max(np.abs(grad))
-        if sn < tol:
+        if sn < SCORE_TOL:
             iterations -= 1
             break
         try:
@@ -160,12 +160,12 @@ def _newton(y, X, labels, tol, max_iter):
             cand = full
             drop = ll - cand.ll
             if not (np.isfinite(cand.ll) and drop <= 64.0 * np.finfo(float).eps * max(1.0, abs(ll))
-                    and np.max(np.abs(cand.grad)) < tol):
+                    and np.max(np.abs(cand.grad)) < SCORE_TOL):
                 break
         coef, ll, g, grad, w = cand
         path.append(ll)
 
-        if np.max(np.abs(coef)) > SEPARATION_COEF_BOUND and np.max(np.abs(grad)) > tol:
+        if np.max(np.abs(coef)) > SEPARATION_COEF_BOUND and np.max(np.abs(grad)) > SCORE_TOL:
             raise SeparationError(
                 "coefficients diverging beyond +-50 with nonzero score; "
                 "the classes appear perfectly separated"
@@ -179,31 +179,28 @@ def _newton(y, X, labels, tol, max_iter):
     vcov = 0.5 * (vcov + vcov.T)
 
     return ProbitFit(coef=coef, vcov=vcov, loglik=ll, iterations=iterations,
-                     converged=score_norm < tol, score_norm=score_norm, n=int(y.shape[0]),
+                     converged=score_norm < SCORE_TOL, score_norm=score_norm, n=int(y.shape[0]),
                      labels=labels, loglik_path=path, g=g, w=w)
 
 
-def fit(y, X, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, labels=None) -> ProbitFit:
-    """Fit a probit by Newton iteration from a zero start.
+def fit(y, X, labels=None) -> ProbitFit:
+    """Fit a probit by Newton iteration from a zero start until the max-abs score
+    is below SCORE_TOL; a fit short of it after MAX_ITER iterations has converged=False.
 
     Parameters
     ----------
     y : array of 0/1 responses containing both classes.
     X : finite full-column-rank design matrix (include the intercept yourself).
-    tol : convergence threshold on the max-abs score entry.
-    max_iter : Newton iteration cap; non-convergence is reported honestly
-        through ``converged=False`` rather than raised.
     labels : optional column names used in error messages.
 
     Raises
     ------
     ValueError : NaN or infinite entries in X, non-binary or single-class y.
     RankDeficientError : collinear design.
-    SeparationError : coefficients diverging past +-50 with the score
-        still above tolerance (perfect or quasi-perfect separation).
+    SeparationError : coefficients past +-50 with the score above SCORE_TOL (separation).
     """
     y, X, labels = _prepare(y, X, labels)
-    newton = _newton(y, X, labels, tol, max_iter)
+    newton = _newton(y, X, labels)
     coef = next(newton)
     while True:
         ll, g, w = _terms(coef, y, X)
@@ -224,7 +221,7 @@ def fit_many(Y, X, labels=None) -> list:
         raise ValueError(f"Y must be (R, n) and X (R, n, k); got {Y.shape} and {X.shape}")
     # binary y and finite X, checked over the whole batch
     labels = _prepare(Y.ravel(), X.reshape(-1, X.shape[-1]), labels)[2]
-    newtons = [_newton(y, x, labels, DEFAULT_TOL, DEFAULT_MAX_ITER) for y, x in zip(Y, X)]
+    newtons = [_newton(y, x, labels) for y, x in zip(Y, X)]
     results, pending, y_ones = [None] * len(Y), {}, Y == 1.0
 
     def advance(r, point):

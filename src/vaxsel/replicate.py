@@ -104,8 +104,9 @@ ROBUSTNESS_TITLES = {
 
 def tabulate(table: TableResult, vcov_variant: str) -> TableResult:
     """The fits of a run_model_suite table as paired columns under
-    vcov_variant; a covariance the fits were not made with is computed
-    from them, not refitted."""
+    vcov_variant, read from each fit's covariances, not refitted.  A
+    degenerate (all-selected) fit gets a note of its own: it has no
+    selection stage and is read under plain_robust whatever the variant."""
     out = TableResult(
         title=table.title,
         column_labels=list(table.column_labels),
@@ -118,6 +119,9 @@ def tabulate(table: TableResult, vcov_variant: str) -> TableResult:
         ],
         fits=table.fits,
     )
+    out.notes += [f"{name}: every row is selected, so there is no selection stage or Mills "
+                  f"column; second-stage covariance: {heckman.PLAIN_ROBUST}"
+                  for name, fit in table.fits.items() if fit.degenerate]
     for name, fit in table.fits.items():
         outcome_vcov, selection_vcov = fit.covariances(vcov_variant)
         stages = [("outcome", fit.outcome_labels, fit.outcome_coef, outcome_vcov)]
@@ -153,8 +157,9 @@ def run_model_suite(
     )
     for s in specs:
         try:
-            frame = build_model_frame(panel, s)
-            table.fits[s.name] = heckman.fit_two_step(frame, vcov_variant=vcov_variant)
+            fit = heckman.fit_two_step(build_model_frame(panel, s))
+            fit.covariances(vcov_variant)  # a covariance that fails is this model's error
+            table.fits[s.name] = fit
         except heckman.ESTIMATION_ERRORS as exc:  # reported in-table, suite continues
             table.column_errors[f"{s.name}:outcome"] = str(exc)
             table.column_errors[f"{s.name}:selection"] = str(exc)
@@ -272,9 +277,8 @@ def goveff_scatter_fit(panel: Panel) -> FigureData:
         raise ValueError("need at least three started countries for the fitted line")
     X = np.column_stack([ge[mask], np.ones(n)])
     coef, resid = heckman.ols(vac[mask], X)
-    dof = n - 2
-    s2 = float(resid @ resid) / dof if dof > 0 else 0.0
-    se = math.sqrt(max(s2, 0.0) * np.linalg.inv(X.T @ X)[0, 0]) if dof > 0 else 0.0
+    s2 = float(resid @ resid) / (n - 2)
+    se = math.sqrt(s2 * np.linalg.inv(X.T @ X)[0, 0])
     pval = two_sided_p(coef[0] / se) if se > 0 else 0.0
     rows = list(zip(panel.iso3[mask].tolist(), ge[mask].tolist(), vac[mask].tolist()))
     return FigureData(

@@ -213,12 +213,12 @@ def _fit_chunks(config, vcov_variant, truth, chunks) -> list:
                 chunk.append(None)
                 continue
             try:
-                fit = heckman.fit_two_step(frame, vcov_variant=vcov_variant, first_stage=first)
+                fit = heckman.fit_two_step(frame, first_stage=first)
+                se = np.sqrt(np.diag(fit.covariances(vcov_variant)[0]))
             except heckman.ESTIMATION_ERRORS:
                 chunk.append(None)
                 continue
             est = fit.outcome_coef
-            se = np.sqrt(np.diag(fit.outcome_vcov))
             chunk.append((est, np.abs(est - truth) <= heckman.Z_95 * se))
         outcomes.append(chunk)
     return outcomes

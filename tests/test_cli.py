@@ -11,6 +11,7 @@ import pytest
 
 from vaxsel import heckman, probit, synth
 from vaxsel.cli import main
+from vaxsel.panel import save_panel
 from vaxsel.probit import ProbitError
 from tests.conftest import packaged
 
@@ -240,6 +241,42 @@ def test_unconverged_start_probit_exits_1(tmp_path, monkeypatch, capsys):
     assert len(errors) == 1
     assert errors[0].startswith("error: start-probability probit did not converge (score norm ")
     assert not list(out.rglob("fig2*"))
+
+
+@pytest.mark.parametrize("failure, message", [
+    (MemoryError("Unable to allocate 1.46 TiB for an array with shape (100000000000, 2)"),
+     "Unable to allocate 1.46 TiB for an array with shape (100000000000, 2)"),
+    (MemoryError(), "MemoryError"),
+], ids=["numpy", "bare"])
+def test_out_of_memory_exits_1(tmp_path, monkeypatch, capsys, failure, message):
+    # stands in for the first allocation of a sample too large to draw
+    def exhausted(*args, **kwargs):
+        raise failure
+
+    monkeypatch.setattr(synth, "_generate_with", exhausted)
+    code = main(["simulate", "--n", "100", "--reps", "50", "--out", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [f"error: {message}"]
+
+
+def test_degenerate_fit_is_labelled_with_the_covariance_it_uses(tmp_path, snapshot):
+    # on the started countries alone every row is selected: least squares
+    # with HC1 and no selection stage, whatever --vcov asks for
+    data = tmp_path / "started.csv"
+    save_panel(snapshot.take(snapshot.column("started") == 1.0), data)
+    outs = {}
+    for flag in ("robust", "heckman"):
+        outs[flag] = tmp_path / flag
+        argv = ["fit", "--model", "2", "--vcov", flag, "--data", str(data), "--out", str(outs[flag])]
+        assert main(argv) == 0
+    note = ("Note: model2: every row is selected, so there is no selection stage or Mills "
+            "column; second-stage covariance: plain_robust")
+    for out in outs.values():
+        assert note in (out / "tables" / "fit_2.md").read_text(encoding="utf-8").splitlines()
+    csvs = [(out / "tables" / "fit_2.csv").read_bytes() for out in outs.values()]
+    assert csvs[0] == csvs[1]
 
 
 def test_unwritable_out_exits_1(tmp_path, capsys):

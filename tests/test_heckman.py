@@ -205,9 +205,9 @@ class TestFitTwoStep:
         for name in ("lstsq", "cond", "qr"):
             counting(np.linalg, name)
         counting(probit, "collinear_columns")
+        fit = heckman.fit_two_step(frame, first_stage=first)
         for variant in heckman.VCOV_VARIANTS:
-            calls.update(dict.fromkeys(calls, 0))
-            heckman.fit_two_step(frame, variant, first_stage=first)
+            fit.covariances(variant)
             assert calls == {"lstsq": 1, "cond": 0, "qr": 0, "collinear_columns": 0}
 
     def test_rho_zero_two_step_close_to_naive_ols(self):
@@ -301,7 +301,7 @@ class TestFitTwoStep:
 class TestPlainRobustVcov:
     def test_symmetric_psd(self):
         fit = heckman.fit_two_step(simple_frame(np.random.default_rng(1)))
-        v = fit.outcome_vcov
+        v = fit.covariances(heckman.PLAIN_ROBUST)[0]
         assert_allclose(v, v.T, atol=1e-14)
         assert np.all(np.linalg.eigvalsh(v) >= -1e-12)
 
@@ -316,15 +316,12 @@ class TestPlainRobustVcov:
             first_stage=None,
             outcome_coef=coef,
             imr_coef=0.0,
-            outcome_vcov=None,
-            vcov_variant=heckman.PLAIN_ROBUST,
             outcome_labels=["const", "x"],
             n_total=n,
             n_selected=n,
             residuals=resid,
             sigma2=float(resid @ resid / n),
             rho=0.0,
-            selection_vcov=None,
             design=X,
         )
         hc1 = heckman.plain_robust_vcov(fake)
@@ -346,7 +343,8 @@ class TestPlainRobustVcov:
             outcome_keep=np.tile(frame.outcome_keep, 2),
         )
         fit2 = heckman.fit_two_step(dup)
-        ratio = np.diag(fit2.outcome_vcov) / np.diag(fit1.outcome_vcov)
+        v1, v2 = (fit.covariances(heckman.PLAIN_ROBUST)[0] for fit in (fit1, fit2))
+        ratio = np.diag(v2) / np.diag(v1)
         assert np.all((ratio > 0.45) & (ratio < 0.55))
 
 
@@ -354,7 +352,7 @@ class TestHeckmanCorrectedVcov:
     def test_zero_imr_collapses_to_unadjusted(self):
         rng = np.random.default_rng(9)
         frame = simple_frame(rng)
-        fit = heckman.fit_two_step(frame, vcov_variant=heckman.HECKMAN_CORRECTED)
+        fit = heckman.fit_two_step(frame)
         rss = float(fit.residuals @ fit.residuals)
         forced = dataclasses.replace(
             fit, imr_coef=0.0, rho=0.0, sigma2=rss / fit.n_selected
@@ -366,7 +364,8 @@ class TestHeckmanCorrectedVcov:
 
     def test_reads_delta_from_the_fit(self, monkeypatch):
         frame = simple_frame(np.random.default_rng(15))
-        fit = heckman.fit_two_step(frame, vcov_variant=heckman.HECKMAN_CORRECTED)
+        fit = heckman.fit_two_step(frame)
+        stored = fit.covariances(heckman.HECKMAN_CORRECTED)[0]
 
         def refuse(*args, **kwargs):
             raise AssertionError("the corrected covariance recomputed a normal tail term")
@@ -375,12 +374,12 @@ class TestHeckmanCorrectedVcov:
             for name in ("normal_tail_terms", "inverse_mills_delta", "inverse_mills"):
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, refuse)
-        assert np.array_equal(heckman.heckman_corrected_vcov(fit), fit.outcome_vcov)
+        assert np.array_equal(heckman.heckman_corrected_vcov(fit), stored)
 
     def test_symmetric(self):
         frame = simple_frame(np.random.default_rng(14))
-        fit = heckman.fit_two_step(frame, vcov_variant=heckman.HECKMAN_CORRECTED)
-        assert_allclose(fit.outcome_vcov, fit.outcome_vcov.T, atol=1e-14)
+        v = heckman.fit_two_step(frame).covariances(heckman.HECKMAN_CORRECTED)[0]
+        assert_allclose(v, v.T, atol=1e-14)
 
     def test_coverage_on_synthetic_truth(self):
         report = synth.monte_carlo(RHO_HALF_CONFIG, 500)
@@ -394,35 +393,72 @@ class TestCovariancesOnDemand:
         from vaxsel.panel import build_model_frame
         from vaxsel.specs import apply_outlier_filter, builtin_specs
 
+        # the simple frame and replicate's 13 cells: five models on the whole
+        # panel, the first four under each outlier filter
         yield simple_frame(np.random.default_rng(21))
-        for name in ("none", "table3", "table4"):
+        for name, models in (("none", 5), ("table3", 4), ("table4", 4)):
             panel = apply_outlier_filter(snapshot, name)
-            for spec in builtin_specs():
+            for spec in builtin_specs()[:models]:
                 yield build_model_frame(panel, spec)
 
-    @pytest.mark.parametrize("fitted", heckman.VCOV_VARIANTS)
-    def test_other_variant_equals_a_refit(self, snapshot, fitted):
-        other = next(v for v in heckman.VCOV_VARIANTS if v != fitted)
-        for frame in self.frames(snapshot):
-            fit = heckman.fit_two_step(frame, fitted)
-            outcome, selection = fit.covariances(other)
-            refit = heckman.fit_two_step(frame, other)
-            assert np.array_equal(outcome, refit.outcome_vcov)
-            assert np.array_equal(selection, refit.selection_vcov)
-            stored = fit.covariances(fitted)
-            assert stored[0] is fit.outcome_vcov and stored[1] is fit.selection_vcov
+    @staticmethod
+    def direct(fit, variant):
+        """The (outcome, selection) pair from the covariance functions themselves."""
+        if variant == heckman.PLAIN_ROBUST:
+            return heckman.plain_robust_vcov(fit), probit.sandwich_vcov(
+                fit.first_stage, fit.frame.selection_y, fit.frame.selection_X)
+        return heckman.heckman_corrected_vcov(fit), fit.first_stage.vcov
 
-    def test_other_variant_is_not_computed_eagerly(self, monkeypatch):
+    @staticmethod
+    def counting_covariance_calls(monkeypatch):
+        calls = []
+        for owner, name in ((heckman, "plain_robust_vcov"), (heckman, "heckman_corrected_vcov"),
+                            (probit, "sandwich_vcov")):
+            def wrapper(*args, original=getattr(owner, name), name=name, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapper)
+        return calls
+
+    @pytest.mark.parametrize("variant", heckman.VCOV_VARIANTS)
+    def test_each_variant_equals_the_direct_functions(self, snapshot, variant):
+        frames = list(self.frames(snapshot))
+        assert len(frames) == 14
+        for frame in frames:
+            fit = heckman.fit_two_step(frame)
+            outcome, selection = fit.covariances(variant)
+            direct_outcome, direct_selection = self.direct(fit, variant)
+            assert np.array_equal(outcome, direct_outcome)
+            assert np.array_equal(selection, direct_selection)
+
+    @pytest.mark.parametrize("variant", heckman.VCOV_VARIANTS)
+    def test_second_request_returns_the_same_objects(self, monkeypatch, variant):
+        fit = heckman.fit_two_step(simple_frame(np.random.default_rng(25)))
+        calls = self.counting_covariance_calls(monkeypatch)
+        first = fit.covariances(variant)
+        assert len(calls) == 1 + (variant == heckman.PLAIN_ROBUST)
+        calls.clear()
+        again = fit.covariances(variant)
+        assert again[0] is first[0] and again[1] is first[1]
+        assert calls == []
+
+    def test_fit_computes_no_covariance(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("computed a covariance nobody asked for")
 
-        frame = simple_frame(np.random.default_rng(22))
-        monkeypatch.setattr(heckman, "heckman_corrected_vcov", refuse)
-        heckman.fit_two_step(frame, heckman.PLAIN_ROBUST)
-        monkeypatch.undo()
         monkeypatch.setattr(heckman, "plain_robust_vcov", refuse)
+        monkeypatch.setattr(heckman, "heckman_corrected_vcov", refuse)
         monkeypatch.setattr(heckman.probit, "sandwich_vcov", refuse)
-        heckman.fit_two_step(frame, heckman.HECKMAN_CORRECTED)
+        fit = heckman.fit_two_step(simple_frame(np.random.default_rng(22)))
+        assert fit.outcome_coef.shape == (3,)
+
+    def test_variant_is_not_a_fit_argument(self):
+        frame = simple_frame(np.random.default_rng(26))
+        with pytest.raises(TypeError):
+            heckman.fit_two_step(frame, heckman.PLAIN_ROBUST)
+        with pytest.raises(TypeError):
+            heckman.fit_two_step(frame, vcov_variant=heckman.PLAIN_ROBUST)
 
     def test_degenerate_fit_reports_robust_for_either_variant(self):
         rng = np.random.default_rng(23)
@@ -437,12 +473,12 @@ class TestCovariancesOnDemand:
             outcome_labels=["x", "const"],
             outcome_keep=np.ones(n, dtype=bool),
         )
-        fit = heckman.fit_two_step(frame, heckman.HECKMAN_CORRECTED)
-        assert fit.vcov_variant == heckman.PLAIN_ROBUST
-        assert np.array_equal(fit.outcome_vcov, heckman.plain_robust_vcov(fit))
+        fit = heckman.fit_two_step(frame)
+        robust = fit.covariances(heckman.HECKMAN_CORRECTED)[0]
+        assert np.array_equal(robust, heckman.plain_robust_vcov(fit))
         for variant in heckman.VCOV_VARIANTS:
             outcome, selection = fit.covariances(variant)
-            assert outcome is fit.outcome_vcov and selection is None
+            assert outcome is robust and selection is None
 
     def test_unknown_variant_rejected(self):
         fit = heckman.fit_two_step(simple_frame(np.random.default_rng(24)))

@@ -228,11 +228,12 @@ class TestFit:
         with pytest.raises(ValueError, match="NaN or infinite"):
             probit.sandwich_vcov(fit, y, X)
 
-    def test_nonconvergence_reported_honestly(self):
+    def test_nonconvergence_reported_honestly(self, monkeypatch):
         rng = np.random.default_rng(6)
         X = np.column_stack([np.ones(200), rng.normal(size=200)])
         y = (rng.uniform(size=200) < normal_cdf(0.5 + 1.2 * X[:, 1])).astype(float)
-        fit = probit.fit(y, X, max_iter=1)
+        monkeypatch.setattr(probit, "MAX_ITER", 1)
+        fit = probit.fit(y, X)
         assert not fit.converged
         assert fit.score_norm >= 1e-8
         assert fit.iterations == 1

@@ -108,7 +108,7 @@ class TestRunModelSuite:
         cell = table2.cell("gov_eff", "model2:outcome")
         j = fit.outcome_labels.index("gov_eff")
         assert cell.value == float(fit.outcome_coef[j])
-        assert cell.spread == float(np.sqrt(fit.outcome_vcov[j, j]))
+        assert cell.spread == float(np.sqrt(fit.covariances(heckman.PLAIN_ROBUST)[0][j, j]))
 
     def test_bad_spec_reported_in_cell_others_run(self, snapshot):
         specs = [
@@ -127,6 +127,18 @@ class TestRunModelSuite:
         monkeypatch.setattr(heckman.probit, "fit", broken)
         with pytest.raises(TypeError):
             replicate.run_model_suite(snapshot, builtin_specs()[:1])
+
+    def test_failing_covariance_is_a_column_error(self, snapshot, monkeypatch):
+        def singular(fit):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(heckman, "heckman_corrected_vcov", singular)
+        specs = builtin_specs()[:2]
+        table = replicate.run_model_suite(snapshot, specs, heckman.HECKMAN_CORRECTED)
+        assert table.column_errors == {
+            f"{s.name}:{stage}": "Singular matrix" for s in specs for stage in ("outcome", "selection")}
+        assert table.fits == {} and table.cells == {}
+        assert replicate.run_model_suite(snapshot, specs).column_errors == {}
 
     def test_rerun_is_identical(self, snapshot, table2):
         again = replicate.run_model_suite(snapshot)

@@ -192,6 +192,25 @@ class TestMonteCarlo:
         with pytest.raises(TypeError):
             synth.monte_carlo(dataclasses.replace(BASE, n=100), 50)
 
+    @pytest.mark.parametrize("variant", heckman.VCOV_VARIANTS)
+    def test_failing_covariance_is_a_failed_replication(self, monkeypatch, variant):
+        cfg = dataclasses.replace(BASE, n=189)
+        clean = synth.monte_carlo(cfg, 50, variant)
+        name = {heckman.PLAIN_ROBUST: "plain_robust_vcov",
+                heckman.HECKMAN_CORRECTED: "heckman_corrected_vcov"}[variant]
+        original, calls = getattr(heckman, name), []
+
+        def every_fifth_singular(fit):
+            calls.append(fit)
+            if len(calls) % 5 == 0:
+                raise np.linalg.LinAlgError("Singular matrix")
+            return original(fit)
+
+        monkeypatch.setattr(heckman, name, every_fifth_singular)
+        report = synth.monte_carlo(cfg, 50, variant)
+        assert len(calls) == clean.reps_used
+        assert report.reps_failed == clean.reps_failed + clean.reps_used // 5
+
     def test_all_selected_replications_count_as_failed(self):
         # a selection intercept of 4 selects every row of some samples; their
         # first stage fails on a single class and the replication with it
