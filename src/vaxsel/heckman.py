@@ -33,7 +33,6 @@ import numpy as np
 
 from vaxsel import probit
 from vaxsel.panel import PanelError
-from vaxsel.stdnorm import normal_tail_terms
 
 PLAIN_ROBUST = "plain_robust"
 HECKMAN_CORRECTED = "heckman_corrected"
@@ -53,6 +52,12 @@ class CollinearMillsError(Exception):
     """Raised when the Mills column adds no identifying variation."""
 
 
+def check_vcov_variant(variant: str) -> None:
+    """ValueError naming variant when it is not one of VCOV_VARIANTS."""
+    if variant not in VCOV_VARIANTS:
+        raise ValueError(f"unknown vcov variant {variant!r}; choose from {VCOV_VARIANTS}")
+
+
 # What a model that cannot be estimated raises; anything else is a bug.
 ESTIMATION_ERRORS = (PanelError, probit.ProbitError, CollinearMillsError, ValueError,
                      np.linalg.LinAlgError)
@@ -66,8 +71,7 @@ class HeckmanFit:
     entry, the Mills-ratio coefficient (an estimate of rho * sigma_u);
     imr_coef mirrors that last entry.  In the degenerate all-selected
     case the Mills column is skipped, outcome_coef has no extra entry and
-    imr_coef is 0.  covariances() gives either covariance variant.  delta
-    is lambda(lambda + z) at the outcome rows' index z (None if degenerate).
+    imr_coef is 0.  covariances() gives either covariance variant.
     """
 
     first_stage: probit.ProbitFit
@@ -82,7 +86,6 @@ class HeckmanFit:
     degenerate: bool = False
     design: np.ndarray = field(default=None, repr=False)
     outcome_keep: np.ndarray = field(default=None, repr=False)
-    delta: np.ndarray = field(default=None, repr=False)
     frame: object = field(default=None, repr=False)
     _cache: dict = field(default_factory=dict, init=False, repr=False)
 
@@ -91,8 +94,7 @@ class HeckmanFit:
         first request and returned as the same objects on every later one.
         A degenerate fit has only its robust outcome covariance, for either
         variant; the selection entry is None."""
-        if variant not in VCOV_VARIANTS:
-            raise ValueError(f"unknown vcov variant {variant!r}; choose from {VCOV_VARIANTS}")
+        check_vcov_variant(variant)
         key = PLAIN_ROBUST if self.degenerate else variant
         if key not in self._cache:
             if self.degenerate:
@@ -136,7 +138,7 @@ def ols(y, X, labels=None):
     y, X = _finite(y, X)
     if y.shape[0] != X.shape[0]:
         raise ValueError("y and X row counts differ")
-    labels = list(labels) if labels is not None else [f"x{j}" for j in range(X.shape[1])]
+    labels = probit.design_labels(labels, X.shape[1])
     coef, _, _, s = np.linalg.lstsq(X, y, rcond=None)
     _check_rows_and_rank(X, s, labels)
     return coef, y - X @ coef
@@ -167,24 +169,25 @@ def plain_robust_vcov(fit: HeckmanFit) -> np.ndarray:
 def heckman_corrected_vcov(fit: HeckmanFit) -> np.ndarray:
     """Two-step covariance with the generated-regressor adjustment.
 
-    sigma^2 (W'W)^{-1} [ W'(I - rho^2 D) W + Q ] (W'W)^{-1}, where D is
-    the diagonal of delta at the first-stage index of selected rows and
-    Q = rho^2 (W'D Z) V1 (Z'D W) propagates the first-stage estimation
-    error through the Mills column.  The selection design is fit.frame's.
+    sigma^2 (W'W)^{-1} [ W'(I - rho^2 D) W + Q ] (W'W)^{-1}, with
+    Q = rho^2 (W'D Z) V1 (Z'D W) the first-stage estimation error carried
+    through the Mills column.  On the selected rows the outcome keeps, Z is
+    fit.frame's selection design and D the diagonal of delta at the
+    first-stage index, which is the first stage's Hessian weights w there.
     """
     if fit.degenerate:
         raise CollinearMillsError("no correction term in a degenerate all-selected fit")
     W, frame = fit.design, fit.frame
     selected = np.asarray(frame.selection_y, dtype=float) == 1.0
     Z = np.asarray(frame.selection_X, dtype=float)[selected][fit.outcome_keep]
+    delta = fit.first_stage.w[selected][fit.outcome_keep]
 
-    sigma2 = fit.sigma2
     rho2 = fit.rho**2
     wtw_inv = np.linalg.inv(W.T @ W)
-    WdZ = (W * fit.delta[:, None]).T @ Z
+    WdZ = (W * delta[:, None]).T @ Z
     Q = rho2 * WdZ @ fit.first_stage.vcov @ WdZ.T
-    core = (W * (1.0 - rho2 * fit.delta)[:, None]).T @ W + Q
-    v = sigma2 * wtw_inv @ core @ wtw_inv
+    core = (W * (1.0 - rho2 * delta)[:, None]).T @ W + Q
+    v = fit.sigma2 * wtw_inv @ core @ wtw_inv
     return 0.5 * (v + v.T)
 
 
@@ -196,47 +199,49 @@ def fit_two_step(frame, *, first_stage=None) -> HeckmanFit:
     frame : ModelFrame with selection_y/selection_X over all usable rows
         and outcome_y/outcome_X over the selected subset.
     first_stage : this frame's fitted selection probit (a ProbitFit), or
-        None to fit it here.
+        None to fit it here.  Its g and w on the selected rows are lambda and delta.
 
     No covariance is computed here: HeckmanFit.covariances gives either
     variant from the returned fit.
 
     Raises
     ------
-    ValueError when outcome_y or outcome_X holds NaN or +-inf; probit
-    errors from the first stage.  The outcome design W (outcome_X plus
-    the Mills column) is decomposed once, by the SVD in lstsq, and its
-    singular values are checked in this order: CollinearMillsError when
-    the Mills column is numerically collinear with the outcome covariates
-    (condition number above 1e10), which usually means the selection
-    equation needs an exclusion restriction; ValueError when W has fewer
-    than k + 1 rows; probit.RankDeficientError when W is not full rank.
+    ValueError when outcome_y or outcome_X holds NaN or +-inf, or when
+    first_stage was fitted on another number of rows; probit errors from
+    the first stage.  The outcome design W (outcome_X plus the Mills
+    column) is decomposed once, by the SVD in lstsq, and its singular
+    values are checked in this order: CollinearMillsError when the Mills
+    column is numerically collinear with the outcome covariates (condition
+    number above 1e10), which usually means the selection equation needs
+    an exclusion restriction; ValueError when W has fewer than k + 1 rows;
+    probit.RankDeficientError when W is not full rank.
     """
     sel_y = np.asarray(frame.selection_y, dtype=float).ravel()
-    sel_X = np.asarray(frame.selection_X, dtype=float)
     out_y, out_X = _finite(frame.outcome_y, frame.outcome_X)
     n_selected = out_y.shape[0]
     keep = np.asarray(frame.outcome_keep, dtype=bool)
-    labels_w = list(frame.outcome_labels)
+    labels_w = probit.design_labels(frame.outcome_labels, out_X.shape[1])
+    selected = sel_y == 1.0
 
-    if np.all(sel_y == 1.0):
+    if selected.all():
         # Phi of the index is ~1 for every row, so the Mills column is a
         # near-zero constant collinear with the intercept; fall back to
         # plain least squares and say so.
-        first, W, delta = None, out_X, None
+        first, W = None, out_X
         coef, resid = ols(out_y, W, labels_w)
         imr_coef = rho = 0.0
         sigma2 = float(resid @ resid / n_selected)
     else:
-        first = first_stage or probit.fit(sel_y, sel_X, labels=list(frame.selection_labels))
+        first = first_stage or probit.fit(sel_y, frame.selection_X, frame.selection_labels)
+        if first.n != sel_y.size:
+            raise ValueError(f"first stage fitted on {first.n} rows; this frame has {sel_y.size}")
         if not first.converged:
             raise probit.ProbitError(
                 f"first-stage probit did not converge (score norm {first.score_norm:.2e})"
             )
-        idx_sel = (sel_X[sel_y == 1.0] @ first.coef)[keep]
-        if idx_sel.shape[0] != n_selected:
+        mills, delta = first.g[selected][keep], first.w[selected][keep]
+        if mills.shape[0] != n_selected:
             raise ValueError("outcome rows do not line up with the selected selection rows")
-        _, mills, delta = normal_tail_terms(idx_sel)
 
         W = np.column_stack([out_X, mills])
         labels_w.append(IMR_LABEL)
@@ -258,5 +263,5 @@ def fit_two_step(frame, *, first_stage=None) -> HeckmanFit:
     return HeckmanFit(
         first_stage=first, outcome_coef=coef, imr_coef=imr_coef, outcome_labels=labels_w,
         n_total=sel_y.shape[0], n_selected=n_selected, residuals=resid, sigma2=sigma2, rho=rho,
-        degenerate=first is None, design=W, outcome_keep=keep, delta=delta, frame=frame,
+        degenerate=first is None, design=W, outcome_keep=keep, frame=frame,
     )

@@ -54,7 +54,9 @@ class ProbitFit:
     n: int
     labels: list[str] = field(default_factory=list)
     loglik_path: list[float] = field(default_factory=list, repr=False)
-    # score factors and Hessian weights at coef, read by sandwich_vcov
+    # score factors and Hessian weights at coef, read by sandwich_vcov; on the
+    # y = 1 rows they are lambda and delta at the index, the second stage's
+    # Mills column and covariance weights
     g: np.ndarray = field(default=None, repr=False)
     w: np.ndarray = field(default=None, repr=False)
 
@@ -70,6 +72,15 @@ def collinear_columns(X, labels):
     return [labels[j] for j in np.where(diag <= tol)[0]]
 
 
+def design_labels(labels, k):
+    """labels as a list of k column names (x0, x1, ... when None); ValueError
+    when their count is not k."""
+    labels = [f"x{j}" for j in range(k)] if labels is None else list(labels)
+    if len(labels) != k:
+        raise ValueError(f"{len(labels)} labels for {k} columns")
+    return labels
+
+
 def _prepare(y, X, labels=None):
     y = np.asarray(y, dtype=float).ravel()
     X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -79,19 +90,19 @@ def _prepare(y, X, labels=None):
         raise ValueError("y must be binary 0/1")
     if not np.all(np.isfinite(X)):
         raise ValueError("X contains NaN or infinite values")
-    labels = list(labels) if labels is not None else [f"x{j}" for j in range(X.shape[1])]
-    return y, X, labels
+    return y, X, design_labels(labels, X.shape[1])
 
 
-def _terms(coef, y, X):
-    """One pass over the signed index s_i = +-x_i'c (+ where y_i = 1): the
-    log-likelihood sum_i log Phi(s_i), the score factors g_i = +-lambda(s_i)
-    (score X'g) and the Hessian weights w_i = delta(s_i) (Hessian -X'WX)."""
-    idx = X @ np.asarray(coef, dtype=float)
-    ones = y == 1.0
-    s = np.where(ones, idx, -idx)
-    log_cdf, lam, w = normal_tail_terms(s)
-    return float(np.sum(log_cdf)), np.where(ones, lam, -lam), w
+def _terms(coef, ones, X):
+    """One pass over the signed index s_i = +-x_i'c (+ on the y_i = 1 rows,
+    ones) of one sample, or of a stack along the leading axes of coef, ones
+    and X: log L = sum_i log Phi(s_i) (a float, or a list per sample), the
+    score factors g_i = +-lambda(s_i), the score X'g and the Hessian weights
+    w_i = delta(s_i) (Hessian -X'WX)."""
+    idx = np.matmul(X, np.asarray(coef)[..., None])[..., 0]
+    log_cdf, lam, w = normal_tail_terms(np.where(ones, idx, -idx))
+    g = np.where(ones, lam, -lam)
+    return log_cdf.sum(axis=-1).tolist(), g, np.matmul(g[..., None, :], X)[..., 0, :], w
 
 
 def _information(X, w):
@@ -101,12 +112,12 @@ def _information(X, w):
 
 def loglik(coef, y, X):
     """Probit log-likelihood sum_i [y_i log Phi(x_i'c) + (1-y_i) log Phi(-x_i'c)]."""
-    return _terms(coef, y, X)[0]
+    return _terms(coef, np.asarray(y) == 1.0, X)[0]
 
 
 def score(coef, y, X):
     """Analytic gradient: sum_i g_i x_i with g_i = +-lambda(+-x_i'c)."""
-    return X.T @ _terms(coef, y, X)[1]
+    return _terms(coef, np.asarray(y) == 1.0, X)[2]
 
 
 def hessian(coef, y, X):
@@ -114,7 +125,7 @@ def hessian(coef, y, X):
 
     Negative semidefinite everywhere because delta lies in (0, 1).
     """
-    return -_information(X, _terms(coef, y, X)[2])
+    return -_information(X, _terms(coef, np.asarray(y) == 1.0, X)[3])
 
 
 _Point = namedtuple("_Point", "coef ll g grad w")
@@ -200,20 +211,19 @@ def fit(y, X, labels=None) -> ProbitFit:
     SeparationError : coefficients past +-50 with the score above SCORE_TOL (separation).
     """
     y, X, labels = _prepare(y, X, labels)
-    newton = _newton(y, X, labels)
+    newton, ones = _newton(y, X, labels), y == 1.0
     coef = next(newton)
     while True:
-        ll, g, w = _terms(coef, y, X)
         try:
-            coef = newton.send(_Point(coef, ll, g, X.T @ g, w))
+            coef = newton.send(_Point(coef, *_terms(coef, ones, X)))
         except StopIteration as done:
             return done.value
 
 
 def fit_many(Y, X, labels=None) -> list:
     """fit for R samples at once, Y of shape (R, n) and X of shape (R, n, k):
-    one _newton generator per sample, and one stacked normal_tail_terms call
-    per round on the (m, n) block of the m pending coefficient vectors.
+    one _newton generator per sample, and one stacked _terms call per round
+    on the (m, n) block of the m pending coefficient vectors.
     Returns per sample its ProbitFit, bit-identical to fit's, or the
     estimation error its fit raised; malformed Y or X raises ValueError."""
     Y, X = np.asarray(Y, dtype=float), np.asarray(X, dtype=float)
@@ -239,11 +249,8 @@ def fit_many(Y, X, labels=None) -> list:
         pending.clear()
         # gathering rows copies the block; while every sample is pending it is not needed
         Xm, ones = (X, y_ones) if len(reps) == len(Y) else (X[reps], y_ones[reps])
-        idx = np.matmul(Xm, np.array(coefs)[:, :, None])[:, :, 0]
-        log_cdf, lam, w = normal_tail_terms(np.where(ones, idx, -idx))
-        g = np.where(ones, lam, -lam)
-        grad = np.matmul(g[:, None, :], Xm)[:, 0, :]
-        for i, (r, ll) in enumerate(zip(reps, log_cdf.sum(axis=1).tolist())):
+        lls, g, grad, w = _terms(np.array(coefs), ones, Xm)
+        for i, (r, ll) in enumerate(zip(reps, lls)):
             # copies: a fit holding row views would keep the whole round's block alive
             advance(r, _Point(coefs[i], ll, g[i].copy(), grad[i], w[i].copy()))
     return results

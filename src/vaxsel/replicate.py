@@ -149,6 +149,7 @@ def run_model_suite(
     A model that fails to estimate contributes an error message for its
     columns; the remaining models still run.
     """
+    heckman.check_vcov_variant(vcov_variant)
     specs = list(builtin_specs() if specs is None else specs)
     table = TableResult(
         title=title,

@@ -267,6 +267,7 @@ def monte_carlo(
     """
     if reps < 50:
         raise ValueError("need at least 50 replications for a meaningful report")
+    heckman.check_vcov_variant(vcov_variant)
 
     names = [f"x{j + 1}" for j in range(config.n_shared)] + ["const", heckman.IMR_LABEL]
     truth = np.array(list(config.outcome_coef) + [config.rho * config.sigma_u])

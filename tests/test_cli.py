@@ -59,6 +59,18 @@ def test_replicate_matches_reference_digests(tmp_path):
     assert tree_digest(out) == reference["files"]
 
 
+OUTPUT_REFERENCE = json.loads((REPO / "tests" / "output_reference.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("run", OUTPUT_REFERENCE["runs"], ids=lambda run: run["command"])
+def test_output_tree_matches_reference_digests(tmp_path, run):
+    # sha256 of every file each command writes, recorded with the library
+    # versions CI pins; a refactor that moves a bit of any output fails here
+    out = tmp_path / "out"
+    assert main(run["command"].split()[1:] + ["--out", str(out)]) == 0
+    assert tree_digest(out) == run["files"]
+
+
 def test_replicate_fits_each_cell_once(tmp_path, monkeypatch):
     frames = []
     fit_two_step = heckman.fit_two_step

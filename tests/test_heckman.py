@@ -76,6 +76,12 @@ class TestOls:
         with pytest.raises(ValueError):
             heckman.ols(np.arange(3.0), X)
 
+    @pytest.mark.parametrize("labels", [["const"], ["const", "x", "extra"]])
+    def test_label_count_must_match_columns(self, labels):
+        X = np.column_stack([np.ones(10), np.arange(10.0)])
+        with pytest.raises(ValueError, match=f"{len(labels)} labels for 2 columns"):
+            heckman.ols(2.0 * np.arange(10.0), X, labels=labels)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("where", ["y", "X"])
     def test_non_finite_input_rejected(self, bad, where):
@@ -209,6 +215,40 @@ class TestFitTwoStep:
         for variant in heckman.VCOV_VARIANTS:
             fit.covariances(variant)
             assert calls == {"lstsq": 1, "cond": 0, "qr": 0, "collinear_columns": 0}
+
+    def test_second_stage_reads_lambda_and_delta_from_the_first_stage(self, monkeypatch):
+        frame = simple_frame(np.random.default_rng(7))
+        first = probit.fit(frame.selection_y, frame.selection_X, labels=frame.selection_labels)
+        want = heckman.fit_two_step(frame)
+        calls = []
+        for module in (probit, stdnorm, heckman):
+            if hasattr(module, "normal_tail_terms"):
+                def counted(z, kernel=module.normal_tail_terms):
+                    calls.append(np.size(z))
+                    return kernel(z)
+
+                monkeypatch.setattr(module, "normal_tail_terms", counted)
+        fit = heckman.fit_two_step(frame, first_stage=first)
+        for variant in heckman.VCOV_VARIANTS:
+            fit.covariances(variant)
+        assert calls == []
+        selected = frame.selection_y == 1.0
+        assert np.array_equal(fit.design[:, -1], first.g[selected][frame.outcome_keep])
+        assert np.array_equal(fit.outcome_coef, want.outcome_coef)
+        assert "delta" not in {f.name for f in dataclasses.fields(heckman.HeckmanFit)}
+
+    def test_first_stage_of_another_frame_rejected(self):
+        frame, other = (simple_frame(np.random.default_rng(seed), n=n)
+                        for seed, n in ((8, 189), (9, 300)))
+        first = probit.fit(other.selection_y, other.selection_X, labels=other.selection_labels)
+        with pytest.raises(ValueError, match="first stage fitted on 300 rows; this frame has 189"):
+            heckman.fit_two_step(frame, first_stage=first)
+
+    def test_outcome_label_count_must_match_columns(self):
+        # without "const" the constant's estimate would be printed under imr_lambda
+        frame = dataclasses.replace(simple_frame(np.random.default_rng(11)), outcome_labels=["x"])
+        with pytest.raises(ValueError, match="1 labels for 2 columns"):
+            heckman.fit_two_step(frame)
 
     def test_rho_zero_two_step_close_to_naive_ols(self):
         rng = np.random.default_rng(77)
@@ -479,6 +519,8 @@ class TestCovariancesOnDemand:
         for variant in heckman.VCOV_VARIANTS:
             outcome, selection = fit.covariances(variant)
             assert outcome is robust and selection is None
+        with pytest.raises(ValueError, match="'hc3'"):
+            fit.covariances("hc3")
 
     def test_unknown_variant_rejected(self):
         fit = heckman.fit_two_step(simple_frame(np.random.default_rng(24)))

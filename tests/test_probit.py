@@ -212,6 +212,16 @@ class TestFit:
             probit.fit(y, X, labels=["const", "a", "twice_a"])
         assert "twice_a" in str(err.value)
 
+    @pytest.mark.parametrize("labels", [["const"], ["const", "a", "extra"]])
+    def test_label_count_must_match_columns(self, labels):
+        rng = np.random.default_rng(2)
+        X = np.column_stack([np.ones(50), rng.normal(size=50)])
+        y = (rng.uniform(size=50) < 0.5).astype(float)
+        with pytest.raises(ValueError, match=f"{len(labels)} labels for 2 columns"):
+            probit.fit(y, X, labels=labels)
+        with pytest.raises(ValueError, match=f"{len(labels)} labels for 2 columns"):
+            probit.fit_many([y], [X], labels=labels)
+
     def test_single_class_rejected(self):
         with pytest.raises(ValueError):
             probit.fit(np.ones(10), np.ones((10, 1)))
@@ -341,9 +351,9 @@ class TestEvaluationCount:
         points = []
         terms = probit._terms
 
-        def counted_terms(coef, y, X):
+        def counted_terms(coef, ones, X):
             points.append(coef)
-            return terms(coef, y, X)
+            return terms(coef, ones, X)
 
         monkeypatch.setattr(probit, "_terms", counted_terms)
         calls = self.count_stdnorm(monkeypatch)
@@ -400,9 +410,9 @@ class TestFitMany:
         evaluations = []
         terms = probit._terms
 
-        def counted_terms(coef, y, X):
+        def counted_terms(coef, ones, X):
             evaluations[-1] += 1
-            return terms(coef, y, X)
+            return terms(coef, ones, X)
 
         monkeypatch.setattr(probit, "_terms", counted_terms)
         for y, X in batch:
@@ -412,10 +422,12 @@ class TestFitMany:
             except (probit.ProbitError, ValueError):
                 pass
         calls = TestEvaluationCount.count_stdnorm(monkeypatch)
+        evaluations.append(0)
         probit.fit_many([y for y, _ in batch], [X for _, X in batch])
-        # a round stacks every pending sample, so the batch takes as many
-        # rounds as its longest fit takes evaluations
-        assert len(calls) == max(evaluations) == evaluations[1] > 30  # the halving draw
+        rounds = evaluations.pop()
+        # a round stacks every pending sample into one _terms call, so the
+        # batch takes as many rounds as its longest fit takes evaluations
+        assert len(calls) == rounds == max(evaluations) == evaluations[1] > 30  # the halving draw
         assert calls[0] == 3 * 100  # the rank-deficient and single-class samples never start
 
     def test_programming_error_propagates(self, monkeypatch):

@@ -140,6 +140,10 @@ class TestRunModelSuite:
         assert table.fits == {} and table.cells == {}
         assert replicate.run_model_suite(snapshot, specs).column_errors == {}
 
+    def test_unknown_variant_raises_instead_of_column_errors(self, snapshot):
+        with pytest.raises(ValueError, match="'hc3'"):
+            replicate.run_model_suite(snapshot, vcov_variant="hc3")
+
     def test_rerun_is_identical(self, snapshot, table2):
         again = replicate.run_model_suite(snapshot)
         assert render.render_table_csv(again) == render.render_table_csv(table2)

@@ -192,6 +192,14 @@ class TestMonteCarlo:
         with pytest.raises(TypeError):
             synth.monte_carlo(dataclasses.replace(BASE, n=100), 50)
 
+    def test_unknown_variant_rejected_before_generating(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("generated a replication for an unknown variant")
+
+        monkeypatch.setattr(synth, "_generate_with", refuse)
+        with pytest.raises(ValueError, match="'hc3'"):
+            synth.monte_carlo(dataclasses.replace(BASE, n=189), 50, "hc3")
+
     @pytest.mark.parametrize("variant", heckman.VCOV_VARIANTS)
     def test_failing_covariance_is_a_failed_replication(self, monkeypatch, variant):
         cfg = dataclasses.replace(BASE, n=189)
