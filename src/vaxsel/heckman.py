@@ -21,8 +21,8 @@ the second stage are read from it:
     first-stage coefficients.  It collapses to the unadjusted covariance
     sigma^2 (W'W)^{-1} when the Mills coefficient is zero.
 
-Both are functions of the same first stage and point estimates, so one
-fit serves both: HeckmanFit.covariances computes each on first request.
+Both are functions of the same first stage and point estimates, so one fit
+serves both: HeckmanFit computes each stage's covariance on its first request.
 """
 
 from __future__ import annotations
@@ -71,7 +71,7 @@ class HeckmanFit:
     entry, the Mills-ratio coefficient (an estimate of rho * sigma_u);
     imr_coef mirrors that last entry.  In the degenerate all-selected
     case the Mills column is skipped, outcome_coef has no extra entry and
-    imr_coef is 0.  covariances() gives either covariance variant.
+    imr_coef is 0.  outcome_vcov() and selection_vcov() give either variant.
     """
 
     first_stage: probit.ProbitFit
@@ -89,23 +89,29 @@ class HeckmanFit:
     frame: object = field(default=None, repr=False)
     _cache: dict = field(default_factory=dict, init=False, repr=False)
 
-    def covariances(self, variant: str):
-        """(outcome, selection) covariance under variant, computed on the
-        first request and returned as the same objects on every later one.
-        A degenerate fit has only its robust outcome covariance, for either
-        variant; the selection entry is None."""
+    def _cached(self, compute, *args):
+        if compute not in self._cache:
+            self._cache[compute] = compute(*args)
+        return self._cache[compute]
+
+    def outcome_vcov(self, variant: str) -> np.ndarray:
+        """Second-stage covariance under variant, computed once and then the
+        same object; a degenerate fit has only its robust one, for either variant."""
         check_vcov_variant(variant)
-        key = PLAIN_ROBUST if self.degenerate else variant
-        if key not in self._cache:
-            if self.degenerate:
-                pair = plain_robust_vcov(self), None
-            elif key == PLAIN_ROBUST:
-                pair = plain_robust_vcov(self), probit.sandwich_vcov(
-                    self.first_stage, self.frame.selection_y, self.frame.selection_X)
-            else:
-                pair = heckman_corrected_vcov(self), self.first_stage.vcov
-            self._cache[key] = pair
-        return self._cache[key]
+        robust = self.degenerate or variant == PLAIN_ROBUST
+        return self._cached(plain_robust_vcov if robust else heckman_corrected_vcov, self)
+
+    def selection_vcov(self, variant: str):
+        """First-stage covariance under variant, cached like outcome_vcov: the
+        probit sandwich for plain_robust, the first stage's vcov for
+        heckman_corrected, None for a degenerate fit."""
+        check_vcov_variant(variant)
+        if self.degenerate:
+            return None
+        if variant == HECKMAN_CORRECTED:
+            return self.first_stage.vcov
+        return self._cached(probit.sandwich_vcov, self.first_stage, self.frame.selection_y,
+                            self.frame.selection_X)
 
 
 def _finite(y, X):
@@ -201,20 +207,20 @@ def fit_two_step(frame, *, first_stage=None) -> HeckmanFit:
     first_stage : this frame's fitted selection probit (a ProbitFit), or
         None to fit it here.  Its g and w on the selected rows are lambda and delta.
 
-    No covariance is computed here: HeckmanFit.covariances gives either
-    variant from the returned fit.
+    No covariance is computed here: HeckmanFit.outcome_vcov and
+    HeckmanFit.selection_vcov give either variant from the returned fit.
 
     Raises
     ------
     ValueError when outcome_y or outcome_X holds NaN or +-inf, or when
-    first_stage was fitted on another number of rows; probit errors from
-    the first stage.  The outcome design W (outcome_X plus the Mills
-    column) is decomposed once, by the SVD in lstsq, and its singular
-    values are checked in this order: CollinearMillsError when the Mills
-    column is numerically collinear with the outcome covariates (condition
-    number above 1e10), which usually means the selection equation needs
-    an exclusion restriction; ValueError when W has fewer than k + 1 rows;
-    probit.RankDeficientError when W is not full rank.
+    first_stage was fitted on another number of rows or selection indicator;
+    probit errors from the first stage.  The outcome design W (outcome_X
+    plus the Mills column) is decomposed once, by the SVD in lstsq, and its
+    singular values are checked in this order: CollinearMillsError when the
+    Mills column is numerically collinear with the outcome covariates
+    (condition number above 1e10), which usually means the selection
+    equation needs an exclusion restriction; ValueError when W has fewer
+    than k + 1 rows; probit.RankDeficientError when W is not full rank.
     """
     sel_y = np.asarray(frame.selection_y, dtype=float).ravel()
     out_y, out_X = _finite(frame.outcome_y, frame.outcome_X)
@@ -235,6 +241,10 @@ def fit_two_step(frame, *, first_stage=None) -> HeckmanFit:
         first = first_stage or probit.fit(sel_y, frame.selection_X, frame.selection_labels)
         if first.n != sel_y.size:
             raise ValueError(f"first stage fitted on {first.n} rows; this frame has {sel_y.size}")
+        # g is +lambda >= +0.0 on the y = 1 rows and -lambda elsewhere, so its
+        # sign bits are the first stage's own selection indicator
+        if not np.array_equal(np.signbit(first.g), ~selected):
+            raise ValueError("first stage fitted on a selection indicator other than this frame's")
         if not first.converged:
             raise probit.ProbitError(
                 f"first-stage probit did not converge (score norm {first.score_norm:.2e})"

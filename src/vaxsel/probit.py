@@ -42,7 +42,8 @@ class ProbitFit:
     """First-stage estimate: coefficients, covariance and diagnostics.
 
     vcov is the observed-information inverse at the optimum; use
-    sandwich_vcov for the heteroskedasticity-robust variant.
+    sandwich_vcov for the heteroskedasticity-robust variant.  halvings
+    counts the line-search candidates the fit evaluated and did not accept.
     """
 
     coef: np.ndarray
@@ -54,6 +55,7 @@ class ProbitFit:
     n: int
     labels: list[str] = field(default_factory=list)
     loglik_path: list[float] = field(default_factory=list, repr=False)
+    halvings: int = 0
     # score factors and Hessian weights at coef, read by sandwich_vcov; on the
     # y = 1 rows they are lambda and delta at the index, the second stage's
     # Mills column and covariance weights
@@ -62,14 +64,17 @@ class ProbitFit:
 
 
 def collinear_columns(X, labels):
-    """Labels of the columns whose QR diagonal is below max(n, k) * eps *
-    max|R_jj|; every label when X has fewer rows than columns."""
-    n, k = X.shape
+    """Labels of the columns of X whose QR diagonal is below max(n, k) * eps *
+    max|R_jj|; every label when X has fewer rows than columns.  For an
+    (R, n, k) stack of designs, one such list per design from one stacked QR."""
+    n, k = X.shape[-2:]
     if n < k:
-        return list(labels)
-    diag = np.abs(np.diag(np.linalg.qr(X, mode="r")))
-    tol = max(n, k) * np.finfo(float).eps * (diag.max() if diag.size else 0.0)
-    return [labels[j] for j in np.where(diag <= tol)[0]]
+        low = np.ones(X.shape[:-2] + (k,), dtype=bool)
+    else:
+        diag = np.abs(np.linalg.qr(X, mode="r").diagonal(0, -2, -1))
+        low = diag <= max(n, k) * np.finfo(float).eps * diag.max(-1, keepdims=True, initial=0.0)
+    found = [[labels[j] for j in np.flatnonzero(row)] for row in low.reshape(-1, k)]
+    return found if X.ndim == 3 else found[0]
 
 
 def design_labels(labels, k):
@@ -93,31 +98,41 @@ def _prepare(y, X, labels=None):
     return y, X, design_labels(labels, X.shape[1])
 
 
+_Point = namedtuple("_Point", "coef ll g grad w score_norm")
+
+
 def _terms(coef, ones, X):
     """One pass over the signed index s_i = +-x_i'c (+ on the y_i = 1 rows,
     ones) of one sample, or of a stack along the leading axes of coef, ones
-    and X: log L = sum_i log Phi(s_i) (a float, or a list per sample), the
-    score factors g_i = +-lambda(s_i), the score X'g and the Hessian weights
-    w_i = delta(s_i) (Hessian -X'WX)."""
+    and X, as a _Point: log L = sum_i log Phi(s_i) (a float, or a list per
+    sample), the score factors g_i = +-lambda(s_i), the score X'g, the
+    Hessian weights w_i = delta(s_i) and the max-abs score."""
     idx = np.matmul(X, np.asarray(coef)[..., None])[..., 0]
     log_cdf, lam, w = normal_tail_terms(np.where(ones, idx, -idx))
     g = np.where(ones, lam, -lam)
-    return log_cdf.sum(axis=-1).tolist(), g, np.matmul(g[..., None, :], X)[..., 0, :], w
+    grad = np.matmul(g[..., None, :], X)[..., 0, :]
+    return _Point(coef, log_cdf.sum(axis=-1).tolist(), g, grad, w, np.abs(grad).max(axis=-1))
 
 
-def _information(X, w):
-    """Observed information X'WX, the negative Hessian."""
-    return (X * w[:, None]).T @ X
+def _system(w, grad, X):
+    """Newton system at weights w and score grad, of one sample or a stack:
+    the information X'WX (the negative Hessian) and the step solving it for
+    grad, from one stacked solve; the step is None if any system is singular."""
+    info = np.matmul((X * w[..., None]).swapaxes(-1, -2), X)
+    try:
+        return info, np.linalg.solve(info, grad[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        return info, None
 
 
 def loglik(coef, y, X):
     """Probit log-likelihood sum_i [y_i log Phi(x_i'c) + (1-y_i) log Phi(-x_i'c)]."""
-    return _terms(coef, np.asarray(y) == 1.0, X)[0]
+    return _terms(coef, np.asarray(y) == 1.0, X).ll
 
 
 def score(coef, y, X):
     """Analytic gradient: sum_i g_i x_i with g_i = +-lambda(+-x_i'c)."""
-    return _terms(coef, np.asarray(y) == 1.0, X)[2]
+    return _terms(coef, np.asarray(y) == 1.0, X).grad
 
 
 def hessian(coef, y, X):
@@ -125,44 +140,44 @@ def hessian(coef, y, X):
 
     Negative semidefinite everywhere because delta lies in (0, 1).
     """
-    return -_information(X, _terms(coef, np.asarray(y) == 1.0, X)[3])
+    point = _terms(coef, np.asarray(y) == 1.0, X)
+    return -_system(point.w, point.grad, X)[0]
 
 
-_Point = namedtuple("_Point", "coef ll g grad w")
-
-
-def _newton(y, X, labels):
-    """fit's Newton loop on prepared y and X, as a generator: it yields each
-    coefficient vector to evaluate, is sent its _Point (log L, score factors
-    g, score X'g, weights w) and returns the ProbitFit."""
-    collinear = collinear_columns(X, labels)
+def _newton(y, X, labels, collinear):
+    """fit's Newton loop on prepared y and X (with collinear_columns collinear)
+    as a generator returning the ProbitFit: it yields a coefficient vector to
+    be sent its _Point (_terms), or a current point's (w, grad) to be sent
+    their _system, and itself only accepts, halves and stops."""
     if collinear:
         raise RankDeficientError(collinear)
     if y.min() == y.max():
         raise ValueError("y contains a single class; probit is not estimable")
 
-    coef, ll, g, grad, w = yield np.zeros(X.shape[1])
-    path = [ll]
-    iterations = 0
+    point = yield np.zeros(X.shape[1])
+    info, step = yield point.w, point.grad
+    path = [point.ll]
+    iterations = halvings = 0
 
     for iterations in range(1, MAX_ITER + 1):
-        sn = np.max(np.abs(grad))
+        coef, ll, sn = point.coef, point.ll, point.score_norm
         if sn < SCORE_TOL:
             iterations -= 1
             break
-        try:
-            step = np.linalg.solve(_information(X, w), grad)
-        except np.linalg.LinAlgError as exc:
-            raise ProbitError(f"singular Hessian at iteration {iterations}") from exc
+        if step is None:  # the round's stacked solve met a singular system
+            try:
+                step = np.linalg.solve(info, point.grad)
+            except np.linalg.LinAlgError as exc:
+                raise ProbitError(f"singular Hessian at iteration {iterations}") from exc
 
         full = yield coef + step
-        for halvings in range(MAX_STEP_HALVINGS):
-            cand = (yield coef + 0.5**halvings * step) if halvings else full
+        for halved in range(MAX_STEP_HALVINGS):
+            cand = (yield coef + 0.5**halved * step) if halved else full
             # Near the optimum the quadratic gain falls below float
             # resolution and the likelihood ties; accept the step if it
             # still contracts the score, keeping the path nondecreasing.
             if np.isfinite(cand.ll) and (
-                    cand.ll > ll or (cand.ll == ll and np.max(np.abs(cand.grad)) <= 0.9 * sn)):
+                    cand.ll > ll or (cand.ll == ll and cand.score_norm <= 0.9 * sn)):
                 break
         else:
             # Terminal refinement: the quadratic step may wiggle the
@@ -171,27 +186,29 @@ def _newton(y, X, labels):
             cand = full
             drop = ll - cand.ll
             if not (np.isfinite(cand.ll) and drop <= 64.0 * np.finfo(float).eps * max(1.0, abs(ll))
-                    and np.max(np.abs(cand.grad)) < SCORE_TOL):
+                    and cand.score_norm < SCORE_TOL):
+                halvings += MAX_STEP_HALVINGS
                 break
-        coef, ll, g, grad, w = cand
-        path.append(ll)
-
-        if np.max(np.abs(coef)) > SEPARATION_COEF_BOUND and np.max(np.abs(grad)) > SCORE_TOL:
+        halvings += halved
+        path.append(cand.ll)
+        if abs(cand.coef).max() > SEPARATION_COEF_BOUND and cand.score_norm > SCORE_TOL:
             raise SeparationError(
                 "coefficients diverging beyond +-50 with nonzero score; "
                 "the classes appear perfectly separated"
             )
+        point = cand
+        info, step = yield point.w, point.grad
 
-    score_norm = float(np.max(np.abs(grad)))
+    score_norm = float(point.score_norm)
     try:
-        vcov = np.linalg.inv(_information(X, w))
+        vcov = np.linalg.inv(info)
     except np.linalg.LinAlgError as exc:
         raise ProbitError("observed information is singular at the optimum") from exc
     vcov = 0.5 * (vcov + vcov.T)
 
-    return ProbitFit(coef=coef, vcov=vcov, loglik=ll, iterations=iterations,
+    return ProbitFit(coef=point.coef, vcov=vcov, loglik=point.ll, iterations=iterations,
                      converged=score_norm < SCORE_TOL, score_norm=score_norm, n=int(y.shape[0]),
-                     labels=labels, loglik_path=path, g=g, w=w)
+                     labels=labels, loglik_path=path, halvings=halvings, g=point.g, w=point.w)
 
 
 def fit(y, X, labels=None) -> ProbitFit:
@@ -211,19 +228,21 @@ def fit(y, X, labels=None) -> ProbitFit:
     SeparationError : coefficients past +-50 with the score above SCORE_TOL (separation).
     """
     y, X, labels = _prepare(y, X, labels)
-    newton, ones = _newton(y, X, labels), y == 1.0
-    coef = next(newton)
+    newton, ones = _newton(y, X, labels, collinear_columns(X, labels)), y == 1.0
+    ask = next(newton)
     while True:
         try:
-            coef = newton.send(_Point(coef, *_terms(coef, ones, X)))
+            ask = newton.send(_system(*ask, X) if isinstance(ask, tuple) else _terms(ask, ones, X))
         except StopIteration as done:
             return done.value
 
 
 def fit_many(Y, X, labels=None) -> list:
     """fit for R samples at once, Y of shape (R, n) and X of shape (R, n, k):
-    one _newton generator per sample, and one stacked _terms call per round
-    on the (m, n) block of the m pending coefficient vectors.
+    one stacked rank QR and one _newton generator per sample; each round makes
+    one stacked _terms call on the pending coefficient vectors and, if it made
+    any point current, one stacked _system call on its block, so the
+    generators do no linear algebra.
     Returns per sample its ProbitFit, bit-identical to fit's, or the
     estimation error its fit raised; malformed Y or X raises ValueError."""
     Y, X = np.asarray(Y, dtype=float), np.asarray(X, dtype=float)
@@ -231,7 +250,7 @@ def fit_many(Y, X, labels=None) -> list:
         raise ValueError(f"Y must be (R, n) and X (R, n, k); got {Y.shape} and {X.shape}")
     # binary y and finite X, checked over the whole batch
     labels = _prepare(Y.ravel(), X.reshape(-1, X.shape[-1]), labels)[2]
-    newtons = [_newton(y, x, labels) for y, x in zip(Y, X)]
+    newtons = [_newton(y, x, labels, c) for y, x, c in zip(Y, X, collinear_columns(X, labels))]
     results, pending, y_ones = [None] * len(Y), {}, Y == 1.0
 
     def advance(r, point):
@@ -245,14 +264,23 @@ def fit_many(Y, X, labels=None) -> list:
     for r in range(len(Y)):
         advance(r, None)
     while pending:
-        reps, coefs = list(pending), list(pending.values())
-        pending.clear()
+        reps = sorted(pending)
         # gathering rows copies the block; while every sample is pending it is not needed
         Xm, ones = (X, y_ones) if len(reps) == len(Y) else (X[reps], y_ones[reps])
-        lls, g, grad, w = _terms(np.array(coefs), ones, Xm)
-        for i, (r, ll) in enumerate(zip(reps, lls)):
+        coefs = [pending.pop(r) for r in reps]
+        p = _terms(np.array(coefs), ones, Xm)
+        for r, coef, ll, g, grad, w, sn in zip(reps, coefs, *p[1:]):
             # copies: a fit holding row views would keep the whole round's block alive
-            advance(r, _Point(coefs[i], ll, g[i].copy(), grad[i], w[i].copy()))
+            advance(r, _Point(coef, ll, g.copy(), grad, w.copy(), sn))
+        # the points made current ask for their systems: their rows (terminal refinement's
+        # come from an earlier round) go into the block, solved whole rather than gathered
+        ask = [i for i, r in enumerate(reps) if isinstance(pending.get(r), tuple)]
+        if ask:
+            for i in ask:
+                p.w[i], p.grad[i] = pending.pop(reps[i])
+            info, step = _system(p.w, p.grad, Xm)
+            for i in ask:
+                advance(reps[i], (info[i], None if step is None else step[i]))
     return results
 
 
@@ -274,7 +302,7 @@ def sandwich_vcov(fit: ProbitFit, y, X) -> np.ndarray:
         raise ValueError(f"fit has {fit.n} rows; y and X have {X.shape[0]}")
     S = X * fit.g[:, None]
     try:
-        Hinv = np.linalg.inv(_information(X, fit.w))
+        Hinv = np.linalg.inv((X * fit.w[:, None]).T @ X)
     except np.linalg.LinAlgError as exc:
         raise ProbitError("negative Hessian is singular") from exc
     v = Hinv @ (S.T @ S) @ Hinv

@@ -104,7 +104,7 @@ ROBUSTNESS_TITLES = {
 
 def tabulate(table: TableResult, vcov_variant: str) -> TableResult:
     """The fits of a run_model_suite table as paired columns under
-    vcov_variant, read from each fit's covariances, not refitted.  A
+    vcov_variant, read from each fit's covariance methods, not refitted.  A
     degenerate (all-selected) fit gets a note of its own: it has no
     selection stage and is read under plain_robust whatever the variant."""
     out = TableResult(
@@ -123,11 +123,10 @@ def tabulate(table: TableResult, vcov_variant: str) -> TableResult:
                   f"column; second-stage covariance: {heckman.PLAIN_ROBUST}"
                   for name, fit in table.fits.items() if fit.degenerate]
     for name, fit in table.fits.items():
-        outcome_vcov, selection_vcov = fit.covariances(vcov_variant)
-        stages = [("outcome", fit.outcome_labels, fit.outcome_coef, outcome_vcov)]
+        stages = [("outcome", fit.outcome_labels, fit.outcome_coef, fit.outcome_vcov(vcov_variant))]
         if not fit.degenerate:
             first = fit.first_stage
-            stages.append(("selection", first.labels, first.coef, selection_vcov))
+            stages.append(("selection", first.labels, first.coef, fit.selection_vcov(vcov_variant)))
         for stage, labels, coefs, vcov in stages:
             for label, coef, se in zip(labels, coefs.tolist(), np.sqrt(np.diag(vcov)).tolist()):
                 out.cells[(label, f"{name}:{stage}")] = Cell(
@@ -159,7 +158,8 @@ def run_model_suite(
     for s in specs:
         try:
             fit = heckman.fit_two_step(build_model_frame(panel, s))
-            fit.covariances(vcov_variant)  # a covariance that fails is this model's error
+            # a covariance that fails is this model's error
+            fit.outcome_vcov(vcov_variant), fit.selection_vcov(vcov_variant)
             table.fits[s.name] = fit
         except heckman.ESTIMATION_ERRORS as exc:  # reported in-table, suite continues
             table.column_errors[f"{s.name}:outcome"] = str(exc)

@@ -16,13 +16,14 @@ construction, so replications can run in any order, or concurrently,
 without changing a single draw.  monte_carlo uses that twice.  It batches
 the first stage: it draws a chunk of samples (at most MC_CHUNK_ROWS rows
 in all), fits their selection probits together with probit.fit_many, one
-stacked kernel call per Newton round, and then runs each second stage on
-its own.  And it spreads the chunks over W = min(chunks, usable CPUs)
-processes: the calling process fits chunks 0::W and one forked worker
-fits each w::W, and the outcomes are put back in replication order before
-any sum, so the report has the same bytes for every W.  A run of one
-chunk forks nothing, and where the fork start method is unavailable the
-chunks run serially.
+stacked kernel call and one stacked solve per Newton round, and then runs
+each second stage on its own, computing only the outcome covariance that
+the report reads.  And it spreads the chunks over W = min(chunks, usable
+CPUs) processes: the calling process fits chunks 0::W and one forked
+worker fits each w::W, and the outcomes are put back in replication order
+before any sum, so the report has the same bytes for every W.  A run of
+one chunk forks nothing, and where the fork start method is unavailable
+the chunks run serially.
 """
 
 from __future__ import annotations
@@ -214,7 +215,7 @@ def _fit_chunks(config, vcov_variant, truth, chunks) -> list:
                 continue
             try:
                 fit = heckman.fit_two_step(frame, first_stage=first)
-                se = np.sqrt(np.diag(fit.covariances(vcov_variant)[0]))
+                se = np.sqrt(np.diag(fit.outcome_vcov(vcov_variant)))
             except heckman.ESTIMATION_ERRORS:
                 chunk.append(None)
                 continue

@@ -7,6 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from vaxsel import heckman, probit, stdnorm, synth
+from vaxsel.cli import SIM_OUTCOME_COEF, SIM_SELECTION_COEF
 from vaxsel.panel import ModelFrame
 from vaxsel.probit import RankDeficientError
 
@@ -213,7 +214,7 @@ class TestFitTwoStep:
         counting(probit, "collinear_columns")
         fit = heckman.fit_two_step(frame, first_stage=first)
         for variant in heckman.VCOV_VARIANTS:
-            fit.covariances(variant)
+            fit.outcome_vcov(variant), fit.selection_vcov(variant)
             assert calls == {"lstsq": 1, "cond": 0, "qr": 0, "collinear_columns": 0}
 
     def test_second_stage_reads_lambda_and_delta_from_the_first_stage(self, monkeypatch):
@@ -230,7 +231,7 @@ class TestFitTwoStep:
                 monkeypatch.setattr(module, "normal_tail_terms", counted)
         fit = heckman.fit_two_step(frame, first_stage=first)
         for variant in heckman.VCOV_VARIANTS:
-            fit.covariances(variant)
+            fit.outcome_vcov(variant), fit.selection_vcov(variant)
         assert calls == []
         selected = frame.selection_y == 1.0
         assert np.array_equal(fit.design[:, -1], first.g[selected][frame.outcome_keep])
@@ -243,6 +244,17 @@ class TestFitTwoStep:
         first = probit.fit(other.selection_y, other.selection_X, labels=other.selection_labels)
         with pytest.raises(ValueError, match="first stage fitted on 300 rows; this frame has 189"):
             heckman.fit_two_step(frame, first_stage=first)
+
+    def test_first_stage_of_another_frame_with_as_many_rows_rejected(self):
+        # without the check, frame 0 read frame 1's first stage on its own
+        # selected rows and gave a Mills coefficient of -0.056 against 0.049
+        config = synth.DgpConfig(SIM_SELECTION_COEF, SIM_OUTCOME_COEF, 0.5, 1.0, 189, 7)
+        frame, other = (synth._generate_with(config, synth.replication_stream(config, rep)).frame
+                        for rep in (0, 1))
+        first = probit.fit(other.selection_y, other.selection_X, labels=other.selection_labels)
+        with pytest.raises(ValueError, match="selection indicator other than this frame's"):
+            heckman.fit_two_step(frame, first_stage=first)
+        assert heckman.fit_two_step(frame).imr_coef == pytest.approx(0.0494, abs=1e-4)
 
     def test_outcome_label_count_must_match_columns(self):
         # without "const" the constant's estimate would be printed under imr_lambda
@@ -341,7 +353,7 @@ class TestFitTwoStep:
 class TestPlainRobustVcov:
     def test_symmetric_psd(self):
         fit = heckman.fit_two_step(simple_frame(np.random.default_rng(1)))
-        v = fit.covariances(heckman.PLAIN_ROBUST)[0]
+        v = fit.outcome_vcov(heckman.PLAIN_ROBUST)
         assert_allclose(v, v.T, atol=1e-14)
         assert np.all(np.linalg.eigvalsh(v) >= -1e-12)
 
@@ -383,7 +395,7 @@ class TestPlainRobustVcov:
             outcome_keep=np.tile(frame.outcome_keep, 2),
         )
         fit2 = heckman.fit_two_step(dup)
-        v1, v2 = (fit.covariances(heckman.PLAIN_ROBUST)[0] for fit in (fit1, fit2))
+        v1, v2 = (fit.outcome_vcov(heckman.PLAIN_ROBUST) for fit in (fit1, fit2))
         ratio = np.diag(v2) / np.diag(v1)
         assert np.all((ratio > 0.45) & (ratio < 0.55))
 
@@ -405,7 +417,7 @@ class TestHeckmanCorrectedVcov:
     def test_reads_delta_from_the_fit(self, monkeypatch):
         frame = simple_frame(np.random.default_rng(15))
         fit = heckman.fit_two_step(frame)
-        stored = fit.covariances(heckman.HECKMAN_CORRECTED)[0]
+        stored = fit.outcome_vcov(heckman.HECKMAN_CORRECTED)
 
         def refuse(*args, **kwargs):
             raise AssertionError("the corrected covariance recomputed a normal tail term")
@@ -418,7 +430,7 @@ class TestHeckmanCorrectedVcov:
 
     def test_symmetric(self):
         frame = simple_frame(np.random.default_rng(14))
-        v = heckman.fit_two_step(frame).covariances(heckman.HECKMAN_CORRECTED)[0]
+        v = heckman.fit_two_step(frame).outcome_vcov(heckman.HECKMAN_CORRECTED)
         assert_allclose(v, v.T, atol=1e-14)
 
     def test_coverage_on_synthetic_truth(self):
@@ -443,7 +455,7 @@ class TestCovariancesOnDemand:
 
     @staticmethod
     def direct(fit, variant):
-        """The (outcome, selection) pair from the covariance functions themselves."""
+        """The (outcome, selection) covariances from the functions themselves."""
         if variant == heckman.PLAIN_ROBUST:
             return heckman.plain_robust_vcov(fit), probit.sandwich_vcov(
                 fit.first_stage, fit.frame.selection_y, fit.frame.selection_X)
@@ -467,7 +479,7 @@ class TestCovariancesOnDemand:
         assert len(frames) == 14
         for frame in frames:
             fit = heckman.fit_two_step(frame)
-            outcome, selection = fit.covariances(variant)
+            outcome, selection = fit.outcome_vcov(variant), fit.selection_vcov(variant)
             direct_outcome, direct_selection = self.direct(fit, variant)
             assert np.array_equal(outcome, direct_outcome)
             assert np.array_equal(selection, direct_selection)
@@ -476,11 +488,13 @@ class TestCovariancesOnDemand:
     def test_second_request_returns_the_same_objects(self, monkeypatch, variant):
         fit = heckman.fit_two_step(simple_frame(np.random.default_rng(25)))
         calls = self.counting_covariance_calls(monkeypatch)
-        first = fit.covariances(variant)
+        first = fit.outcome_vcov(variant)
+        assert calls == [{heckman.PLAIN_ROBUST: "plain_robust_vcov",
+                          heckman.HECKMAN_CORRECTED: "heckman_corrected_vcov"}[variant]]
+        second = fit.selection_vcov(variant)
         assert len(calls) == 1 + (variant == heckman.PLAIN_ROBUST)
         calls.clear()
-        again = fit.covariances(variant)
-        assert again[0] is first[0] and again[1] is first[1]
+        assert fit.outcome_vcov(variant) is first and fit.selection_vcov(variant) is second
         assert calls == []
 
     def test_fit_computes_no_covariance(self, monkeypatch):
@@ -514,15 +528,16 @@ class TestCovariancesOnDemand:
             outcome_keep=np.ones(n, dtype=bool),
         )
         fit = heckman.fit_two_step(frame)
-        robust = fit.covariances(heckman.HECKMAN_CORRECTED)[0]
+        robust = fit.outcome_vcov(heckman.HECKMAN_CORRECTED)
         assert np.array_equal(robust, heckman.plain_robust_vcov(fit))
         for variant in heckman.VCOV_VARIANTS:
-            outcome, selection = fit.covariances(variant)
-            assert outcome is robust and selection is None
-        with pytest.raises(ValueError, match="'hc3'"):
-            fit.covariances("hc3")
+            assert fit.outcome_vcov(variant) is robust and fit.selection_vcov(variant) is None
+        for half in (fit.outcome_vcov, fit.selection_vcov):
+            with pytest.raises(ValueError, match="'hc3'"):
+                half("hc3")
 
     def test_unknown_variant_rejected(self):
         fit = heckman.fit_two_step(simple_frame(np.random.default_rng(24)))
-        with pytest.raises(ValueError):
-            fit.covariances("hc3")
+        for half in (fit.outcome_vcov, fit.selection_vcov):
+            with pytest.raises(ValueError):
+                half("hc3")

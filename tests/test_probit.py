@@ -360,6 +360,8 @@ class TestEvaluationCount:
         fit = probit.fit(y, X)
         assert fit.converged and len(points) > fit.iterations + 1
         assert self.per_point(calls, n) == len(points)
+        # every evaluation but the start and one per iteration was a rejected candidate
+        assert fit.halvings == len(points) - fit.iterations - 1 > 0
 
 
 def _mixed_batch():
@@ -387,11 +389,10 @@ class TestFitMany:
     """fit_many drives fit's Newton loop for a batch of samples."""
 
     FIELDS = ("coef", "vcov", "loglik", "iterations", "converged", "score_norm", "n",
-              "labels", "loglik_path", "g", "w")
+              "labels", "loglik_path", "halvings", "g", "w")
 
-    def test_matches_fit_bit_for_bit_and_isolates_errors(self):
-        batch = _mixed_batch()
-        many = probit.fit_many([y for y, _ in batch], [X for _, X in batch], labels=["a", "b"])
+    @classmethod
+    def assert_matches_fit(cls, batch, many):
         assert len(many) == len(batch)
         for (y, X), got in zip(batch, many):
             try:
@@ -399,11 +400,59 @@ class TestFitMany:
             except (probit.ProbitError, ValueError) as exc:
                 assert type(got) is type(exc) and str(got) == str(exc)
                 continue
-            for name in self.FIELDS:
+            for name in cls.FIELDS:
                 assert np.array_equal(getattr(got, name), getattr(want, name)), name
         kinds = [type(r) for r in many]
         assert kinds == [probit.ProbitFit, probit.ProbitFit, probit.SeparationError,
                          probit.RankDeficientError, ValueError]
+        assert many[1].halvings > 0  # the halving draw
+
+    def test_matches_fit_bit_for_bit_and_isolates_errors(self):
+        batch = _mixed_batch()
+        many = probit.fit_many([y for y, _ in batch], [X for _, X in batch], labels=["a", "b"])
+        self.assert_matches_fit(batch, many)
+
+    def test_one_solve_per_round_and_one_qr_per_batch(self, monkeypatch):
+        batch = _mixed_batch()
+        events = []
+        for name in ("solve", "qr"):
+            def counted(a, *args, original=getattr(probit.np.linalg, name), name=name, **kwargs):
+                events.append((name, np.shape(a)))
+                return original(a, *args, **kwargs)
+
+            monkeypatch.setattr(probit.np.linalg, name, counted)
+        kernel = probit.normal_tail_terms
+
+        def counted_kernel(z):
+            events.append(("kernel", np.shape(z)))
+            return kernel(z)
+
+        monkeypatch.setattr(probit, "normal_tail_terms", counted_kernel)
+        probit.fit_many([y for y, _ in batch], [X for _, X in batch])
+        assert events[0] == ("qr", (5, 100, 2))
+        assert events[1:3] == [("kernel", (3, 100)), ("solve", (3, 2, 2))]  # three samples start
+        names = [name for name, _ in events]
+        assert names.count("qr") == 1 and names.count("kernel") > 30  # the halving draw
+        # a solve follows a kernel pass and solves that round's whole block;
+        # rounds whose points were all rejected solve nothing
+        for before, (name, shape) in zip(events[1:], events[2:]):
+            if name == "solve":
+                assert before[0] == "kernel" and shape[0] == before[1][0]
+        assert 0 < names.count("solve") < names.count("kernel")
+
+    def test_singular_stacked_solve_falls_back_per_sample(self, monkeypatch):
+        solve = np.linalg.solve
+
+        def singular_stack(a, b):
+            if np.ndim(a) == 3:
+                raise np.linalg.LinAlgError("Singular matrix")
+            return solve(a, b)
+
+        batch = _mixed_batch()
+        monkeypatch.setattr(probit.np.linalg, "solve", singular_stack)
+        many = probit.fit_many([y for y, _ in batch], [X for _, X in batch], labels=["a", "b"])
+        monkeypatch.undo()
+        self.assert_matches_fit(batch, many)
 
     def test_one_kernel_call_per_round(self, monkeypatch):
         batch = _mixed_batch()
@@ -431,10 +480,13 @@ class TestFitMany:
         assert calls[0] == 3 * 100  # the rank-deficient and single-class samples never start
 
     def test_programming_error_propagates(self, monkeypatch):
-        def broken(X, w):
-            raise TypeError("bug inside the Newton loop")
+        terms = probit._terms
 
-        monkeypatch.setattr(probit, "_information", broken)
+        def broken(coef, ones, X):
+            # a score norm that cannot be compared: a bug inside the Newton loop
+            return terms(coef, ones, X)._replace(score_norm=[None] * len(coef))
+
+        monkeypatch.setattr(probit, "_terms", broken)
         batch = _mixed_batch()
         with pytest.raises(TypeError):
             probit.fit_many([y for y, _ in batch], [X for _, X in batch])

@@ -108,7 +108,19 @@ class TestRunModelSuite:
         cell = table2.cell("gov_eff", "model2:outcome")
         j = fit.outcome_labels.index("gov_eff")
         assert cell.value == float(fit.outcome_coef[j])
-        assert cell.spread == float(np.sqrt(fit.covariances(heckman.PLAIN_ROBUST)[0][j, j]))
+        assert cell.spread == float(np.sqrt(fit.outcome_vcov(heckman.PLAIN_ROBUST)[j, j]))
+
+    def test_both_halves_rendered_from_the_fit(self, table2):
+        for name, fit in table2.fits.items():
+            halves = [("outcome", fit.outcome_labels, fit.outcome_vcov(heckman.PLAIN_ROBUST))]
+            if not fit.degenerate:
+                halves.append(("selection", fit.first_stage.labels,
+                               fit.selection_vcov(heckman.PLAIN_ROBUST)))
+            for stage, labels, vcov in halves:
+                for j, label in enumerate(labels):
+                    spread = table2.cell(label, f"{name}:{stage}").spread
+                    assert spread == float(np.sqrt(vcov[j, j]))
+        assert len(table2.fits) == 5 and not any(f.degenerate for f in table2.fits.values())
 
     def test_bad_spec_reported_in_cell_others_run(self, snapshot):
         specs = [

@@ -219,6 +219,16 @@ class TestMonteCarlo:
         assert len(calls) == clean.reps_used
         assert report.reps_failed == clean.reps_failed + clean.reps_used // 5
 
+    def test_plain_robust_run_computes_no_selection_sandwich(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("computed the selection covariance the report never reads")
+
+        cfg = dataclasses.replace(BASE, n=189)
+        clean = synth.monte_carlo(cfg, 50, heckman.PLAIN_ROBUST)
+        monkeypatch.setattr(heckman.probit, "sandwich_vcov", refuse)
+        report = synth.monte_carlo(cfg, 50, heckman.PLAIN_ROBUST)
+        assert report.to_csv_text() == clean.to_csv_text()
+
     def test_all_selected_replications_count_as_failed(self):
         # a selection intercept of 4 selects every row of some samples; their
         # first stage fails on a single class and the replication with it
