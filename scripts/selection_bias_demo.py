@@ -4,7 +4,10 @@
 Draws replications from the latent-offer process at several error
 correlations and compares naive least squares on the selected rows with
 the two-step estimates: the naive slope drifts with rho while the
-corrected slope stays on the truth.
+corrected slope stays on the truth.  Each replication is drawn and fitted
+on its own, through the one-sample cases of the stacked Monte Carlo code:
+synth._generate_with draws one stream, and fit_two_step runs the second
+stage on a stack of one sample.
 
 Usage:
     python scripts/selection_bias_demo.py [--n 2000] [--reps 200] [--seed 5]

@@ -136,6 +136,9 @@ def cmd_simulate(args):
     )
     _progress(f"simulate: {args.reps} replications at n={args.n}, rho={args.rho}")
     report = synth.monte_carlo(config, args.reps, vcov_variant=VCOV_BY_FLAG[args.vcov])
+    if report.reps_failed:
+        tally = ", ".join(f"{name} {count}" for name, count in report.failures.items())
+        _progress(f"simulate: {report.reps_failed} replications failed ({tally})")
     out = Path(args.out)
     render.write_text_atomic(out / "recovery.csv", report.to_csv_text())
     render.write_text_atomic(out / "recovery.md", report.to_markdown())

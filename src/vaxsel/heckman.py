@@ -23,10 +23,16 @@ the second stage are read from it:
 
 Both are functions of the same first stage and point estimates, so one fit
 serves both: HeckmanFit computes each stage's covariance on its first request.
+
+The second stage works on a stack of samples, their selected rows packed to
+the front of zero rows: second_stages solves each sample on its own rows and
+returns each failure as an exception object, and outcome_vcovs computes the
+covariances of the stack at once.  fit_two_step is the one-sample case.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -161,15 +167,29 @@ def significance_stars(coef: float, se: float) -> str:
     return ""
 
 
+def _hc1(W, e, n):
+    """HC1 sandwich of one design W (n, k) with residuals e, or of a stack (R, m, k)
+    whose sample r has zero rows past its n[r]."""
+    wtw_inv = np.linalg.inv(W.swapaxes(-1, -2) @ W)
+    meat = (W * (e**2)[..., None]).swapaxes(-1, -2) @ W
+    v = wtw_inv @ meat @ wtw_inv * np.asarray(n / (n - W.shape[-1]))[..., None, None]
+    return 0.5 * (v + v.swapaxes(-1, -2))
+
+
+def _corrected(W, delta, Z, V1, rho2, sigma2):
+    """heckman_corrected_vcov from its parts, for one sample or a stack padded as _hc1's."""
+    rho2 = np.asarray(rho2)[..., None]
+    wtw_inv = np.linalg.inv(W.swapaxes(-1, -2) @ W)
+    WdZ = (W * delta[..., None]).swapaxes(-1, -2) @ Z
+    Q = rho2[..., None] * WdZ @ V1 @ WdZ.swapaxes(-1, -2)
+    core = (W * (1.0 - rho2 * delta)[..., None]).swapaxes(-1, -2) @ W + Q
+    v = np.asarray(sigma2)[..., None, None] * wtw_inv @ core @ wtw_inv
+    return 0.5 * (v + v.swapaxes(-1, -2))
+
+
 def plain_robust_vcov(fit: HeckmanFit) -> np.ndarray:
     """HC1 sandwich for the second stage, Mills column held fixed."""
-    W = fit.design
-    e = fit.residuals
-    n, k = W.shape
-    wtw_inv = np.linalg.inv(W.T @ W)
-    meat = (W * (e**2)[:, None]).T @ W
-    v = wtw_inv @ meat @ wtw_inv * (n / (n - k))
-    return 0.5 * (v + v.T)
+    return _hc1(fit.design, fit.residuals, fit.design.shape[0])
 
 
 def heckman_corrected_vcov(fit: HeckmanFit) -> np.ndarray:
@@ -183,18 +203,91 @@ def heckman_corrected_vcov(fit: HeckmanFit) -> np.ndarray:
     """
     if fit.degenerate:
         raise CollinearMillsError("no correction term in a degenerate all-selected fit")
-    W, frame = fit.design, fit.frame
-    selected = np.asarray(frame.selection_y, dtype=float) == 1.0
-    Z = np.asarray(frame.selection_X, dtype=float)[selected][fit.outcome_keep]
+    selected = np.asarray(fit.frame.selection_y, dtype=float) == 1.0
+    Z = np.asarray(fit.frame.selection_X, dtype=float)[selected][fit.outcome_keep]
     delta = fit.first_stage.w[selected][fit.outcome_keep]
+    return _corrected(fit.design, delta, Z, fit.first_stage.vcov, fit.rho**2, fit.sigma2)
 
-    rho2 = fit.rho**2
-    wtw_inv = np.linalg.inv(W.T @ W)
-    WdZ = (W * delta[:, None]).T @ Z
-    Q = rho2 * WdZ @ fit.first_stage.vcov @ WdZ.T
-    core = (W * (1.0 - rho2 * delta)[:, None]).T @ W + Q
-    v = fit.sigma2 * wtw_inv @ core @ wtw_inv
-    return 0.5 * (v + v.T)
+
+SecondStages = namedtuple("SecondStages",
+                          "design coef residuals rows delta sigma2 rho first_stages errors")
+
+
+def second_stages(y, X, mills, delta, rows, labels, first_stages) -> SecondStages:
+    """The second stages of a stack of R samples.
+
+    y (R, m), X (R, m, kx) named by labels, and the first stages' lambda and delta
+    (R, m) hold sample r's rows[r] selected rows first and zero rows after them;
+    first_stages holds per sample its ProbitFit, or the error fit_many recorded.
+    Each sample takes one lstsq on its own rows of W (X and the Mills column),
+    checked as fit_two_step documents, and sums sigma^2 over those rows.  The
+    result's errors hold per sample None or the estimation error that failed it:
+    the first stage's, a ProbitError if that did not converge, a ValueError on
+    NaN or +-inf outcome data, or one of the checks' errors.
+    """
+    W = np.concatenate([X, mills[..., None]], axis=-1)
+    labels = [*labels, IMR_LABEL]
+    coef, resid, sigma2 = np.zeros(W.shape[::2]), np.zeros(y.shape), np.zeros(len(W))
+    finite = np.isfinite(y).all(-1) & np.isfinite(X).all((-2, -1))
+
+    def solve(r, first, n):  # None once sample r's coef, resid and sigma2 are set, else its error
+        if isinstance(first, Exception):
+            return first
+        if not first.converged:
+            return probit.ProbitError(
+                f"first-stage probit did not converge (score norm {first.score_norm:.2e})")
+        if not finite[r]:
+            return ValueError("outcome y or X contains NaN or infinite values")
+        Wr, yr = W[r, :n], y[r, :n]
+        try:
+            coef[r], _, _, s = np.linalg.lstsq(Wr, yr, rcond=None)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                cond = s[0] / s[-1] if s.size else 0.0  # a W without rows fails the row check
+            if not cond <= CONDITION_LIMIT:
+                raise CollinearMillsError(
+                    f"Mills column is collinear with the outcome design (condition {cond:.2e}); "
+                    "add an exclusion restriction to the selection equation"
+                )
+            _check_rows_and_rank(Wr, s, labels)
+        except ESTIMATION_ERRORS as exc:
+            return exc
+        e = resid[r, :n] = yr - Wr @ coef[r]
+        sigma2[r] = e @ e / n + float(coef[r, -1])**2 * delta[r, :n].sum() / n
+        return None
+
+    errors = [solve(r, first, n) for r, (first, n) in enumerate(zip(first_stages, rows))]
+    rho = np.divide(coef[:, -1], np.sqrt(sigma2), out=np.zeros(len(W)), where=sigma2 > 0)
+    return SecondStages(W, coef, resid, np.asarray(rows), delta, sigma2,
+                        np.clip(rho, -1.0, 1.0), first_stages, errors)
+
+
+def outcome_vcovs(stages: SecondStages, variant: str, Z=None):
+    """The (R, k, k) outcome covariances of stages under variant (zero where a sample
+    failed) and per sample None or its error, a singular W'W's LinAlgError included:
+    stacked, or one sample at a time when the stack meets a singular matrix.  Z is
+    the selection designs packed like the outcome rows, read by heckman_corrected."""
+    check_vcov_variant(variant)
+    errors = list(stages.errors)
+    ok = [r for r, err in enumerate(errors) if err is None]
+    V = np.zeros(stages.design.shape[:1] + 2 * stages.design.shape[2:])
+    if not ok:
+        return V, errors
+    if variant == PLAIN_ROBUST:
+        vcov, args = _hc1, (stages.design[ok], stages.residuals[ok], stages.rows[ok])
+    else:
+        rho = stages.rho.tolist()  # squared by Python's float power, as a single fit's is
+        vcov, args = _corrected, (stages.design[ok], stages.delta[ok], Z[ok],
+                                  np.array([stages.first_stages[r].vcov for r in ok]),
+                                  np.array([rho[r] ** 2 for r in ok]), stages.sigma2[ok])
+    try:
+        V[ok] = vcov(*args)
+    except np.linalg.LinAlgError:
+        for i, r in enumerate(ok):
+            try:
+                V[r] = vcov(*(a[i:i + 1] for a in args))[0]
+            except np.linalg.LinAlgError as exc:
+                errors[r] = exc
+    return V, errors
 
 
 def fit_two_step(frame, *, first_stage=None) -> HeckmanFit:
@@ -245,30 +338,16 @@ def fit_two_step(frame, *, first_stage=None) -> HeckmanFit:
         # sign bits are the first stage's own selection indicator
         if not np.array_equal(np.signbit(first.g), ~selected):
             raise ValueError("first stage fitted on a selection indicator other than this frame's")
-        if not first.converged:
-            raise probit.ProbitError(
-                f"first-stage probit did not converge (score norm {first.score_norm:.2e})"
-            )
         mills, delta = first.g[selected][keep], first.w[selected][keep]
         if mills.shape[0] != n_selected:
             raise ValueError("outcome rows do not line up with the selected selection rows")
-
-        W = np.column_stack([out_X, mills])
+        stage = second_stages(out_y[None], out_X[None], mills[None], delta[None], [n_selected],
+                              labels_w, [first])
+        if stage.errors[0] is not None:
+            raise stage.errors[0]
+        W, coef, resid = stage.design[0], stage.coef[0], stage.residuals[0]
         labels_w.append(IMR_LABEL)
-        coef, _, _, s = np.linalg.lstsq(W, out_y, rcond=None)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            cond = s[0] / s[-1] if s.size else 0.0  # a W without rows fails the row check
-        if not cond <= CONDITION_LIMIT:
-            raise CollinearMillsError(
-                f"Mills column is collinear with the outcome design (condition {cond:.2e}); "
-                "add an exclusion restriction to the selection equation"
-            )
-        _check_rows_and_rank(W, s, labels_w)
-        resid = out_y - W @ coef
-        imr_coef = float(coef[-1])
-        sigma2 = float(resid @ resid / n_selected + imr_coef**2 * delta.sum() / n_selected)
-        rho = imr_coef / np.sqrt(sigma2) if sigma2 > 0 else 0.0
-        rho = float(np.clip(rho, -1.0, 1.0))
+        imr_coef, sigma2, rho = float(coef[-1]), float(stage.sigma2[0]), float(stage.rho[0])
 
     return HeckmanFit(
         first_stage=first, outcome_coef=coef, imr_coef=imr_coef, outcome_labels=labels_w,

@@ -13,23 +13,28 @@ Randomness comes from numpy's Philox counter-based bit generator, keyed
 by the config seed.  Monte Carlo replication r draws from the stream
 ``Philox(seed).jumped(r + 1)``: jumped streams are independent by
 construction, so replications can run in any order, or concurrently,
-without changing a single draw.  monte_carlo uses that twice.  It batches
-the first stage: it draws a chunk of samples (at most MC_CHUNK_ROWS rows
-in all), fits their selection probits together with probit.fit_many, one
-stacked kernel call and one stacked solve per Newton round, and then runs
-each second stage on its own, computing only the outcome covariance that
-the report reads.  And it spreads the chunks over W = min(chunks, usable
-CPUs) processes: the calling process fits chunks 0::W and one forked
-worker fits each w::W, and the outcomes are put back in replication order
+without changing a single draw.  monte_carlo uses that twice.  It runs a
+chunk of replications (at most MC_CHUNK_ROWS rows in all) as stacked
+arrays from the draws to the report's inputs: one Philox per chunk,
+repositioned per replication, fills each sample's normals in one call;
+probit.fit_many fits the selection probits together; the selected rows
+of each sample are packed to the front of zero rows, and
+heckman.second_stages and heckman.outcome_vcovs fit the second stages
+and the one outcome covariance the report reads, each sample failing
+alone.  And it spreads the chunks over W = min(chunks, usable CPUs)
+processes: the calling process fits chunks 0::W and one forked worker
+fits each w::W, and the outcomes are put back in replication order
 before any sum, so the report has the same bytes for every W.  A run of
 one chunk forks nothing, and where the fork start method is unavailable
-the chunks run serially.
+the chunks run serially.  generate is the one-sample case of the same
+draw.
 """
 
 from __future__ import annotations
 
 import os
 import sys
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -70,6 +75,8 @@ class DgpConfig:
             raise ValueError("coefficients must be finite")
         if self.n < 50:
             raise ValueError("n must be at least 50")
+        if not 0 <= self.seed < 2**128:
+            raise ValueError(f"seed must lie in [0, 2**128); got {self.seed}")
         if len(self.selection_coef) <= len(self.outcome_coef):
             raise ValueError("selection stage must add at least one excluded instrument")
 
@@ -92,33 +99,45 @@ class SyntheticSample:
     selection_error: np.ndarray = None
 
 
-def _generate_with(config: DgpConfig, bitgen) -> SyntheticSample:
-    rng = np.random.Generator(bitgen)
-    p, q, n = config.n_shared, config.n_instruments, config.n
+def _labels(config):
+    """Selection and outcome column names: x1.., w1.., const and x1.., const."""
+    xs = [f"x{j + 1}" for j in range(config.n_shared)]
+    return xs + [f"w{j + 1}" for j in range(config.n_instruments)] + ["const"], xs + ["const"]
 
-    x = rng.standard_normal((n, p))
-    w = rng.standard_normal((n, q))
-    e = rng.standard_normal(n)
-    eta = rng.standard_normal(n)
+
+def _draw(config: DgpConfig, bitgen, jumps):
+    """Selection designs (R, n, k), outcome designs, latent outcomes, selection indicators
+    and selection errors of one sample per j in jumps, drawn from bitgen.jumped(j): bitgen
+    is reset to its starting state and advanced by j * 2**128 draws, as jumped does it,
+    and fills the sample's n(p + q + 2) normals x (n, p), w (n, q), e, eta in one call."""
+    p, q, n = config.n_shared, config.n_instruments, config.n
+    z = np.empty((len(jumps), n * (p + q + 2)))
+    start = bitgen.state
+    for row, j in zip(z, jumps):
+        bitgen.state = start
+        bitgen.advance(j * 2**128)
+        np.random.Generator(bitgen).standard_normal(out=row)
+    x, w, e, eta = np.split(z, np.cumsum([n * p, n * q, n]), axis=1)
     u = config.sigma_u * (config.rho * e + np.sqrt(1.0 - config.rho**2) * eta)
 
-    sel_X = np.column_stack([x, w, np.ones(n)])
-    out_X_all = np.column_stack([x, np.ones(n)])
-    sel_index = sel_X @ np.asarray(config.selection_coef, dtype=float)
-    latent = out_X_all @ np.asarray(config.outcome_coef, dtype=float) + u
+    ones = np.ones((len(z), n, 1))
+    sel_X = np.concatenate([x.reshape(-1, n, p), w.reshape(-1, n, q), ones], axis=-1)
+    out_X = np.concatenate([x.reshape(-1, n, p), ones], axis=-1)
+    latent = out_X @ np.asarray(config.outcome_coef, dtype=float) + u
+    selected = sel_X @ np.asarray(config.selection_coef, dtype=float) + e > 0.0
+    return sel_X, out_X, latent, selected, e
 
-    selected = sel_index + e > 0.0
-    sel_y = selected.astype(float)
 
-    labels_x = [f"x{j + 1}" for j in range(p)]
-    labels_w = [f"w{j + 1}" for j in range(q)]
+def _generate_with(config: DgpConfig, bitgen) -> SyntheticSample:
+    sel_X, out_X, latent, selected, e = (a[0] for a in _draw(config, bitgen, [0]))
+    labels_sel, labels_out = _labels(config)
     frame = ModelFrame(
-        selection_y=sel_y,
+        selection_y=selected.astype(float),
         selection_X=sel_X,
-        selection_labels=labels_x + labels_w + ["const"],
+        selection_labels=labels_sel,
         outcome_y=latent[selected],
-        outcome_X=out_X_all[selected],
-        outcome_labels=labels_x + ["const"],
+        outcome_X=out_X[selected],
+        outcome_labels=labels_out,
         outcome_keep=np.ones(int(selected.sum()), dtype=bool),
         spec_name="synthetic",
     )
@@ -153,6 +172,9 @@ class RecoveryReport:
     reps_failed: int
     vcov_variant: str
     parameters: list = field(default_factory=list)
+    # failed replications by estimation error class name, most frequent first
+    # (ties in replication order)
+    failures: dict = field(default_factory=dict)
 
     def parameter(self, name) -> ParameterRecovery:
         for p in self.parameters:
@@ -197,31 +219,45 @@ def _usable_cpus():
         return os.cpu_count() or 1
 
 
-def _fit_chunks(config, vcov_variant, truth, chunks) -> list:
-    """One list per chunk of replications: (estimate, covered) per rep, None where it failed.
+def _fit_chunk(config, vcov_variant, reps):
+    """Replications reps drawn and fitted as stacked arrays, with each sample's selected
+    rows packed to the front for its second stage: heckman.second_stages' stack and
+    heckman.outcome_vcovs' covariances and per rep errors, (stages, V, errors)."""
+    # the selection errors are a view that would keep the whole buffer of normals alive
+    sel_X, out_X, latent, selected = _draw(config, np.random.Philox(key=config.seed),
+                                           [rep + 1 for rep in reps])[:4]
+    sel_labels, out_labels = _labels(config)
+    firsts = probit.fit_many(selected.astype(float), sel_X, labels=sel_labels)
+    g, w = np.zeros(selected.shape), np.zeros(selected.shape)
+    for r, first in enumerate(firsts):
+        if isinstance(first, probit.ProbitFit):
+            g[r], w[r] = first.g, first.w
+    rows = selected.sum(axis=1)
+    front = np.arange(rows.max()) < rows[:, None]
+    src, dst = np.flatnonzero(selected), np.flatnonzero(front)
 
-    A replication whose first stage (as fit_many returned it) or second
-    stage fails to estimate is marked here; any other exception propagates.
-    """
+    def packed(a):
+        # a (R, n, ...) as (R, m, ...): each sample's selected rows, then zero rows
+        tail = a.shape[2:]
+        out = np.zeros((front.size,) + tail)
+        out[dst] = a.reshape((-1,) + tail).take(src, axis=0)
+        return out.reshape(front.shape + tail)
+
+    stages = heckman.second_stages(packed(latent), packed(out_X), packed(g), packed(w), rows,
+                                   out_labels, firsts)
+    Z = packed(sel_X) if vcov_variant == heckman.HECKMAN_CORRECTED else None
+    return (stages, *heckman.outcome_vcovs(stages, vcov_variant, Z))
+
+
+def _fit_chunks(config, vcov_variant, truth, chunks) -> list:
+    """Per chunk of replications, per rep (estimate, covered) or the class name of
+    the estimation error that failed it; any other exception propagates."""
     outcomes = []
     for reps in chunks:
-        frames = [_generate_with(config, replication_stream(config, rep)).frame for rep in reps]
-        firsts = probit.fit_many([f.selection_y for f in frames], [f.selection_X for f in frames],
-                                 labels=frames[0].selection_labels)
-        chunk = []
-        for frame, first in zip(frames, firsts):
-            if isinstance(first, Exception):  # fit_many's record of a failed first stage
-                chunk.append(None)
-                continue
-            try:
-                fit = heckman.fit_two_step(frame, first_stage=first)
-                se = np.sqrt(np.diag(fit.outcome_vcov(vcov_variant)))
-            except heckman.ESTIMATION_ERRORS:
-                chunk.append(None)
-                continue
-            est = fit.outcome_coef
-            chunk.append((est, np.abs(est - truth) <= heckman.Z_95 * se))
-        outcomes.append(chunk)
+        stages, V, errors = _fit_chunk(config, vcov_variant, reps)
+        covered = np.abs(stages.coef - truth) <= heckman.Z_95 * np.sqrt(V.diagonal(0, 1, 2))
+        outcomes.append([(est, cov) if err is None else type(err).__name__
+                         for est, cov, err in zip(stages.coef, covered, errors)])
     return outcomes
 
 
@@ -262,24 +298,25 @@ def monte_carlo(
 
     Each replication runs on its own jumped Philox stream, so the report
     is a pure function of (config, reps), whichever process fits it.
-    Replications whose fit fails to estimate are counted as failed and
-    excluded from the summaries; a ValueError is raised when none is
-    left, and a WorkerError when a worker process dies.
+    Replications whose fit fails to estimate are counted as failed, by
+    error class in RecoveryReport.failures, and excluded from the
+    summaries; a ValueError is raised when none is left, and a
+    WorkerError when a worker process dies.
     """
     if reps < 50:
         raise ValueError("need at least 50 replications for a meaningful report")
     heckman.check_vcov_variant(vcov_variant)
 
-    names = [f"x{j + 1}" for j in range(config.n_shared)] + ["const", heckman.IMR_LABEL]
+    names = _labels(config)[1] + [heckman.IMR_LABEL]
     truth = np.array(list(config.outcome_coef) + [config.rho * config.sigma_u])
 
     size = max(1, MC_CHUNK_ROWS // config.n)
     chunks = [range(start, min(start + size, reps)) for start in range(0, reps, size)]
     fitted = [o for chunk in _fit_chunks_in_parallel(config, vcov_variant, truth, chunks)
               for o in chunk]
-    estimates = [o[0] for o in fitted if o is not None]
-    covered = [o[1] for o in fitted if o is not None]
-    failed = len(fitted) - len(estimates)
+    estimates = [o[0] for o in fitted if not isinstance(o, str)]
+    covered = [o[1] for o in fitted if not isinstance(o, str)]
+    failures = Counter(o for o in fitted if isinstance(o, str))
 
     if not estimates:
         raise ValueError(f"all {reps} replications failed to estimate")
@@ -302,7 +339,8 @@ def monte_carlo(
         config=config,
         reps_requested=reps,
         reps_used=int(est.shape[0]),
-        reps_failed=failed,
+        reps_failed=failures.total(),
         vcov_variant=vcov_variant,
         parameters=params,
+        failures=dict(failures.most_common()),
     )

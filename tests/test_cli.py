@@ -87,11 +87,22 @@ def test_replicate_fits_each_cell_once(tmp_path, monkeypatch):
     assert len(set(frames)) == 13
 
 
-def test_simulate_with_every_fit_failing_exits_1(tmp_path, monkeypatch, capsys):
-    def fail(*args, **kwargs):
-        raise ProbitError("first-stage probit did not converge")
+def forced_second_stage_errors(monkeypatch, error_of):
+    """Patch heckman.second_stages so that sample r of each chunk fails with
+    error_of(r) wherever that is an exception rather than None."""
+    second_stages = heckman.second_stages
 
-    monkeypatch.setattr(heckman, "fit_two_step", fail)
+    def forcing(*args, **kwargs):
+        stages = second_stages(*args, **kwargs)
+        errors = [error_of(r) or err for r, err in enumerate(stages.errors)]
+        return stages._replace(errors=errors)
+
+    monkeypatch.setattr(heckman, "second_stages", forcing)
+
+
+def test_simulate_with_every_fit_failing_exits_1(tmp_path, monkeypatch, capsys):
+    forced_second_stage_errors(
+        monkeypatch, lambda r: ProbitError("first-stage probit did not converge"))
     code = main(["simulate", "--n", "100", "--reps", "50", "--out", str(tmp_path / "out")])
     assert code == 1
     err = capsys.readouterr().err
@@ -123,6 +134,30 @@ def test_simulate_worker_death_exits_1(tmp_path, monkeypatch, capsys, death):
     assert errors == ["error: a Monte Carlo worker process ended abruptly "
                       "before returning its replications"]
     assert multiprocessing.active_children() == []
+    assert not (tmp_path / "out").exists()
+
+
+def test_simulate_names_the_failed_replications_on_stderr(tmp_path, monkeypatch, capsys):
+    # the 50 replications at n=189 are one chunk; three of them are made to fail
+    forced = {0: ProbitError("forced"), 1: heckman.CollinearMillsError("forced"),
+              2: ProbitError("forced")}
+    forced_second_stage_errors(monkeypatch, forced.get)
+    out = tmp_path / "out"
+    assert main(["simulate", "--n", "189", "--reps", "50", "--out", str(out)]) == 0
+    assert capsys.readouterr().err.splitlines() == [
+        "simulate: 50 replications at n=189, rho=0.5",
+        "simulate: 3 replications failed (ProbitError 2, CollinearMillsError 1)",
+        f"simulate: wrote recovery report under {out}",
+    ]
+    assert "- replications: 47 used, 3 failed (of 50)" in (out / "recovery.md").read_text()
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**128)])
+def test_simulate_seed_out_of_range_exits_1(tmp_path, capsys, seed):
+    code = main(["simulate", "--seed", seed, "--reps", "50", "--out", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == [f"error: seed must lie in [0, 2**128); got {seed}"]
     assert not (tmp_path / "out").exists()
 
 
@@ -265,7 +300,7 @@ def test_out_of_memory_exits_1(tmp_path, monkeypatch, capsys, failure, message):
     def exhausted(*args, **kwargs):
         raise failure
 
-    monkeypatch.setattr(synth, "_generate_with", exhausted)
+    monkeypatch.setattr(synth, "_draw", exhausted)
     code = main(["simulate", "--n", "100", "--reps", "50", "--out", str(tmp_path / "out")])
     assert code == 1
     err = capsys.readouterr().err

@@ -541,3 +541,92 @@ class TestCovariancesOnDemand:
         for half in (fit.outcome_vcov, fit.selection_vcov):
             with pytest.raises(ValueError):
                 half("hc3")
+
+
+class TestSecondStages:
+    """A failing sample of a stacked second stage fails alone."""
+
+    @staticmethod
+    def stack(reps=6):
+        """Six Monte Carlo samples at n = 189 packed as second_stages takes them, with
+        the selection rows of each packed the same way, and their first stages."""
+        config = synth.DgpConfig(SIM_SELECTION_COEF, SIM_OUTCOME_COEF, 0.5, 1.0, 189, 7)
+        frames = [synth._generate_with(config, synth.replication_stream(config, rep)).frame
+                  for rep in range(reps)]
+        firsts = [probit.fit(f.selection_y, f.selection_X) for f in frames]
+        rows = np.array([f.outcome_y.shape[0] for f in frames])
+
+        def packed(arrays):
+            out = np.zeros((reps, rows.max()) + arrays[0].shape[1:])
+            for r, a in enumerate(arrays):
+                out[r, :rows[r]] = a
+            return out
+
+        sel = [f.selection_y == 1.0 for f in frames]
+        return dict(
+            y=packed([f.outcome_y for f in frames]), X=packed([f.outcome_X for f in frames]),
+            mills=packed([first.g[s] for first, s in zip(firsts, sel)]),
+            delta=packed([first.w[s] for first, s in zip(firsts, sel)]),
+            rows=rows, labels=frames[0].outcome_labels, first_stages=firsts,
+        ), packed([f.selection_X[s] for f, s in zip(frames, sel)])
+
+    @staticmethod
+    def spoil(args, r, how):
+        """args with sample r made to fail as how says, and the error class it must raise."""
+        args = {k: (v.copy() if isinstance(v, np.ndarray) else list(v)) for k, v in args.items()}
+        if how == "collinear_mills":
+            args["mills"][r] = 0.3 * args["X"][r, :, -1]
+            return args, heckman.CollinearMillsError
+        if how == "too_few_rows":
+            args["rows"][r] = 3
+            for name in ("y", "X", "mills", "delta"):
+                args[name][r, 3:] = 0.0
+            return args, ValueError
+        if how == "non_finite_outcome":
+            args["y"][r, 1] = np.nan
+            return args, ValueError
+        if how == "singular_wtw":
+            # the scale leaves W's singular values in proportion, but W'W underflows to 0
+            for name in ("y", "X", "mills"):
+                args[name][r] *= 1e-170
+            return args, np.linalg.LinAlgError
+        if how == "unconverged_first_stage":
+            args["first_stages"][r] = dataclasses.replace(args["first_stages"][r], converged=False)
+            return args, probit.ProbitError
+        args["first_stages"][r] = probit.SeparationError("recorded by fit_many")
+        return args, probit.SeparationError
+
+    @pytest.mark.parametrize("variant", heckman.VCOV_VARIANTS)
+    @pytest.mark.parametrize("how", ["collinear_mills", "too_few_rows", "non_finite_outcome",
+                                     "singular_wtw", "unconverged_first_stage",
+                                     "first_stage_error"])
+    def test_only_the_spoiled_sample_fails(self, variant, how):
+        args, Z = self.stack()
+        clean = heckman.second_stages(**args)
+        clean_V, clean_errors = heckman.outcome_vcovs(clean, variant, Z)
+        assert clean_errors == [None] * 6
+        spoiled, error = self.spoil(args, 2, how)
+        stages = heckman.second_stages(**spoiled)
+        V, errors = heckman.outcome_vcovs(stages, variant, Z)
+        assert isinstance(errors[2], error)
+        assert not np.any(V[2])
+        for r in (0, 1, 3, 4, 5):
+            assert errors[r] is None
+            assert np.array_equal(stages.coef[r], clean.coef[r])
+            assert np.array_equal(V[r], clean_V[r])
+
+    def test_fit_two_step_is_the_one_sample_stack(self):
+        args, Z = self.stack()
+        stages = heckman.second_stages(**args)
+        V, _ = heckman.outcome_vcovs(stages, heckman.HECKMAN_CORRECTED, Z)
+        config = synth.DgpConfig(SIM_SELECTION_COEF, SIM_OUTCOME_COEF, 0.5, 1.0, 189, 7)
+        for rep in range(6):
+            fit = heckman.fit_two_step(
+                synth._generate_with(config, synth.replication_stream(config, rep)).frame)
+            n = args["rows"][rep]
+            assert np.array_equal(fit.outcome_coef, stages.coef[rep])
+            assert np.array_equal(fit.residuals, stages.residuals[rep, :n])
+            assert not np.any(stages.residuals[rep, n:])
+            assert fit.sigma2 == stages.sigma2[rep] and fit.rho == stages.rho[rep]
+            np.testing.assert_allclose(fit.outcome_vcov(heckman.HECKMAN_CORRECTED), V[rep],
+                                       rtol=1e-13, atol=0)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import multiprocessing
+from collections import Counter
 import os
 import subprocess
 import sys
@@ -11,6 +12,8 @@ import numpy as np
 import pytest
 
 from vaxsel import heckman, synth
+from vaxsel.cli import SIM_OUTCOME_COEF, SIM_SELECTION_COEF
+from vaxsel.probit import ProbitError
 from vaxsel.stdnorm import inverse_mills
 
 REPO = Path(__file__).resolve().parents[1]
@@ -23,6 +26,19 @@ BASE = synth.DgpConfig(
     n=2000,
     seed=5,
 )
+
+
+def forced_second_stage_errors(monkeypatch, error_of):
+    """Patch heckman.second_stages so that a sample with n selected rows fails with
+    error_of(n) wherever that is an exception rather than None."""
+    second_stages = heckman.second_stages
+
+    def forcing(*args, **kwargs):
+        stages = second_stages(*args, **kwargs)
+        errors = [error_of(int(n)) or err for n, err in zip(stages.rows, stages.errors)]
+        return stages._replace(errors=errors)
+
+    monkeypatch.setattr(heckman, "second_stages", forcing)
 
 
 class TestConfigValidation:
@@ -50,6 +66,15 @@ class TestConfigValidation:
     def test_minimum_n(self):
         with pytest.raises(ValueError):
             dataclasses.replace(BASE, n=10)
+
+    @pytest.mark.parametrize("seed", [-1, 2**128])
+    def test_seed_range(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            dataclasses.replace(BASE, seed=seed)
+
+    def test_seed_bounds_are_accepted(self):
+        for seed in (0, 2**128 - 1):
+            assert synth.generate(dataclasses.replace(BASE, n=50, seed=seed)).latent.shape == (50,)
 
     def test_instrument_required(self):
         with pytest.raises(ValueError):
@@ -196,7 +221,7 @@ class TestMonteCarlo:
         def refuse(*args, **kwargs):
             raise AssertionError("generated a replication for an unknown variant")
 
-        monkeypatch.setattr(synth, "_generate_with", refuse)
+        monkeypatch.setattr(synth, "_draw", refuse)
         with pytest.raises(ValueError, match="'hc3'"):
             synth.monte_carlo(dataclasses.replace(BASE, n=189), 50, "hc3")
 
@@ -204,15 +229,18 @@ class TestMonteCarlo:
     def test_failing_covariance_is_a_failed_replication(self, monkeypatch, variant):
         cfg = dataclasses.replace(BASE, n=189)
         clean = synth.monte_carlo(cfg, 50, variant)
-        name = {heckman.PLAIN_ROBUST: "plain_robust_vcov",
-                heckman.HECKMAN_CORRECTED: "heckman_corrected_vcov"}[variant]
+        name = {heckman.PLAIN_ROBUST: "_hc1", heckman.HECKMAN_CORRECTED: "_corrected"}[variant]
         original, calls = getattr(heckman, name), []
 
-        def every_fifth_singular(fit):
-            calls.append(fit)
+        def every_fifth_singular(W, *args):
+            # the stacked call meets a singular matrix; then each replication
+            # is computed alone, and every fifth of those is singular
+            if len(W) > 1:
+                raise np.linalg.LinAlgError("Singular matrix")
+            calls.append(W)
             if len(calls) % 5 == 0:
                 raise np.linalg.LinAlgError("Singular matrix")
-            return original(fit)
+            return original(W, *args)
 
         monkeypatch.setattr(heckman, name, every_fifth_singular)
         report = synth.monte_carlo(cfg, 50, variant)
@@ -243,10 +271,7 @@ class TestMonteCarlo:
             synth.monte_carlo(cfg, 50)
 
     def test_every_rep_failing_names_the_count(self, monkeypatch):
-        def fail(*args, **kwargs):
-            raise heckman.probit.ProbitError("no convergence")
-
-        monkeypatch.setattr(heckman, "fit_two_step", fail)
+        forced_second_stage_errors(monkeypatch, lambda n: ProbitError("no convergence"))
         with pytest.raises(ValueError, match="all 50 replications failed"):
             synth.monte_carlo(dataclasses.replace(BASE, n=100), 50)
 
@@ -273,14 +298,8 @@ class TestWorkerProcesses:
         # some samples fail their second stage, in whichever process
         cfg = dataclasses.replace(BASE, n=200)
         monkeypatch.setattr(synth, "MC_CHUNK_ROWS", 8 * cfg.n)
-        fit_two_step = heckman.fit_two_step
-
-        def sometimes_failing(frame, *args, **kwargs):
-            if int(frame.selection_y.sum()) % 4 == 0:
-                raise heckman.probit.ProbitError("forced failure")
-            return fit_two_step(frame, *args, **kwargs)
-
-        monkeypatch.setattr(heckman, "fit_two_step", sometimes_failing)
+        forced_second_stage_errors(
+            monkeypatch, lambda n: ProbitError("forced failure") if n % 4 == 0 else None)
         reports = {}
         for cpus in (1, 2, 3):
             monkeypatch.setattr(synth, "_usable_cpus", lambda cpus=cpus: cpus)
@@ -289,10 +308,36 @@ class TestWorkerProcesses:
             assert len(forks) == cpus - 1
         serial = reports[1]
         assert 0 < serial.reps_failed < reps
+        assert serial.failures == {"ProbitError": serial.reps_failed}
         for report in reports.values():
             assert report.reps_failed == serial.reps_failed
+            assert report.failures == serial.failures
             assert report.to_csv_text().encode() == serial.to_csv_text().encode()
             assert report.to_markdown().encode() == serial.to_markdown().encode()
+
+    def test_failures_are_tallied_by_error_class_in_every_process(self, monkeypatch, forks):
+        # 53 reps in chunks of 8; failures are forced by each sample's selected count
+        cfg = dataclasses.replace(BASE, n=200)
+        monkeypatch.setattr(synth, "MC_CHUNK_ROWS", 8 * cfg.n)
+
+        def error_of(n):
+            if n % 5 == 0:
+                return heckman.CollinearMillsError("forced")
+            return ProbitError("forced") if n % 7 == 0 else None
+
+        forced_second_stage_errors(monkeypatch, error_of)
+        counts = [int(synth._generate_with(cfg, synth.replication_stream(cfg, rep))
+                      .frame.selection_y.sum()) for rep in range(53)]
+        names = [type(error_of(n)).__name__ for n in counts if error_of(n) is not None]
+        expected = dict(Counter(names).most_common())
+        assert set(expected) == {"CollinearMillsError", "ProbitError"}
+        for cpus in (1, 2):
+            monkeypatch.setattr(synth, "_usable_cpus", lambda cpus=cpus: cpus)
+            forks.clear()
+            report = synth.monte_carlo(cfg, 53)
+            assert len(forks) == cpus - 1
+            assert list(report.failures.items()) == list(expected.items())
+            assert report.reps_failed == len(names)
 
     def test_one_chunk_forks_nothing(self, monkeypatch, forks):
         # 50 reps at n=189 fit in one chunk of MC_CHUNK_ROWS rows
@@ -327,3 +372,85 @@ class TestWorkerProcesses:
             "simulate: 50 replications at n=2000, rho=0.5",
             f"simulate: wrote recovery report under {tmp_path / 'out'}",
         ]
+
+
+class TestStackedChunk:
+    """A chunk drawn and fitted as stacked arrays gives each replication's own fit."""
+
+    @staticmethod
+    def config(n):
+        return synth.DgpConfig(SIM_SELECTION_COEF, SIM_OUTCOME_COEF, 0.5, 1.0, n, 7)
+
+    @pytest.mark.parametrize("n, variant, reps", [(189, heckman.PLAIN_ROBUST, 50),
+                                                  (2000, heckman.HECKMAN_CORRECTED, 8)])
+    def test_matches_per_replication_fit_two_step(self, n, variant, reps):
+        cfg = self.config(n)
+        truth = np.array([*SIM_OUTCOME_COEF, 0.5])
+        stages, V, errors = synth._fit_chunk(cfg, variant, range(reps))
+        outcomes = synth._fit_chunks(cfg, variant, truth, [range(reps)])[0]
+        for rep in range(reps):
+            frame = synth._generate_with(cfg, synth.replication_stream(cfg, rep)).frame
+            fit = heckman.fit_two_step(frame)
+            se = np.sqrt(np.diag(fit.outcome_vcov(variant)))
+            assert errors[rep] is None
+            assert np.array_equal(stages.coef[rep], fit.outcome_coef)
+            # sums over each sample's own rows, not its zero padding, keep every bit
+            assert stages.sigma2[rep] == fit.sigma2 and stages.rho[rep] == fit.rho
+            assert np.array_equal(stages.residuals[rep, :fit.n_selected], fit.residuals)
+            np.testing.assert_allclose(np.sqrt(np.diag(V[rep])), se, rtol=1e-13, atol=0)
+            estimate, covered = outcomes[rep]
+            assert np.array_equal(estimate, fit.outcome_coef)
+            assert np.array_equal(covered, np.abs(fit.outcome_coef - truth) <= heckman.Z_95 * se)
+
+    def test_stacked_draws_are_the_one_sample_draws(self):
+        cfg = self.config(189)
+        sel_X, out_X, latent, selected, e = synth._draw(
+            cfg, np.random.Philox(key=cfg.seed), [rep + 1 for rep in range(6)])
+        for rep in range(6):
+            sample = synth._generate_with(cfg, synth.replication_stream(cfg, rep))
+            frame = sample.frame
+            assert np.array_equal(sel_X[rep], frame.selection_X)
+            assert np.array_equal(selected[rep], frame.selection_y == 1.0)
+            assert np.array_equal(latent[rep], sample.latent)
+            assert np.array_equal(e[rep], sample.selection_error)
+            assert np.array_equal(out_X[rep][selected[rep]], frame.outcome_X)
+        # R = 1 without a jump is generate's sample
+        one = synth._draw(cfg, np.random.Philox(key=cfg.seed), [0])
+        sample = synth.generate(cfg)
+        assert np.array_equal(one[0][0], sample.frame.selection_X)
+        assert np.array_equal(one[2][0], sample.latent)
+
+    def test_one_call_holds_the_four_draws_in_order(self):
+        # the draws separate calls made: x (n, p), w (n, q), e and eta from the same stream
+        cfg = self.config(189)
+        rng = np.random.Generator(synth.replication_stream(cfg, 3))
+        x, w = rng.standard_normal((cfg.n, cfg.n_shared)), rng.standard_normal((cfg.n, 1))
+        e, eta = rng.standard_normal(cfg.n), rng.standard_normal(cfg.n)
+        u = cfg.sigma_u * (cfg.rho * e + np.sqrt(1.0 - cfg.rho**2) * eta)
+        sample = synth._generate_with(cfg, synth.replication_stream(cfg, 3))
+        assert np.array_equal(sample.frame.selection_X,
+                              np.column_stack([x, w, np.ones(cfg.n)]))
+        assert np.array_equal(sample.selection_error, e)
+        assert np.array_equal(sample.latent,
+                              np.column_stack([x, np.ones(cfg.n)]) @ np.array(cfg.outcome_coef) + u)
+
+    def test_one_normal_fill_per_replication_and_no_fit_two_step(self, monkeypatch):
+        fills, generator = [], np.random.Generator
+
+        class Counting:
+            def __init__(self, bitgen):
+                self.rng = generator(bitgen)
+
+            def standard_normal(self, *args, **kwargs):
+                fills.append(1)
+                return self.rng.standard_normal(*args, **kwargs)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("fitted one replication on its own")
+
+        monkeypatch.setattr(np.random, "Generator", Counting)
+        monkeypatch.setattr(heckman, "fit_two_step", refuse)
+        monkeypatch.setattr(synth, "_usable_cpus", lambda: 1)
+        report = synth.monte_carlo(dataclasses.replace(BASE, n=189), 50)
+        assert len(fills) == 50
+        assert report.reps_used == 50
