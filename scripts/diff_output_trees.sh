@@ -1,0 +1,49 @@
+#!/usr/bin/env bash
+# Byte-identity check of vaxsel's output trees between two source trees.
+#
+#   scripts/diff_output_trees.sh BASE [WORKDIR]
+#
+# Runs the reference commands below once with BASE/src (another checkout,
+# such as the parent commit) and once with this checkout's src, each into
+# its own tree under WORKDIR (default: a new temporary directory), and
+# compares the two trees with diff -r.  Exits 0 when every file is
+# byte-identical and 1 when any differs.  Both runs use the same machine,
+# so the check holds on any CPU.
+set -euo pipefail
+
+if [ $# -lt 1 ] || [ $# -gt 2 ]; then
+    echo "usage: $0 BASE [WORKDIR]" >&2
+    exit 2
+fi
+base=$(cd "$1" && pwd)
+here=$(cd "$(dirname "$0")/.." && pwd)
+work=${2:-$(mktemp -d)}
+
+# one vaxsel argv per line, without --out
+ARGVS='replicate
+replicate --vcov heckman
+fit --filter table3
+fit --filter table4 --vcov heckman
+simulate --reps 50 --seed 7
+simulate --n 189 --vcov robust --reps 50 --seed 7
+simulate --reps 200
+describe
+figures --grid 7'
+
+run_all() {  # run_all SOURCE_TREE OUTPUT_ROOT
+    local argv
+    while read -r argv; do
+        # word splitting of $argv is wanted: it is the command line
+        # shellcheck disable=SC2086
+        PYTHONPATH="$1/src" python3 -m vaxsel.cli $argv --out "$2/${argv// /_}"
+    done <<< "$ARGVS"
+}
+
+rm -rf "$work/base" "$work/head"
+run_all "$base" "$work/base"
+run_all "$here" "$work/head"
+if diff -r "$work/base" "$work/head"; then
+    echo "output trees are byte-identical: $(find "$work/head" -type f | wc -l) files"
+else
+    exit 1
+fi

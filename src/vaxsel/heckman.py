@@ -65,8 +65,7 @@ def check_vcov_variant(variant: str) -> None:
 
 
 # What a model that cannot be estimated raises; anything else is a bug.
-ESTIMATION_ERRORS = (PanelError, probit.ProbitError, CollinearMillsError, ValueError,
-                     np.linalg.LinAlgError)
+ESTIMATION_ERRORS = (*probit.ESTIMATION_ERRORS, PanelError, CollinearMillsError)
 
 
 @dataclass
@@ -91,7 +90,6 @@ class HeckmanFit:
     rho: float
     degenerate: bool = False
     design: np.ndarray = field(default=None, repr=False)
-    outcome_keep: np.ndarray = field(default=None, repr=False)
     frame: object = field(default=None, repr=False)
     _cache: dict = field(default_factory=dict, init=False, repr=False)
 
@@ -120,15 +118,6 @@ class HeckmanFit:
                             self.frame.selection_X)
 
 
-def _finite(y, X):
-    """y as a float vector and X as a float matrix; ValueError on NaN or +-inf."""
-    y = np.asarray(y, dtype=float).ravel()
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    if not (np.isfinite(y).all() and np.isfinite(X).all()):
-        raise ValueError("outcome y or X contains NaN or infinite values")
-    return y, X
-
-
 def _check_rows_and_rank(X, s, labels):
     """ValueError when X has fewer than k + 1 rows; probit.RankDeficientError
     when its singular values s have s_min <= max(n, k) * eps * s_max, naming
@@ -147,7 +136,10 @@ def ols(y, X, labels=None):
     rows, and probit.RankDeficientError naming the offending columns when X
     is not full column rank.
     """
-    y, X = _finite(y, X)
+    y = np.asarray(y, dtype=float).ravel()
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    if not (np.isfinite(y).all() and np.isfinite(X).all()):
+        raise ValueError("outcome y or X contains NaN or infinite values")
     if y.shape[0] != X.shape[0]:
         raise ValueError("y and X row counts differ")
     labels = probit.design_labels(labels, X.shape[1])
@@ -204,8 +196,8 @@ def heckman_corrected_vcov(fit: HeckmanFit) -> np.ndarray:
     if fit.degenerate:
         raise CollinearMillsError("no correction term in a degenerate all-selected fit")
     selected = np.asarray(fit.frame.selection_y, dtype=float) == 1.0
-    Z = np.asarray(fit.frame.selection_X, dtype=float)[selected][fit.outcome_keep]
-    delta = fit.first_stage.w[selected][fit.outcome_keep]
+    Z = np.asarray(fit.frame.selection_X, dtype=float)[selected][fit.frame.outcome_keep]
+    delta = fit.first_stage.w[selected][fit.frame.outcome_keep]
     return _corrected(fit.design, delta, Z, fit.first_stage.vcov, fit.rho**2, fit.sigma2)
 
 
@@ -290,24 +282,22 @@ def outcome_vcovs(stages: SecondStages, variant: str, Z=None):
     return V, errors
 
 
-def fit_two_step(frame, *, first_stage=None) -> HeckmanFit:
+def fit_two_step(frame) -> HeckmanFit:
     """Estimate the two-step selection model on a model frame.
 
     Parameters
     ----------
     frame : ModelFrame with selection_y/selection_X over all usable rows
         and outcome_y/outcome_X over the selected subset.
-    first_stage : this frame's fitted selection probit (a ProbitFit), or
-        None to fit it here.  Its g and w on the selected rows are lambda and delta.
 
-    No covariance is computed here: HeckmanFit.outcome_vcov and
+    The first stage's g and w on the selected rows are lambda and delta.  No
+    covariance is computed here: HeckmanFit.outcome_vcov and
     HeckmanFit.selection_vcov give either variant from the returned fit.
 
     Raises
     ------
-    ValueError when outcome_y or outcome_X holds NaN or +-inf, or when
-    first_stage was fitted on another number of rows or selection indicator;
-    probit errors from the first stage.  The outcome design W (outcome_X
+    probit errors from the first stage; ValueError when outcome_y or
+    outcome_X holds NaN or +-inf.  The outcome design W (outcome_X
     plus the Mills column) is decomposed once, by the SVD in lstsq, and its
     singular values are checked in this order: CollinearMillsError when the
     Mills column is numerically collinear with the outcome covariates
@@ -316,7 +306,7 @@ def fit_two_step(frame, *, first_stage=None) -> HeckmanFit:
     than k + 1 rows; probit.RankDeficientError when W is not full rank.
     """
     sel_y = np.asarray(frame.selection_y, dtype=float).ravel()
-    out_y, out_X = _finite(frame.outcome_y, frame.outcome_X)
+    out_y, out_X = (np.asarray(a, dtype=float) for a in (frame.outcome_y, frame.outcome_X))
     n_selected = out_y.shape[0]
     keep = np.asarray(frame.outcome_keep, dtype=bool)
     labels_w = probit.design_labels(frame.outcome_labels, out_X.shape[1])
@@ -331,13 +321,7 @@ def fit_two_step(frame, *, first_stage=None) -> HeckmanFit:
         imr_coef = rho = 0.0
         sigma2 = float(resid @ resid / n_selected)
     else:
-        first = first_stage or probit.fit(sel_y, frame.selection_X, frame.selection_labels)
-        if first.n != sel_y.size:
-            raise ValueError(f"first stage fitted on {first.n} rows; this frame has {sel_y.size}")
-        # g is +lambda >= +0.0 on the y = 1 rows and -lambda elsewhere, so its
-        # sign bits are the first stage's own selection indicator
-        if not np.array_equal(np.signbit(first.g), ~selected):
-            raise ValueError("first stage fitted on a selection indicator other than this frame's")
+        first = probit.fit(sel_y, frame.selection_X, frame.selection_labels)
         mills, delta = first.g[selected][keep], first.w[selected][keep]
         if mills.shape[0] != n_selected:
             raise ValueError("outcome rows do not line up with the selected selection rows")
@@ -352,5 +336,5 @@ def fit_two_step(frame, *, first_stage=None) -> HeckmanFit:
     return HeckmanFit(
         first_stage=first, outcome_coef=coef, imr_coef=imr_coef, outcome_labels=labels_w,
         n_total=sel_y.shape[0], n_selected=n_selected, residuals=resid, sigma2=sigma2, rho=rho,
-        degenerate=first is None, design=W, outcome_keep=keep, frame=frame,
+        degenerate=first is None, design=W, frame=frame,
     )

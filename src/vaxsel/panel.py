@@ -169,21 +169,6 @@ def load_schema(path) -> list:
     return defs
 
 
-def apply_log(value, audit=None, context=""):
-    """Natural log for positive values; non-positive becomes missing.
-
-    A missing result is recorded on the audit list instead of raising, so
-    rows degrade exactly the way the varying per-model sample sizes do.
-    """
-    if value is None:
-        return None
-    if value <= 0.0:
-        if audit is not None:
-            audit.append(f"{context}: non-positive value {value!r} treated as missing under log")
-        return None
-    return math.log(value)
-
-
 def _parse_cell(text, vdef, row_no, audit, iso3):
     text = text.strip()
     if text == "":
@@ -203,9 +188,12 @@ def _parse_cell(text, vdef, row_no, audit, iso3):
         ) from exc
     if not math.isfinite(raw):
         raise ParseError(f"non-finite number {text!r}", row=row_no, column=vdef.code)
-    if vdef.transform == "log":
-        return apply_log(raw, audit, context=f"{iso3}:{vdef.code}"), raw
-    return raw, raw
+    if vdef.transform != "log":
+        return raw, raw
+    if raw <= 0.0:
+        audit.append(f"{iso3}:{vdef.code}: non-positive value {raw!r} treated as missing under log")
+        return None, raw
+    return math.log(raw), raw
 
 
 def _validate_row(values, row_no):
@@ -367,14 +355,6 @@ class ModelFrame:
     row_labels: list = field(default_factory=list)
     outcome_row_labels: list = field(default_factory=list)
 
-    @property
-    def n_selection_rows(self):
-        return int(self.selection_y.shape[0])
-
-    @property
-    def n_outcome_rows(self):
-        return int(self.outcome_y.shape[0])
-
 
 def _check_full_rank(X, labels, stage):
     collinear = collinear_columns(X, labels)
@@ -392,7 +372,7 @@ def build_model_frame(panel: Panel, spec) -> ModelFrame:
     """
     sel_vars = list(spec.selection_vars)
     out_vars = list(spec.outcome_vars)
-    dummies = list(DUMMY_CODES) if spec.include_vaccine_dummies else []
+    dummies = list(DUMMY_CODES)
     for code in sel_vars + out_vars + dummies + [CODE_STARTED, CODE_VAC]:
         panel.def_for(code)
 

@@ -37,6 +37,10 @@ class SeparationError(ProbitError):
     pass
 
 
+# What a fit that cannot be estimated raises; fit_many records these per sample.
+ESTIMATION_ERRORS = (ProbitError, ValueError, np.linalg.LinAlgError)
+
+
 @dataclass
 class ProbitFit:
     """First-stage estimate: coefficients, covariance and diagnostics.
@@ -258,7 +262,7 @@ def fit_many(Y, X, labels=None) -> list:
             pending[r] = newtons[r].send(point)
         except StopIteration as done:
             results[r] = done.value
-        except (ProbitError, ValueError, np.linalg.LinAlgError) as exc:
+        except ESTIMATION_ERRORS as exc:
             results[r] = exc
 
     for r in range(len(Y)):

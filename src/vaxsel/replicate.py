@@ -167,10 +167,10 @@ def run_model_suite(
     return tabulate(table, vcov_variant)
 
 
-def run_outlier_suites(panel: Panel, specs=None, vcov_variant=heckman.PLAIN_ROBUST):
+def run_outlier_suites(panel: Panel, vcov_variant=heckman.PLAIN_ROBUST):
     """The two robustness suites, tables 3 and 4: the first four model
     specifications on the panel trimmed by each named outlier filter."""
-    specs = list(builtin_specs() if specs is None else specs)[:4]
+    specs = builtin_specs()[:4]
     return tuple(
         run_model_suite(apply_outlier_filter(panel, name), specs, vcov_variant, title)
         for name, title in ROBUSTNESS_TITLES.items()
@@ -179,7 +179,7 @@ def run_outlier_suites(panel: Panel, specs=None, vcov_variant=heckman.PLAIN_ROBU
 
 def replication_tables(panel: Panel, vcov_variant: str = heckman.PLAIN_ROBUST) -> dict:
     """Tables 2-4 keyed by table id, each cell fitted once."""
-    t3, t4 = run_outlier_suites(panel, None, vcov_variant)
+    t3, t4 = run_outlier_suites(panel, vcov_variant)
     return {"table2": run_model_suite(panel, None, vcov_variant), "table3": t3, "table4": t4}
 
 
@@ -221,7 +221,7 @@ def gdp_boxplot_stats(panel: Panel) -> FigureData:
     )
 
 
-def conditional_start_curve(panel: Panel, grid=None, n_points: int = 100) -> FigureData:
+def conditional_start_curve(panel: Panel, n_points: int = 100) -> FigureData:
     """Start probability against log GDP with a 95% delta-method band.
 
     Univariate probit of the start indicator on log GDP; the band is the
@@ -231,12 +231,7 @@ def conditional_start_curve(panel: Panel, grid=None, n_points: int = 100) -> Fig
     gdp = panel.column("gdp")
     st = panel.column("started")
     ok = ~np.isnan(gdp)
-    lo, hi = float(gdp[ok].min()), float(gdp[ok].max())
-    if grid is None:
-        grid = np.linspace(lo, hi, n_points)
-    grid = np.asarray(grid, dtype=float)
-    if grid.min() < lo - 1.0 or grid.max() > hi + 1.0:
-        raise ValueError("grid extends beyond the observed log-GDP range plus one unit")
+    grid = np.linspace(float(gdp[ok].min()), float(gdp[ok].max()), n_points)
 
     X = np.column_stack([gdp[ok], np.ones(int(ok.sum()))])
     fit = probit.fit(st[ok], X, labels=["gdp", "const"])

@@ -22,7 +22,6 @@ class ModelSpec:
     name: str
     selection_vars: tuple
     outcome_vars: tuple
-    include_vaccine_dummies: bool = True
 
     def __post_init__(self):
         if "days" in self.selection_vars:

@@ -57,6 +57,13 @@ class DgpConfig:
     intercept]; outcome_coef covers [shared covariates..., intercept].
     The selection vector must be longer, the surplus being the excluded
     instruments that identify the correction term.
+
+    sigma_u is bounded.  Every normal draw of a run lies within +-10, so a design
+    entry or index is at most S(c) = 10 (1 + sum |c|), lambda(s) <= |s| + 1
+    included.  The second stage sums n products e_i^2 W_ij W_ik, residuals up to
+    S(gamma) sigma_u, which stay finite while n S(gamma)^4 sigma_u^2 is below the
+    largest double.  A double outcome x'beta + u resolves u only to eps S(beta),
+    so sigma_u >= 1e6 eps S(beta) keeps six digits of the noise.
     """
 
     selection_coef: tuple
@@ -75,6 +82,12 @@ class DgpConfig:
             raise ValueError("coefficients must be finite")
         if self.n < 50:
             raise ValueError("n must be at least 50")
+        s_gamma, s_beta = (10.0 * (1.0 + sum(map(abs, c)))
+                           for c in (self.selection_coef, self.outcome_coef))
+        low, high = 1e6 * np.finfo(float).eps * s_beta, np.sqrt(np.finfo(float).max / self.n)
+        if not low <= self.sigma_u <= high / s_gamma**2:
+            raise ValueError(f"sigma_u must lie in [{low:.3g}, {high / s_gamma**2:.3g}] at "
+                             f"n = {self.n} with these coefficients; got {self.sigma_u:g}")
         if not 0 <= self.seed < 2**128:
             raise ValueError(f"seed must lie in [0, 2**128); got {self.seed}")
         if len(self.selection_coef) <= len(self.outcome_coef):

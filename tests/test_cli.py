@@ -172,6 +172,32 @@ def test_simulate_non_finite_sigma_exits_1(tmp_path, capsys, sigma_u):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("sigma_u", ["1e200", "1e154", "1e-16", "1e-300", "5e-324"])
+def test_simulate_sigma_beyond_float_range_or_resolution_exits_1(tmp_path, capsys, sigma_u):
+    # 1e200 died with an OverflowError traceback, 1e154 reported coverage 0 for
+    # every parameter, and the small scales reported coverages of rounding noise
+    out = tmp_path / "out"
+    code = main(["simulate", "--sigma-u", sigma_u, "--n", "189", "--reps", "50", "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and errors[0].startswith("error: sigma_u must lie in [")
+    assert not out.exists()
+
+
+def test_simulate_sigma_inside_the_bounds_runs(tmp_path):
+    # the estimator is scale-equivariant, so coverage does not move with sigma_u
+    coverages = []
+    for sigma_u in ("1", "1e-6", "1e100"):
+        out = tmp_path / sigma_u
+        args = ["simulate", "--sigma-u", sigma_u, "--n", "189", "--reps", "50", "--seed", "7"]
+        assert main(args + ["--out", str(out)]) == 0
+        rows = (out / "recovery.csv").read_text().splitlines()[1:]
+        coverages.append([row.rsplit(",", 1)[1] for row in rows])
+    assert coverages[1] == coverages[2] == coverages[0]
+
+
 def test_simulate_deterministic(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     args = ["simulate", "--rho", "0.5", "--n", "500", "--reps", "60", "--seed", "7"]

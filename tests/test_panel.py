@@ -15,7 +15,6 @@ from vaxsel.panel import (
     Panel,
     SchemaError,
     VariableDef,
-    apply_log,
     build_model_frame,
     filter_percentile,
     load_panel,
@@ -304,14 +303,16 @@ class TestColumnar:
 
 
 class TestTransforms:
-    def test_apply_log_basics(self):
-        assert apply_log(1.0) == 0.0
-        assert apply_log(math.e) == pytest.approx(1.0)
+    def test_apply_log_basics(self, tmp_path):
+        rows = ["A,Aland,1,0.4,0,,,0,0,0,0", f"B,Bland,{math.e!r},0.4,0,,,0,0,0,0"]
+        p = write_mini(tmp_path, rows)
+        assert load_panel(p, MINI_SCHEMA).column("cases").tolist() == [0.0, pytest.approx(1.0)]
 
-    def test_apply_log_zero_is_missing_and_audited(self):
-        audit = []
-        assert apply_log(0.0, audit, context="X:military_exp") is None
-        assert audit and "X:military_exp" in audit[0]
+    def test_apply_log_zero_is_missing_and_audited(self, tmp_path):
+        p = write_mini(tmp_path, ["X,Xland,0,0.4,0,,,0,0,0,0"])
+        pan = load_panel(p, MINI_SCHEMA)
+        assert np.isnan(pan.column("cases")[0]) and pan.raw_column("cases")[0] == 0.0
+        assert pan.audit == ["X:cases: non-positive value 0.0 treated as missing under log"]
 
     def test_snapshot_gov_response_raw_mean(self, snapshot):
         raw = snapshot.raw_column("gov_response")
@@ -362,12 +363,12 @@ class TestFilterPercentile:
             filter_percentile(snapshot, "gov_eff", 0.05, 0.95), "gdp", 0.05, 0.95
         )
         frame = build_model_frame(t3, builtin_specs()[0])
-        assert frame.n_selection_rows == 131
+        assert frame.selection_y.shape == (131,)
 
     def test_table4_model1_rows(self, snapshot):
         t4 = filter_percentile(snapshot, "vac_php", 0.0, 0.95)
         frame = build_model_frame(t4, builtin_specs()[0])
-        assert frame.n_selection_rows == 162
+        assert frame.selection_y.shape == (162,)
 
     def test_bad_bounds(self, snapshot):
         with pytest.raises(ValueError):
@@ -379,8 +380,8 @@ class TestBuildModelFrame:
         expected = {"model1": 165, "model2": 187, "model3": 151, "model4": 148, "model5": 148}
         for spec in builtin_specs():
             frame = build_model_frame(snapshot, spec)
-            assert frame.n_selection_rows == expected[spec.name]
-            assert frame.n_outcome_rows == 56
+            assert frame.selection_y.shape == (expected[spec.name],)
+            assert frame.outcome_y.shape == (56,)
 
     def test_outcome_rows_are_selected_rows(self, snapshot):
         frame = build_model_frame(snapshot, builtin_specs()[1])
@@ -407,8 +408,8 @@ class TestBuildModelFrame:
             )
         p = write_mini(tmp_path, rows, header=MINI_HEADER + ",cases_twin")
         pan = load_panel(p, schema)
-        spec = ModelSpec("twin", ("cases", "cases_twin"), ("cases",),
-                         include_vaccine_dummies=False)
+        # the selection design is checked first, so the dummies do not matter here
+        spec = ModelSpec("twin", ("cases", "cases_twin"), ("cases",))
         with pytest.raises(FrameError) as err:
             build_model_frame(pan, spec)
         assert "cases_twin" in str(err.value)
@@ -420,7 +421,7 @@ class TestBuildModelFrame:
             "widest", ("cases", "gov_response", "military_exp"), ("cases", "days")
         )
         ns = [
-            build_model_frame(snapshot, s).n_selection_rows
+            build_model_frame(snapshot, s).selection_y.size
             for s in (base, wider, widest)
         ]
         assert ns[0] >= ns[1] >= ns[2]

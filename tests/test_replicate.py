@@ -251,10 +251,6 @@ class TestFigures:
         t = fig.meta["slope"] / fig.meta["slope_se"]
         assert fig.meta["slope"] > 0 and t > 2.575829
 
-    def test_curve_grid_validation(self, snapshot):
-        with pytest.raises(ValueError):
-            replicate.conditional_start_curve(snapshot, grid=[0.0, 50.0])
-
     def test_scatter_fit(self, snapshot):
         fig = replicate.goveff_scatter_fit(snapshot)
         assert len(fig.rows) == 56

@@ -55,6 +55,11 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="sigma_u"):
             dataclasses.replace(BASE, sigma_u=sigma_u)
 
+    @pytest.mark.parametrize("sigma_u", [1e200, 1e154, 1e-16, 1e-300, 5e-324])
+    def test_sigma_within_float_range_and_outcome_resolution(self, sigma_u):
+        with pytest.raises(ValueError, match=r"sigma_u must lie in \[.*\] at n = "):
+            dataclasses.replace(BASE, sigma_u=sigma_u)
+
     @pytest.mark.parametrize("field", ["selection_coef", "outcome_coef"])
     @pytest.mark.parametrize("bad", [np.nan, -np.inf])
     def test_coefficients_finite(self, field, bad):
