@@ -5,10 +5,11 @@
 #
 # Runs the reference commands below once with BASE/src (another checkout,
 # such as the parent commit) and once with this checkout's src, each into
-# its own tree under WORKDIR (default: a new temporary directory), and
-# compares the two trees with diff -r.  Exits 0 when every file is
-# byte-identical and 1 when any differs.  Both runs use the same machine,
-# so the check holds on any CPU.
+# its own tree under WORKDIR (default: a new temporary directory), saves
+# the stdout of each tree's scripts/selection_bias_demo.py --n 500
+# --reps 50 into that tree, and compares the two trees with diff -r.
+# Exits 0 when every file is byte-identical and 1 when any differs.  Both
+# runs use the same machine, so the check holds on any CPU.
 set -euo pipefail
 
 if [ $# -lt 1 ] || [ $# -gt 2 ]; then
@@ -37,6 +38,8 @@ run_all() {  # run_all SOURCE_TREE OUTPUT_ROOT
         # shellcheck disable=SC2086
         PYTHONPATH="$1/src" python3 -m vaxsel.cli $argv --out "$2/${argv// /_}"
     done <<< "$ARGVS"
+    # the demo puts its own tree's src on the path
+    python3 "$1/scripts/selection_bias_demo.py" --n 500 --reps 50 > "$2/selection_bias_demo.txt"
 }
 
 rm -rf "$work/base" "$work/head"

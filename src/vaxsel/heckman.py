@@ -118,23 +118,12 @@ class HeckmanFit:
                             self.frame.selection_X)
 
 
-def _check_rows_and_rank(X, s, labels):
-    """ValueError when X has fewer than k + 1 rows; probit.RankDeficientError
-    when its singular values s have s_min <= max(n, k) * eps * s_max, naming
-    the columns that collinear_columns finds (every column if it finds none)."""
-    n, k = X.shape
-    if n < k + 1:
-        raise ValueError(f"need at least {k + 1} rows to fit {k} coefficients")
-    if s[-1] <= max(n, k) * np.finfo(float).eps * s[0]:
-        raise probit.RankDeficientError(probit.collinear_columns(X, labels) or labels)
-
-
 def ols(y, X, labels=None):
     """Least squares through lstsq's SVD, whose singular values are the rank test.
 
-    Returns (coef, resid).  Raises ValueError on non-finite data or too few
-    rows, and probit.RankDeficientError naming the offending columns when X
-    is not full column rank.
+    Returns (coef, resid).  Raises ValueError on non-finite data or fewer than
+    k + 1 rows, then probit.RankDeficientError when s_min <= max(n, k) * eps *
+    s_max, naming the columns collinear_columns finds (all if it finds none).
     """
     y = np.asarray(y, dtype=float).ravel()
     X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -143,8 +132,12 @@ def ols(y, X, labels=None):
     if y.shape[0] != X.shape[0]:
         raise ValueError("y and X row counts differ")
     labels = probit.design_labels(labels, X.shape[1])
+    n, k = X.shape
+    if n < k + 1:
+        raise ValueError(f"need at least {k + 1} rows to fit {k} coefficients")
     coef, _, _, s = np.linalg.lstsq(X, y, rcond=None)
-    _check_rows_and_rank(X, s, labels)
+    if s[-1] <= max(n, k) * np.finfo(float).eps * s[0]:
+        raise probit.RankDeficientError(probit.collinear_columns(X, labels) or labels)
     return coef, y - X @ coef
 
 
@@ -211,14 +204,14 @@ def second_stages(y, X, mills, delta, rows, labels, first_stages) -> SecondStage
     y (R, m), X (R, m, kx) named by labels, and the first stages' lambda and delta
     (R, m) hold sample r's rows[r] selected rows first and zero rows after them;
     first_stages holds per sample its ProbitFit, or the error fit_many recorded.
-    Each sample takes one lstsq on its own rows of W (X and the Mills column),
-    checked as fit_two_step documents, and sums sigma^2 over those rows.  The
-    result's errors hold per sample None or the estimation error that failed it:
-    the first stage's, a ProbitError if that did not converge, a ValueError on
-    NaN or +-inf outcome data, or one of the checks' errors.
+    Each sample takes one lstsq on its own rows of W (X and the Mills column) and
+    sums sigma^2 over them.  errors holds per sample None or, in the order checked,
+    the first stage's error, a ProbitError if it did not converge, a ValueError on
+    NaN or +-inf outcome data or fewer than k + 1 rows, or the condition check's
+    RankDeficientError or CollinearMillsError (see fit_two_step).
     """
     W = np.concatenate([X, mills[..., None]], axis=-1)
-    labels = [*labels, IMR_LABEL]
+    labels, k = [*labels, IMR_LABEL], W.shape[-1]
     coef, resid, sigma2 = np.zeros(W.shape[::2]), np.zeros(y.shape), np.zeros(len(W))
     finite = np.isfinite(y).all(-1) & np.isfinite(X).all((-2, -1))
 
@@ -230,17 +223,21 @@ def second_stages(y, X, mills, delta, rows, labels, first_stages) -> SecondStage
                 f"first-stage probit did not converge (score norm {first.score_norm:.2e})")
         if not finite[r]:
             return ValueError("outcome y or X contains NaN or infinite values")
+        if n < k + 1:
+            return ValueError(f"need at least {k + 1} rows to fit {k} coefficients")
         Wr, yr = W[r, :n], y[r, :n]
         try:
             coef[r], _, _, s = np.linalg.lstsq(Wr, yr, rcond=None)
             with np.errstate(divide="ignore", invalid="ignore"):
-                cond = s[0] / s[-1] if s.size else 0.0  # a W without rows fails the row check
+                cond = s[0] / s[-1]
             if not cond <= CONDITION_LIMIT:
+                collinear = probit.collinear_columns(Wr, labels)
+                if set(collinear) - {IMR_LABEL}:
+                    raise probit.RankDeficientError(collinear)
                 raise CollinearMillsError(
                     f"Mills column is collinear with the outcome design (condition {cond:.2e}); "
                     "add an exclusion restriction to the selection equation"
                 )
-            _check_rows_and_rank(Wr, s, labels)
         except ESTIMATION_ERRORS as exc:
             return exc
         e = resid[r, :n] = yr - Wr @ coef[r]
@@ -296,14 +293,14 @@ def fit_two_step(frame) -> HeckmanFit:
 
     Raises
     ------
-    probit errors from the first stage; ValueError when outcome_y or
-    outcome_X holds NaN or +-inf.  The outcome design W (outcome_X
-    plus the Mills column) is decomposed once, by the SVD in lstsq, and its
-    singular values are checked in this order: CollinearMillsError when the
-    Mills column is numerically collinear with the outcome covariates
-    (condition number above 1e10), which usually means the selection
-    equation needs an exclusion restriction; ValueError when W has fewer
-    than k + 1 rows; probit.RankDeficientError when W is not full rank.
+    probit errors from the first stage, the selection design's rank among
+    them; ValueError when outcome_y or outcome_X holds NaN or +-inf or when
+    W (outcome_X and the Mills column) has fewer than k + 1 rows.  W is
+    decomposed once, by the SVD in lstsq.  Above condition number 1e10 its
+    collinear columns are named by probit.collinear_columns: RankDeficientError
+    when any is an outcome column, else CollinearMillsError, which usually
+    means the selection equation needs an exclusion restriction.  With every
+    row selected the outcome design goes through ols and its checks.
     """
     sel_y = np.asarray(frame.selection_y, dtype=float).ravel()
     out_y, out_X = (np.asarray(a, dtype=float) for a in (frame.outcome_y, frame.outcome_X))

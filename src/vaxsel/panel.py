@@ -19,8 +19,6 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from vaxsel.probit import collinear_columns
-
 CODE_STARTED = "started"
 CODE_VAC = "vac_php"
 CODE_DAYS = "days"
@@ -356,19 +354,14 @@ class ModelFrame:
     outcome_row_labels: list = field(default_factory=list)
 
 
-def _check_full_rank(X, labels, stage):
-    collinear = collinear_columns(X, labels)
-    if collinear:
-        raise FrameError(f"{stage} matrix is rank deficient; collinear columns: {collinear}")
-
-
 def build_model_frame(panel: Panel, spec) -> ModelFrame:
     """Assemble the two-stage design for one model specification.
 
     Listwise deletion over the selection-stage variables drops rows from
     both stages; the selected subset is further restricted to rows
     complete on the outcome-stage variables (including the vaccine
-    provider dummies, which enter the outcome stage only).
+    provider dummies, which enter the outcome stage only).  The designs' rank
+    is judged where they are fitted, by probit.fit and heckman.fit_two_step.
     """
     sel_vars = list(spec.selection_vars)
     out_vars = list(spec.outcome_vars)
@@ -388,7 +381,6 @@ def build_model_frame(panel: Panel, spec) -> ModelFrame:
     selection_y = started[idx]
     selection_X = np.column_stack([sel_cols[c][idx] for c in sel_vars] + [np.ones(idx.size)])
     selection_labels = sel_vars + ["const"]
-    _check_full_rank(selection_X, selection_labels, f"{spec.name} selection")
 
     out_cols = {c: panel.column(c) for c in out_vars + dummies}
     vac = panel.column(CODE_VAC)
@@ -405,7 +397,6 @@ def build_model_frame(panel: Panel, spec) -> ModelFrame:
         [out_cols[c][out_rows] for c in out_vars + dummies] + [np.ones(out_rows.size)]
     )
     outcome_labels = out_vars + dummies + ["const"]
-    _check_full_rank(outcome_X, outcome_labels, f"{spec.name} outcome")
 
     return ModelFrame(
         selection_y=selection_y,

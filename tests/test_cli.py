@@ -1,13 +1,19 @@
 """Command-line behaviour: exit codes, determinism, input immutability."""
 
+import contextlib
 import hashlib
+import io
 import json
+import math
 import multiprocessing
 import os
 import signal
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vaxsel import heckman, probit, synth
 from vaxsel.cli import main
@@ -196,6 +202,36 @@ def test_simulate_sigma_inside_the_bounds_runs(tmp_path):
         rows = (out / "recovery.csv").read_text().splitlines()[1:]
         coverages.append([row.rsplit(",", 1)[1] for row in rows])
     assert coverages[1] == coverages[2] == coverages[0]
+
+
+NEAR_ONE = 1.0 - 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(50, 320),  # at most 320 rows: 50 replications make one chunk, so no fork
+    rho=st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True)
+    | st.sampled_from([NEAR_ONE, -NEAR_ONE]),
+    log_sigma=st.floats(-320.0, 300.0),
+    seed=st.integers(-1, 2**128),  # one past each end of the valid range included
+    vcov=st.sampled_from(["robust", "heckman"]),
+)
+def test_simulate_gives_finite_numbers_or_one_error_line(n, rho, log_sigma, seed, vcov):
+    # "--rho=" form: argparse reads a separate "-6e-05" as an option, a usage error (exit 2)
+    argv = ["simulate", f"--n={n}", f"--rho={rho!r}", f"--sigma-u={10.0**log_sigma!r}",
+            f"--seed={seed}", "--reps=50", f"--vcov={vcov}"]
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(io.StringIO()) as err:
+        out = Path(tmp) / "out"
+        code = main(argv + ["--out", str(out)])
+        report = (out / "recovery.csv").read_text() if code == 0 else ""
+    assert "Traceback" not in err.getvalue()
+    errors = [line for line in err.getvalue().splitlines() if line.startswith("error:")]
+    if code == 1:
+        assert len(errors) == 1
+        return
+    assert code == 0 and errors == []
+    numbers = [cell for row in report.splitlines()[1:] for cell in row.split(",")[1:]]
+    assert len(numbers) == 4 * 5 and all(math.isfinite(float(x)) for x in numbers), report
 
 
 def test_simulate_deterministic(tmp_path):

@@ -72,6 +72,19 @@ class TestOls:
             heckman.ols(x, X, labels=["const", "a", "a_scaled"])
         assert "a_scaled" in str(err.value)
 
+    def test_rank_deficiency_the_qr_misses_names_every_column(self):
+        # Kahan's matrix: every QR diagonal entry is at least sin(1.2)^89 ~ 2e-3, yet
+        # s_min / s_max ~ 5e-16, below the SVD test's 91 * eps
+        k, theta = 90, 1.2
+        kahan = np.diag(np.sin(theta) ** np.arange(k)) @ (
+            np.eye(k) - np.cos(theta) * np.triu(np.ones((k, k)), 1))
+        X = np.vstack([kahan, np.zeros(k)])
+        labels = [f"c{j}" for j in range(k)]
+        assert probit.collinear_columns(X, labels) == []
+        with pytest.raises(RankDeficientError) as err:
+            heckman.ols(np.ones(k + 1), X, labels=labels)
+        assert err.value.columns == labels
+
     def test_too_few_rows(self):
         X = np.column_stack([np.ones(3), np.arange(3.0), np.arange(3.0) ** 2])
         with pytest.raises(ValueError):
@@ -300,6 +313,17 @@ class TestFitTwoStep:
         with pytest.raises(heckman.CollinearMillsError) as err:
             heckman.fit_two_step(frame)
         assert "exclusion restriction" in str(err.value)
+
+    def test_collinear_outcome_design_is_a_rank_error_naming_the_column(self):
+        # the condition check fires, but the Mills column is not what is collinear
+        frame = simple_frame(np.random.default_rng(12))
+        x = frame.outcome_X[:, 0]
+        frame = dataclasses.replace(
+            frame, outcome_X=np.column_stack([x, 2.0 * x, np.ones(x.size)]),
+            outcome_labels=["x", "x_twice", "const"])
+        with pytest.raises(RankDeficientError) as err:
+            heckman.fit_two_step(frame)
+        assert err.value.columns == ["x_twice"]
 
     def test_exclusion_sanity_property(self):
         # binary shared covariate: without an instrument the fitted index
@@ -580,6 +604,9 @@ class TestSecondStages:
         if how == "collinear_mills":
             args["mills"][r] = 0.3 * args["X"][r, :, -1]
             return args, heckman.CollinearMillsError
+        if how == "collinear_outcome":
+            args["X"][r, :, 1] = 2.0 * args["X"][r, :, 0]
+            return args, RankDeficientError
         if how == "too_few_rows":
             args["rows"][r] = 3
             for name in ("y", "X", "mills", "delta"):
@@ -600,9 +627,9 @@ class TestSecondStages:
         return args, probit.SeparationError
 
     @pytest.mark.parametrize("variant", heckman.VCOV_VARIANTS)
-    @pytest.mark.parametrize("how", ["collinear_mills", "too_few_rows", "non_finite_outcome",
-                                     "singular_wtw", "unconverged_first_stage",
-                                     "first_stage_error"])
+    @pytest.mark.parametrize("how", ["collinear_mills", "collinear_outcome", "too_few_rows",
+                                     "non_finite_outcome", "singular_wtw",
+                                     "unconverged_first_stage", "first_stage_error"])
     def test_only_the_spoiled_sample_fails(self, variant, how):
         args, Z = self.stack()
         clean = heckman.second_stages(**args)

@@ -395,25 +395,6 @@ class TestBuildModelFrame:
         with pytest.raises(SchemaError):
             build_model_frame(snapshot, spec)
 
-    def test_collinear_columns_named(self, tmp_path):
-        schema = MINI_SCHEMA + [VariableDef("cases_twin", "log")]
-        rows = []
-        for i in range(30):
-            started = i % 2
-            vac = f"{1.0 + i / 10}" if started else ""
-            days = "10" if started else ""
-            rows.append(
-                f"C{i:02d},Land{i},{100 + i},{i / 10},{started},{vac},{days},0,"
-                f"{started},0,0,{100 + i}"
-            )
-        p = write_mini(tmp_path, rows, header=MINI_HEADER + ",cases_twin")
-        pan = load_panel(p, schema)
-        # the selection design is checked first, so the dummies do not matter here
-        spec = ModelSpec("twin", ("cases", "cases_twin"), ("cases",))
-        with pytest.raises(FrameError) as err:
-            build_model_frame(pan, spec)
-        assert "cases_twin" in str(err.value)
-
     def test_listwise_deletion_is_monotone(self, snapshot):
         base = ModelSpec("base", ("cases",), ("cases", "days"))
         wider = ModelSpec("wider", ("cases", "gov_response"), ("cases", "days"))

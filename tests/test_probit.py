@@ -428,11 +428,12 @@ class TestFitMany:
             return kernel(z)
 
         monkeypatch.setattr(probit, "normal_tail_terms", counted_kernel)
-        probit.fit_many([y for y, _ in batch], [X for _, X in batch])
+        many = probit.fit_many([y for y, _ in batch], [X for _, X in batch])
         assert events[0] == ("qr", (5, 100, 2))
         assert events[1:3] == [("kernel", (3, 100)), ("solve", (3, 2, 2))]  # three samples start
         names = [name for name, _ in events]
-        assert names.count("qr") == 1 and names.count("kernel") > 30  # the halving draw
+        # how many rounds the halving draw takes moves with the BLAS kernel's last bits
+        assert names.count("qr") == 1 and many[1].halvings > 0
         # a solve follows a kernel pass and solves that round's whole block;
         # rounds whose points were all rejected solve nothing
         for before, (name, shape) in zip(events[1:], events[2:]):
@@ -464,10 +465,11 @@ class TestFitMany:
             return terms(coef, ones, X)
 
         monkeypatch.setattr(probit, "_terms", counted_terms)
+        fits = []
         for y, X in batch:
             evaluations.append(0)
             try:
-                probit.fit(y, X)
+                fits.append(probit.fit(y, X))
             except (probit.ProbitError, ValueError):
                 pass
         calls = TestEvaluationCount.count_stdnorm(monkeypatch)
@@ -476,7 +478,8 @@ class TestFitMany:
         rounds = evaluations.pop()
         # a round stacks every pending sample into one _terms call, so the
         # batch takes as many rounds as its longest fit takes evaluations
-        assert len(calls) == rounds == max(evaluations) == evaluations[1] > 30  # the halving draw
+        assert len(calls) == rounds == max(evaluations) == evaluations[1]
+        assert fits[1].halvings > 0  # the halving draw; its count moves with the BLAS kernel
         assert calls[0] == 3 * 100  # the rank-deficient and single-class samples never start
 
     def test_programming_error_propagates(self, monkeypatch):

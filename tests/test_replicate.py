@@ -132,6 +132,19 @@ class TestRunModelSuite:
         assert "mystery_var" in table.column_errors["broken:outcome"]
         assert table.cell("cases", "model1:selection") is not None
 
+    @pytest.mark.parametrize("stage", ["selection", "outcome"])
+    def test_collinear_columns_named(self, snapshot, stage):
+        # rank is judged by the estimator that fits each design, not by build_model_frame
+        pan = with_column(snapshot, VariableDef("cases_twin", "log"), snapshot.values["cases"],
+                          snapshot.raw["cases"])
+        twin = (("cases", "cases_twin"), ("cases", "days")) if stage == "selection" else (
+            ("cases",), ("cases", "cases_twin", "days"))
+        table = replicate.run_model_suite(pan, [builtin_specs()[0], ModelSpec("twin", *twin)])
+        for half in ("outcome", "selection"):
+            assert table.column_errors[f"twin:{half}"] == (
+                "design matrix is rank deficient; collinear columns: ['cases_twin']")
+        assert table.cell("cases", "model1:selection") is not None
+
     def test_programming_error_propagates(self, snapshot, monkeypatch):
         def broken(*args, **kwargs):
             raise TypeError("bug inside the fit")
