@@ -7,7 +7,10 @@
 # such as the parent commit) and once with this checkout's src, each into
 # its own tree under WORKDIR (default: a new temporary directory), saves
 # the stdout of each tree's scripts/selection_bias_demo.py --n 500
-# --reps 50 into that tree, and compares the two trees with diff -r.
+# --reps 50 into that tree, runs replicate --data on a perturbed copy of
+# the shipped snapshot (blank cells, zero and negative values in log
+# columns: missing values and audit lines the snapshot does not have),
+# and compares the two trees with diff -r.
 # Exits 0 when every file is byte-identical and 1 when any differs.  Both
 # runs use the same machine, so the check holds on any CPU.
 set -euo pipefail
@@ -31,6 +34,29 @@ simulate --reps 200
 describe
 figures --grid 7'
 
+# the shipped snapshot with holes, the same on every run: every 7th row
+# loses its gov_eff and pop_65, and log columns get zero and negative values
+# (vac_php only where a value is present, as only starters may have one)
+perturb() {  # perturb SNAPSHOT OUTPUT
+    python3 - "$1" "$2" <<'PY'
+import csv, sys
+with open(sys.argv[1], encoding="utf-8", newline="") as f:
+    rows = list(csv.reader(f))
+col = {code: j for j, code in enumerate(rows[0])}
+for i, row in enumerate(rows[1:]):
+    if i % 7 == 0:
+        row[col["gov_eff"]] = row[col["pop_65"]] = ""
+    if i % 11 == 3:
+        row[col["gdp"]] = "0"
+    if i % 13 == 5:
+        row[col["health_exp"]] = "-2.5"
+    if i % 5 == 1 and row[col["vac_php"]]:
+        row[col["vac_php"]] = "0" if i % 2 else "-1"
+with open(sys.argv[2], "w", encoding="utf-8", newline="") as f:
+    csv.writer(f, lineterminator="\n").writerows(rows)
+PY
+}
+
 run_all() {  # run_all SOURCE_TREE OUTPUT_ROOT
     local argv
     while read -r argv; do
@@ -38,11 +64,14 @@ run_all() {  # run_all SOURCE_TREE OUTPUT_ROOT
         # shellcheck disable=SC2086
         PYTHONPATH="$1/src" python3 -m vaxsel.cli $argv --out "$2/${argv// /_}"
     done <<< "$ARGVS"
+    PYTHONPATH="$1/src" python3 -m vaxsel.cli replicate --data "$work/perturbed.csv" \
+        --out "$2/replicate_perturbed"
     # the demo puts its own tree's src on the path
     python3 "$1/scripts/selection_bias_demo.py" --n 500 --reps 50 > "$2/selection_bias_demo.txt"
 }
 
 rm -rf "$work/base" "$work/head"
+perturb "$here/src/vaxsel/data/snapshot.csv" "$work/perturbed.csv"
 run_all "$base" "$work/base"
 run_all "$here" "$work/head"
 if diff -r "$work/base" "$work/head"; then

@@ -9,6 +9,7 @@ estimation or out-of-memory errors, 2 on usage errors.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from importlib import resources
 from pathlib import Path
@@ -182,6 +183,8 @@ def build_parser():
     p.set_defaults(func=cmd_figures)
 
     p = sub.add_parser("simulate", help="Monte Carlo parameter-recovery report")
+    # argparse reads "-1e-05", the repr of a small negative float, as an option
+    p._negative_number_matcher = re.compile(r"-(\d*\.?\d+|\d+\.)(e[-+]?\d+)?$|-(inf|nan)$")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--rho", type=float, default=0.5,
                    help="error correlation of the generating process (default: 0.5)")

@@ -167,44 +167,24 @@ def load_schema(path) -> list:
     return defs
 
 
-def _parse_cell(text, vdef, row_no, audit, iso3):
-    text = text.strip()
-    if text == "":
-        return None, None
-    if vdef.transform == "binary":
-        if text not in ("0", "1"):
-            raise ParseError(
-                f"binary variable must be 0 or 1, got {text!r}", row=row_no, column=vdef.code
-            )
-        v = float(text)
-        return v, v
+def _parse_column(texts, transform):
+    """One column's cells as (transformed, raw) float lists, None where missing,
+    and its first bad cell as (index, message) or None; the lists stop before it."""
+    raw, fault = [], None
     try:
-        raw = float(text)
-    except ValueError as exc:
-        raise ParseError(
-            f"unparseable number {text!r}", row=row_no, column=vdef.code
-        ) from exc
-    if not math.isfinite(raw):
-        raise ParseError(f"non-finite number {text!r}", row=row_no, column=vdef.code)
-    if vdef.transform != "log":
-        return raw, raw
-    if raw <= 0.0:
-        audit.append(f"{iso3}:{vdef.code}: non-positive value {raw!r} treated as missing under log")
-        return None, raw
-    return math.log(raw), raw
-
-
-def _validate_row(values, row_no):
-    """Check the row last appended to the per-code raw cell lists."""
-    if CODE_STARTED in values:
-        started = values[CODE_STARTED][-1]
-        if started is None:
-            raise ParseError("started flag missing", row=row_no, column=CODE_STARTED)
-        for code in (CODE_VAC, CODE_DAYS):
-            if code in values and started == 0.0 and values[code][-1] is not None:
-                raise ParseError(
-                    f"{code} present for a country with started=0", row=row_no, column=code
-                )
+        for text in map(str.strip, texts):
+            if transform == "binary" and text not in ("", "0", "1"):
+                fault = (len(raw), f"binary variable must be 0 or 1, got {text!r}")
+                break
+            raw.append(float(text) if text else None)
+    except ValueError:
+        fault = (len(raw), f"unparseable number {text!r}")
+    bad = next((i for i, r in enumerate(raw) if r is not None and not math.isfinite(r)), None)
+    if bad is not None:
+        fault, raw = (bad, f"non-finite number {texts[bad].strip()!r}"), raw[:bad]
+    if transform != "log":
+        return raw, raw, fault
+    return [math.log(r) if r is not None and r > 0.0 else None for r in raw], raw, fault
 
 
 def load_panel(path, schema) -> Panel:
@@ -236,45 +216,52 @@ def load_panel(path, schema) -> Panel:
     duplicated = sorted({c for c in codes if codes.count(c) > 1})
     if duplicated:
         raise SchemaError(f"columns named more than once in header: {duplicated}")
-    schema_codes = [d.code for d in schema]
-    unknown = [c for c in codes if c not in schema_codes]
-    missing = [c for c in schema_codes if c not in codes]
+    transforms = {d.code: d.transform for d in schema}
+    unknown = [c for c in codes if c not in transforms]
+    missing = [c for c in transforms if c not in codes]
     if unknown:
         raise SchemaError(f"columns not in schema: {unknown}")
     if missing:
         raise SchemaError(f"schema variables missing from header: {missing}")
-    def_map = {d.code: d for d in schema}
 
     if len(rows) == 1:
         raise ParseError(f"{path} has a header but no data rows")
 
-    audit = []
-    iso3s, names = [], []
-    # one list per code; a missing cell is None, which becomes NaN in Panel
-    values = {c: [] for c in codes}
-    raw = {c: [] for c in codes}
-    seen_iso = set()
-    for row_no, row in enumerate(rows[1:], start=2):
+    # Faults are noted as (row index, place in the row: row checks, cells by
+    # column, started rules; message, column); the first of them is reported.
+    faults, iso3s, names, seen_iso = [], [], [], set()
+    for i, row in enumerate(rows[1:]):
+        iso3 = row[0].strip() if row else ""
         if len(row) != len(header):
-            raise ParseError(
-                f"expected {len(header)} cells, got {len(row)}", row=row_no
-            )
-        iso3 = row[0].strip()
-        name = row[1].strip()
-        if not iso3:
-            raise ParseError("empty iso3", row=row_no, column="iso3")
-        if iso3 in seen_iso:
-            raise ParseError(f"duplicate country {iso3}", row=row_no, column="iso3")
+            faults.append((i, -1, f"expected {len(header)} cells, got {len(row)}", None))
+        elif not iso3 or iso3 in seen_iso:
+            faults.append((i, -1, f"duplicate country {iso3}" if iso3 else "empty iso3", "iso3"))
+        if faults:
+            break
         seen_iso.add(iso3)
-        for code, cell in zip(codes, row[2:]):
-            v, r = _parse_cell(cell, def_map[code], row_no, audit, iso3)
-            values[code].append(v)
-            raw[code].append(r)
-        _validate_row(raw, row_no)
         iso3s.append(iso3)
-        names.append(name)
-
-    return Panel(iso3=iso3s, name=names, values=values, raw=raw, defs=list(schema), audit=audit)
+        names.append(row[1].strip())
+    # one list per code; a missing cell is None, which becomes NaN in Panel
+    values, raw = {}, {}
+    for j, (code, texts) in enumerate(zip(codes, list(zip(*rows[:len(iso3s) + 1]))[2:])):
+        values[code], raw[code], bad = _parse_column(texts[1:], transforms[code])
+        if bad:
+            faults.append((bad[0], j, bad[1], code))
+    if CODE_STARTED in raw:
+        flags = raw[CODE_STARTED]
+        faults += [(i, len(codes), "started flag missing", CODE_STARTED)
+                   for i, f in enumerate(flags) if f is None]
+        faults += [(i, len(codes) + k, f"{c} present for a country with started=0", c)
+                   for k, c in enumerate((CODE_VAC, CODE_DAYS), start=1) if c in raw
+                   for i, (f, v) in enumerate(zip(flags, raw[c])) if f == 0.0 and v is not None]
+    if faults:
+        i, _, message, column = min(faults)
+        raise ParseError(message, row=i + 2, column=column)
+    audit = sorted((i, j, f"{iso3s[i]}:{c}: non-positive value {r!r} treated as missing under log")
+                   for j, c in enumerate(codes) if transforms[c] == "log"
+                   for i, r in enumerate(raw[c]) if r is not None and r <= 0.0)
+    return Panel(iso3=iso3s, name=names, values=values, raw=raw, defs=list(schema),
+                 audit=[line for _, _, line in audit])
 
 
 def format_number(value: float) -> str:

@@ -189,18 +189,27 @@ def correlation_matrix(panel: Panel, codes=None) -> FigureData:
     if len(codes) < 2:
         raise ValueError("need at least two variables for a correlation matrix")
     cols = {c: panel.column(c) for c in codes}
-    rows = []
-    for a in codes:
-        for b in codes:
-            va, vb = cols[a], cols[b]
-            ok = ~np.isnan(va) & ~np.isnan(vb)
-            xa, xb = va[ok], vb[ok]
-            defined = ok.sum() >= 2 and xa.std() != 0.0 and xb.std() != 0.0
-            rows.append((a, b, float(np.corrcoef(xa, xb)[0, 1]) if defined else None))
+    corr = {}
+    for i, a in enumerate(codes):
+        for b in codes[i:]:
+            ok = ~np.isnan(cols[a]) & ~np.isnan(cols[b])
+            xa, xb = cols[a][ok], cols[b][ok]
+            corr[a, b] = corr[b, a] = None
+            if ok.sum() >= 2 and xa.std() != 0.0 and xb.std() != 0.0:
+                # np.corrcoef(xa, xb) step for step; c[1, 0] is np.corrcoef(xb, xa)[0, 1]
+                X = np.array([xa, xb])
+                X -= X.mean(axis=1)[:, None]
+                c = np.dot(X, X.T)
+                c *= np.true_divide(1, xa.size - 1)
+                s = np.sqrt(np.diag(c))
+                c /= s[:, None]
+                c /= s[None, :]
+                np.clip(c, -1, 1, out=c)
+                corr[a, b], corr[b, a] = float(c[0, 1]), float(c[1, 0])
     return FigureData(
         figure_id="figA1",
         columns=["var_row", "var_col", "corr"],
-        rows=rows,
+        rows=[(a, b, corr[a, b]) for a in codes for b in codes],
         notes=["pairwise-complete observations; blank where a column is constant"],
         meta={"codes": codes},
     )

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vaxsel import heckman, probit, synth
-from vaxsel.cli import main
+from vaxsel.cli import build_parser, main
 from vaxsel.panel import save_panel
 from vaxsel.probit import ProbitError
 from tests.conftest import packaged
@@ -217,9 +217,8 @@ NEAR_ONE = 1.0 - 1e-12
     vcov=st.sampled_from(["robust", "heckman"]),
 )
 def test_simulate_gives_finite_numbers_or_one_error_line(n, rho, log_sigma, seed, vcov):
-    # "--rho=" form: argparse reads a separate "-6e-05" as an option, a usage error (exit 2)
-    argv = ["simulate", f"--n={n}", f"--rho={rho!r}", f"--sigma-u={10.0**log_sigma!r}",
-            f"--seed={seed}", "--reps=50", f"--vcov={vcov}"]
+    argv = ["simulate", "--n", str(n), "--rho", repr(rho), "--sigma-u", repr(10.0**log_sigma),
+            "--seed", str(seed), "--reps", "50", "--vcov", vcov]
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(io.StringIO()) as err:
         out = Path(tmp) / "out"
         code = main(argv + ["--out", str(out)])
@@ -232,6 +231,24 @@ def test_simulate_gives_finite_numbers_or_one_error_line(n, rho, log_sigma, seed
     assert code == 0 and errors == []
     numbers = [cell for row in report.splitlines()[1:] for cell in row.split(",")[1:]]
     assert len(numbers) == 4 * 5 and all(math.isfinite(float(x)) for x in numbers), report
+
+
+@pytest.mark.parametrize("flag", ["--rho", "--sigma-u"])
+@pytest.mark.parametrize("value", ["-1e-05", "-6.103515625e-05", "-1.5e+16", "-0.25", "-3",
+                                   "-inf"])
+def test_simulate_reads_a_negative_float_in_repr_form(flag, value):
+    # argparse's own pattern misses an exponent and took "-1e-05" for an option
+    args = build_parser().parse_args(["simulate", flag, value, "--out", "out"])
+    assert getattr(args, flag[2:].replace("-", "_")) == float(value)
+
+
+def test_simulate_small_negative_rho_runs(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["simulate", "--rho", "-1e-05", "--n", "60", "--reps", "50", "--out", str(out)]) == 0
+    assert (out / "recovery.csv").exists()
+    code = main(["simulate", "--sigma-u", "-1e-05", "--reps", "50", "--out", str(out)])
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+    assert (code, errors) == (1, ["error: sigma_u must be positive and finite"])
 
 
 def test_simulate_deterministic(tmp_path):

@@ -24,6 +24,7 @@ from vaxsel.panel import (
 )
 from vaxsel.specs import ModelSpec, apply_outlier_filter, builtin_specs
 from tests.conftest import packaged
+from tests.rowwise_loader import load_panel as load_panel_rowwise
 
 MINI_SCHEMA = [
     VariableDef("cases", "log"),
@@ -262,6 +263,82 @@ class TestMalformedCsv:
         out = tmp / "again.csv"
         save_panel(pan, out)
         assert_panels_equal(load_panel(out, MINI_SCHEMA), pan)
+
+
+# values a mutation writes into a cell: blanks, zero and negative values
+# (missing under log), and faults
+MUTATIONS = st.sampled_from(["", " ", "0", "-0.0", "-2.5", "1e-300", "4", "1", "2", "x", "inf"])
+# cells of a log column, half of them missing under log
+LOG_CELLS = st.one_of(st.sampled_from(["", "0", "-0.0", "-2.5"]), NUMBER_CELLS)
+
+
+@st.composite
+def mutated_csv(draw):
+    """A valid mini-schema CSV, then some cells overwritten: blanked, set to 0
+    or a negative value, a non-starter given a vac_php value, or several
+    faults in one file."""
+    codes = draw(st.permutations(CODES))
+    rows = []
+    for _ in range(draw(st.integers(1, 8))):
+        started = draw(st.sampled_from("01"))
+        cells = {c: draw(st.sampled_from("01")) for c in BINARY}
+        cells.update(started=started, cases=draw(LOG_CELLS), gov_eff=draw(NUMBER_CELLS),
+                     vac_php=draw(LOG_CELLS) if started == "1" else "",
+                     days=draw(NUMBER_CELLS) if started == "1" else "")
+        rows.append(cells)
+    for _ in range(draw(st.integers(0, 4))):
+        cells = draw(st.sampled_from(rows))
+        if draw(st.integers(0, 4)):
+            cells[draw(st.sampled_from(CODES))] = draw(MUTATIONS)
+        else:
+            cells.update(started="0", vac_php=draw(MUTATIONS))
+    lines = [",".join(["iso3", "name"] + list(codes))]
+    lines += [",".join([f"C{i}", "Land"] + [cells[c] for c in codes])
+              for i, cells in enumerate(rows)]
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def load_outcome(loader, path):
+    """A loader's result on a file: the panel's columns as bytes, its audit
+    lines and labels, or the exception's class, message, row and column."""
+    try:
+        pan = loader(path, MINI_SCHEMA)
+    except panel.PanelError as exc:
+        return type(exc), str(exc), getattr(exc, "row", None), getattr(exc, "column", None)
+    columns = [(c, pan.values[c].tobytes(), pan.raw[c].tobytes()) for c in pan.codes]
+    return pan.iso3.tolist(), pan.name.tolist(), columns, pan.audit
+
+
+class TestColumnWiseLoader:
+    """load_panel parses by column; the row-wise oracle stops at the first
+    fault in row-major order, and both must make the same of every file."""
+
+    @given(data=st.one_of(malformed_csv(), mutated_csv()))
+    @settings(max_examples=300, deadline=None)
+    def test_agrees_with_rowwise_loader(self, data, tmp_path_factory):
+        p = tmp_path_factory.mktemp("oracle") / "panel.csv"
+        p.write_bytes(data)
+        assert load_outcome(load_panel, p) == load_outcome(load_panel_rowwise, p)
+
+    @pytest.mark.parametrize("rows, message, row, column", [
+        # a later column in an earlier row goes first
+        (["A,Aland,10,0.5,1,20,30,0,0,0,0", "B,Bland,10,0.5,1,20,x,0,0,0,0",
+          "C,Cland,y,0.5,1,20,30,0,0,0,0"], "unparseable number 'x'", 3, "days"),
+        # a started rule goes before a ragged row below it
+        (["A,Aland,10,0.5,0,-1,,0,0,0,0", "B,Bland,10"],
+         "vac_php present for a country with started=0", 2, "vac_php"),
+        # in one row a bad cell goes before the row's started rules
+        (["A,Aland,10,0.5,0,20,,0,2,0,0", "A,Bland,10"],
+         "binary variable must be 0 or 1, got '2'", 2, "west"),
+    ])
+    def test_reports_the_first_fault_in_row_major_order(self, tmp_path, rows, message, row,
+                                                         column):
+        p = write_mini(tmp_path, rows)
+        with pytest.raises(ParseError) as err:
+            load_panel(p, MINI_SCHEMA)
+        assert (str(err.value), err.value.row, err.value.column) == (
+            f"{message} (row {row}, column {column!r})", row, column)
+        assert load_outcome(load_panel, p) == load_outcome(load_panel_rowwise, p)
 
 
 class TestColumnar:

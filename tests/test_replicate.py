@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vaxsel import heckman, render, replicate
 from vaxsel.panel import Panel, VariableDef, filter_percentile
@@ -204,6 +206,24 @@ class TestOutlierSuites:
                 assert t.cell("soft_power_30", f"{m}:selection").value > 0
 
 
+@st.composite
+def holed_panel(draw):
+    """A panel of 2 to 5 float columns at scales from 1e-5 to 1e5, with NaN
+    holes: the first a multiple of the second, then one made constant."""
+    n, k = draw(st.integers(1, 25)), draw(st.integers(2, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cols = [rng.standard_normal(n) * 10.0 ** rng.integers(-5, 6) + rng.choice([0.0, 1.0, -3e4])
+            for _ in range(k)]
+    cols[0] = cols[1] * draw(st.sampled_from([1.0, -1.0, 1e-5, 3.0]))
+    cols[draw(st.integers(0, k - 1))] = np.full(n, draw(st.sampled_from([0.0, 2.5, -1e5])))
+    for col in cols:
+        col[rng.random(n) < draw(st.sampled_from([0.0, 0.2, 0.5]))] = np.nan
+    codes = [f"v{j}" for j in range(k)]
+    return Panel(iso3=[f"C{i}" for i in range(n)], name=[""] * n,
+                 values=dict(zip(codes, cols)), raw=dict(zip(codes, cols)),
+                 defs=[VariableDef(c, "none") for c in codes])
+
+
 class TestCorrelationMatrix:
     def test_self_correlation_is_one(self, snapshot):
         fig = replicate.correlation_matrix(snapshot, ["gov_eff", "gdp_pc_ppp"])
@@ -221,6 +241,19 @@ class TestCorrelationMatrix:
         fig = replicate.correlation_matrix(snapshot, ["gov_eff", "gdp_pc_ppp"])
         lookup = {(a, b): v for a, b, v in fig.rows}
         assert lookup[("gov_eff", "gdp_pc_ppp")] == pytest.approx(0.83, abs=0.03)
+
+    @given(pan=holed_panel())
+    @settings(max_examples=150, deadline=None)
+    def test_rows_are_corrcoef_of_each_ordered_pair(self, pan):
+        fig = replicate.correlation_matrix(pan, pan.codes)
+        assert [(a, b) for a, b, _ in fig.rows] == [(a, b) for a in pan.codes for b in pan.codes]
+        for a, b, value in fig.rows:
+            ok = ~np.isnan(pan.column(a)) & ~np.isnan(pan.column(b))
+            xa, xb = pan.column(a)[ok], pan.column(b)[ok]
+            if ok.sum() >= 2 and xa.std() != 0.0 and xb.std() != 0.0:
+                assert value.hex() == float(np.corrcoef(xa, xb)[0, 1]).hex(), (a, b)
+            else:
+                assert value is None, (a, b)
 
     def test_constant_column_is_blank(self, snapshot):
         flat = np.ones(snapshot.n_records)
