@@ -22,6 +22,7 @@ fi
 base=$(cd "$1" && pwd)
 here=$(cd "$(dirname "$0")/.." && pwd)
 work=${2:-$(mktemp -d)}
+mkdir -p "$work"
 
 # one vaxsel argv per line, without --out
 ARGVS='replicate
@@ -30,6 +31,7 @@ fit --filter table3
 fit --filter table4 --vcov heckman
 simulate --reps 50 --seed 7
 simulate --n 189 --vcov robust --reps 50 --seed 7
+simulate --n 189 --vcov robust --reps 50 --seed 202
 simulate --reps 200
 describe
 figures --grid 7'

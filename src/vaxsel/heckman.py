@@ -228,7 +228,7 @@ def second_stages(y, X, mills, delta, rows, labels, first_stages) -> SecondStage
         Wr, yr = W[r, :n], y[r, :n]
         try:
             coef[r], _, _, s = np.linalg.lstsq(Wr, yr, rcond=None)
-            with np.errstate(divide="ignore", invalid="ignore"):
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                 cond = s[0] / s[-1]
             if not cond <= CONDITION_LIMIT:
                 collinear = probit.collinear_columns(Wr, labels)

@@ -102,7 +102,7 @@ def _prepare(y, X, labels=None):
     return y, X, design_labels(labels, X.shape[1])
 
 
-_Point = namedtuple("_Point", "coef ll g grad w score_norm")
+_Point = namedtuple("_Point", "coef ll g grad w score_norm info step")
 
 
 def _terms(coef, ones, X):
@@ -110,23 +110,20 @@ def _terms(coef, ones, X):
     ones) of one sample, or of a stack along the leading axes of coef, ones
     and X, as a _Point: log L = sum_i log Phi(s_i) (a float, or a list per
     sample), the score factors g_i = +-lambda(s_i), the score X'g, the
-    Hessian weights w_i = delta(s_i) and the max-abs score."""
+    Hessian weights w_i = delta(s_i), the max-abs score, the information
+    X'WX (the negative Hessian) and the Newton step solving it for the
+    score, from one stacked solve; the step is None if any system is singular."""
     idx = np.matmul(X, np.asarray(coef)[..., None])[..., 0]
     log_cdf, lam, w = normal_tail_terms(np.where(ones, idx, -idx))
     g = np.where(ones, lam, -lam)
     grad = np.matmul(g[..., None, :], X)[..., 0, :]
-    return _Point(coef, log_cdf.sum(axis=-1).tolist(), g, grad, w, np.abs(grad).max(axis=-1))
-
-
-def _system(w, grad, X):
-    """Newton system at weights w and score grad, of one sample or a stack:
-    the information X'WX (the negative Hessian) and the step solving it for
-    grad, from one stacked solve; the step is None if any system is singular."""
     info = np.matmul((X * w[..., None]).swapaxes(-1, -2), X)
     try:
-        return info, np.linalg.solve(info, grad[..., None])[..., 0]
+        step = np.linalg.solve(info, grad[..., None])[..., 0]
     except np.linalg.LinAlgError:
-        return info, None
+        step = None
+    return _Point(coef, log_cdf.sum(axis=-1).tolist(), g, grad, w, np.abs(grad).max(axis=-1),
+                  info, step)
 
 
 def loglik(coef, y, X):
@@ -144,33 +141,30 @@ def hessian(coef, y, X):
 
     Negative semidefinite everywhere because delta lies in (0, 1).
     """
-    point = _terms(coef, np.asarray(y) == 1.0, X)
-    return -_system(point.w, point.grad, X)[0]
+    return -_terms(coef, np.asarray(y) == 1.0, X).info
 
 
 def _newton(y, X, labels, collinear):
     """fit's Newton loop on prepared y and X (with collinear_columns collinear)
-    as a generator returning the ProbitFit: it yields a coefficient vector to
-    be sent its _Point (_terms), or a current point's (w, grad) to be sent
-    their _system, and itself only accepts, halves and stops."""
+    as a generator returning the ProbitFit: it yields each coefficient vector
+    to be sent its _Point (_terms), and itself only accepts, halves and stops."""
     if collinear:
         raise RankDeficientError(collinear)
     if y.min() == y.max():
         raise ValueError("y contains a single class; probit is not estimable")
 
     point = yield np.zeros(X.shape[1])
-    info, step = yield point.w, point.grad
     path = [point.ll]
     iterations = halvings = 0
 
     for iterations in range(1, MAX_ITER + 1):
-        coef, ll, sn = point.coef, point.ll, point.score_norm
+        coef, ll, sn, step = point.coef, point.ll, point.score_norm, point.step
         if sn < SCORE_TOL:
             iterations -= 1
             break
-        if step is None:  # the round's stacked solve met a singular system
+        if step is None:  # the stacked solve that evaluated it met a singular system
             try:
-                step = np.linalg.solve(info, point.grad)
+                step = np.linalg.solve(point.info, point.grad)
             except np.linalg.LinAlgError as exc:
                 raise ProbitError(f"singular Hessian at iteration {iterations}") from exc
 
@@ -201,11 +195,10 @@ def _newton(y, X, labels, collinear):
                 "the classes appear perfectly separated"
             )
         point = cand
-        info, step = yield point.w, point.grad
 
     score_norm = float(point.score_norm)
     try:
-        vcov = np.linalg.inv(info)
+        vcov = np.linalg.inv(point.info)
     except np.linalg.LinAlgError as exc:
         raise ProbitError("observed information is singular at the optimum") from exc
     vcov = 0.5 * (vcov + vcov.T)
@@ -233,10 +226,10 @@ def fit(y, X, labels=None) -> ProbitFit:
     """
     y, X, labels = _prepare(y, X, labels)
     newton, ones = _newton(y, X, labels, collinear_columns(X, labels)), y == 1.0
-    ask = next(newton)
+    coef = next(newton)
     while True:
         try:
-            ask = newton.send(_system(*ask, X) if isinstance(ask, tuple) else _terms(ask, ones, X))
+            coef = newton.send(_terms(coef, ones, X))
         except StopIteration as done:
             return done.value
 
@@ -244,9 +237,8 @@ def fit(y, X, labels=None) -> ProbitFit:
 def fit_many(Y, X, labels=None) -> list:
     """fit for R samples at once, Y of shape (R, n) and X of shape (R, n, k):
     one stacked rank QR and one _newton generator per sample; each round makes
-    one stacked _terms call on the pending coefficient vectors and, if it made
-    any point current, one stacked _system call on its block, so the
-    generators do no linear algebra.
+    one stacked _terms call, with its one stacked solve, on the pending
+    coefficient vectors, so the generators do no linear algebra.
     Returns per sample its ProbitFit, bit-identical to fit's, or the
     estimation error its fit raised; malformed Y or X raises ValueError."""
     Y, X = np.asarray(Y, dtype=float), np.asarray(X, dtype=float)
@@ -273,18 +265,10 @@ def fit_many(Y, X, labels=None) -> list:
         Xm, ones = (X, y_ones) if len(reps) == len(Y) else (X[reps], y_ones[reps])
         coefs = [pending.pop(r) for r in reps]
         p = _terms(np.array(coefs), ones, Xm)
-        for r, coef, ll, g, grad, w, sn in zip(reps, coefs, *p[1:]):
+        steps = [None] * len(reps) if p.step is None else p.step
+        for r, coef, ll, g, grad, w, sn, info, step in zip(reps, coefs, *p[1:-1], steps):
             # copies: a fit holding row views would keep the whole round's block alive
-            advance(r, _Point(coef, ll, g.copy(), grad, w.copy(), sn))
-        # the points made current ask for their systems: their rows (terminal refinement's
-        # come from an earlier round) go into the block, solved whole rather than gathered
-        ask = [i for i, r in enumerate(reps) if isinstance(pending.get(r), tuple)]
-        if ask:
-            for i in ask:
-                p.w[i], p.grad[i] = pending.pop(reps[i])
-            info, step = _system(p.w, p.grad, Xm)
-            for i in ask:
-                advance(reps[i], (info[i], None if step is None else step[i]))
+            advance(r, _Point(coef, ll, g.copy(), grad, w.copy(), sn, info, step))
     return results
 
 

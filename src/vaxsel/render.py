@@ -10,15 +10,16 @@ from __future__ import annotations
 
 import os
 import tempfile
-from decimal import ROUND_HALF_UP, Decimal
+from decimal import ROUND_HALF_UP, Context, Decimal
 from pathlib import Path
 
 from vaxsel.replicate import FigureData, TableResult
 
 
 def round3(x: float) -> str:
-    """Three decimals, ties rounded away from zero."""
-    return str(Decimal(repr(float(x))).quantize(Decimal("0.001"), rounding=ROUND_HALF_UP))
+    """Three decimals, ties rounded away from zero, for any finite double: 312
+    digits hold its 309 integer digits and 3 decimals."""
+    return str(Decimal(repr(float(x))).quantize(Decimal("0.001"), ROUND_HALF_UP, Context(312)))
 
 
 def write_text_atomic(path, text: str) -> None:

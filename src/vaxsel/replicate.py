@@ -68,8 +68,10 @@ def two_sided_p(t_stat):
     return float(2.0 * normal_cdf(-abs(t_stat)))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow is reported as not finite
 def descriptive_table(panel: Panel) -> TableResult:
-    """Mean and standard deviation per variable, overall and by start status."""
+    """Mean and standard deviation per variable, overall and by start status;
+    ValueError naming the variable when one of them is not finite."""
     st = panel.column("started")
     groups = (
         ("all", np.ones(panel.n_records, dtype=bool)),
@@ -88,8 +90,10 @@ def descriptive_table(panel: Panel) -> TableResult:
             vals = col[gmask & ~np.isnan(col)]
             if vals.size == 0:
                 continue
-            sd = float(vals.std(ddof=1)) if vals.size > 1 else None
-            out.cells[(code, gname)] = Cell(float(vals.mean()), sd)
+            mean, sd = float(vals.mean()), float(vals.std(ddof=1)) if vals.size > 1 else None
+            if not all(map(math.isfinite, (mean, sd or 0.0))):
+                raise ValueError(f"{code}: mean or standard deviation is not finite")
+            out.cells[(code, gname)] = Cell(mean, sd)
     for gname, gmask in groups:
         out.observations[gname] = int(gmask.sum())
     return out
@@ -129,6 +133,8 @@ def tabulate(table: TableResult, vcov_variant: str) -> TableResult:
             stages.append(("selection", first.labels, first.coef, fit.selection_vcov(vcov_variant)))
         for stage, labels, coefs, vcov in stages:
             for label, coef, se in zip(labels, coefs.tolist(), np.sqrt(np.diag(vcov)).tolist()):
+                if not (math.isfinite(coef) and math.isfinite(se)):
+                    raise ValueError(f"{name}: {stage} estimate of {label} is not finite")
                 out.cells[(label, f"{name}:{stage}")] = Cell(
                     coef, se, heckman.significance_stars(coef, se))
         out.observations[f"{name}:outcome"] = out.observations[f"{name}:selection"] = fit.n_total
@@ -183,8 +189,10 @@ def replication_tables(panel: Panel, vcov_variant: str = heckman.PLAIN_ROBUST) -
     return {"table2": run_model_suite(panel, None, vcov_variant), "table3": t3, "table4": t4}
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")  # checked as non-finite below
 def correlation_matrix(panel: Panel, codes=None) -> FigureData:
-    """Pairwise-complete Pearson correlations; blank where undefined."""
+    """Pairwise-complete Pearson correlations; blank where undefined;
+    ValueError naming a column whose variance is out of the float range."""
     codes = list(DESCRIPTIVE_ORDER if codes is None else codes)
     if len(codes) < 2:
         raise ValueError("need at least two variables for a correlation matrix")
@@ -205,6 +213,9 @@ def correlation_matrix(panel: Panel, codes=None) -> FigureData:
                 c /= s[:, None]
                 c /= s[None, :]
                 np.clip(c, -1, 1, out=c)
+                if not np.isfinite(c).all():
+                    bad = next((v for v, sd in zip((a, b), s) if not 0.0 < sd < math.inf), a)
+                    raise ValueError(f"correlation figure: variance of {bad} out of float range")
                 corr[a, b], corr[b, a] = float(c[0, 1]), float(c[1, 0])
     return FigureData(
         figure_id="figA1",
@@ -281,7 +292,7 @@ def goveff_scatter_fit(panel: Panel) -> FigureData:
     if n < 3:
         raise ValueError("need at least three started countries for the fitted line")
     X = np.column_stack([ge[mask], np.ones(n)])
-    coef, resid = heckman.ols(vac[mask], X)
+    coef, resid = heckman.ols(vac[mask], X, ["gov_eff", "const"])
     s2 = float(resid @ resid) / (n - 2)
     se = math.sqrt(s2 * np.linalg.inv(X.T @ X)[0, 0])
     pval = two_sided_p(coef[0] / se) if se > 0 else 0.0

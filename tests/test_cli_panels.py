@@ -1,0 +1,152 @@
+"""The command line on value-mutated copies of the shipped snapshot: every run
+either exits 0 with only finite numbers in its output tree, or exits 1 with
+one error line that names only real columns, and never raises."""
+
+import contextlib
+import csv
+import io
+import re
+import tempfile
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from vaxsel.cli import main
+from vaxsel.panel import load_schema
+from tests.conftest import packaged
+
+with open(packaged("snapshot.csv"), encoding="utf-8", newline="") as _f:
+    SNAPSHOT = list(csv.reader(_f))
+COLUMN = {code: j for j, code in enumerate(SNAPSHOT[0])}
+TRANSFORM = {d.code: d.transform for d in load_schema(packaged("schema.yaml"))}
+NONE_CODES = sorted(c for c, t in TRANSFORM.items() if t == "none")
+LOG_CODES = sorted(c for c, t in TRANSFORM.items() if t == "log")
+# started=0 rows may not carry these
+STARTERS_ONLY = ("vac_php", "days")
+
+# a number the renderer wrote as not finite: nan, inf or -inf standing alone
+NOT_FINITE = re.compile(r"(?<![A-Za-z])(nan|inf)(?![A-Za-z])")
+# a design column name that is not a variable: the x0, x1, ... of an unlabelled design
+PLACEHOLDER = re.compile(r"'x\d+'")
+
+# none-transform cells scaled across the finite range, subnormals included
+scales = st.tuples(st.just("scale"), st.sampled_from(NONE_CODES), st.integers(-320, 300))
+mutations = st.one_of(
+    scales,
+    # zeros and negative values in every b-th present cell of a log column
+    st.tuples(st.just("nonpositive"), st.sampled_from(LOG_CODES), st.integers(1, 6)),
+    # one value in every present cell, from a subnormal to a huge one
+    st.tuples(st.just("constant"), st.sampled_from(NONE_CODES + LOG_CODES),
+              st.sampled_from([5e-324, 1.0, 0.5, 1e-300, 1e300])),
+    # a start-status class left with one country
+    st.tuples(st.just("one_class"), st.sampled_from([0.0, 1.0]), st.integers(0, 200)),
+)
+# a scaled column, where large magnitudes meet rendering and moments, and up to two more
+panels = st.tuples(scales, st.lists(mutations, max_size=2)).map(lambda t: [t[0], *t[1]])
+
+
+def mutate(rows, mutation):
+    kind, a, b = mutation
+    body = rows[1:]
+    if kind == "one_class":
+        members = [r for r in body if float(r[COLUMN["started"]]) == a]
+        keep = members[b % len(members)]
+        for r in members:
+            if r is not keep:
+                r[COLUMN["started"]] = "1" if a == 0.0 else "0"
+                if a == 1.0:
+                    for code in STARTERS_ONLY:
+                        r[COLUMN[code]] = ""
+        return
+    cells = [r for r in body if r[COLUMN[a]]]
+    for i, r in enumerate(cells):
+        if kind == "scale":
+            r[COLUMN[a]] = repr(float(r[COLUMN[a]]) * 10.0**b)
+        elif kind == "nonpositive" and i % b == 0:
+            r[COLUMN[a]] = "0" if i % 2 == 0 else repr(-float(r[COLUMN[a]]))
+        elif kind == "constant":
+            r[COLUMN[a]] = repr(b)
+
+
+def run_on(rows, argv):
+    """main(argv) on rows written as the data file: exit code, error lines, output CSVs;
+    whatever it wrote to stderr holds no traceback."""
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(io.StringIO()) as err:
+        data, out = Path(tmp) / "panel.csv", Path(tmp) / "out"
+        with open(data, "w", encoding="utf-8", newline="") as f:
+            csv.writer(f, lineterminator="\n").writerows(rows)
+        code = main([*argv, "--data", str(data), "--out", str(out)])
+        texts = {str(p.relative_to(out)): p.read_text() for p in out.rglob("*.csv")}
+    assert "Traceback" not in err.getvalue()
+    return code, [line for line in err.getvalue().splitlines() if line.startswith("error:")], texts
+
+
+def check_run(argv, rows):
+    code, errors, texts = run_on(rows, argv)
+    if code == 1:
+        assert len(errors) == 1 and not PLACEHOLDER.search(errors[0]), errors
+        return
+    assert code == 0 and errors == [] and texts
+    for name, text in texts.items():
+        assert not NOT_FINITE.search(text), (argv, name, NOT_FINITE.search(text))
+        # every in-table error message names real columns too
+        assert not PLACEHOLDER.search(text), (argv, name)
+
+
+def mutated(drawn):
+    rows = [list(r) for r in SNAPSHOT]
+    for mutation in drawn:
+        mutate(rows, mutation)
+    return rows
+
+
+@settings(max_examples=30, deadline=None)
+@given(drawn=panels)
+def test_describe_fit_and_figures_give_finite_numbers_or_one_error_line(drawn):
+    rows = mutated(drawn)
+    for argv in (["describe"], ["fit", "--vcov", "heckman"], ["figures", "--grid", "7"]):
+        check_run(argv, rows)
+
+
+@settings(max_examples=5, deadline=None)
+@given(drawn=panels)
+def test_replicate_gives_finite_numbers_or_one_error_line(drawn):
+    check_run(["replicate", "--grid", "7"], mutated(drawn))
+
+
+def with_cells(code, value_of):
+    """The snapshot with each present cell of code set to value_of(i), i counting those cells."""
+    rows = [list(r) for r in SNAPSHOT]
+    for i, r in enumerate(r for r in rows[1:] if r[COLUMN[code]]):
+        r[COLUMN[code]] = repr(value_of(i))
+    return rows
+
+
+def test_describe_renders_a_large_finite_mean():
+    code, errors, texts = run_on(with_cells("days", lambda i: 1e150), ["describe"])
+    assert (code, errors) == (0, [])
+    assert "days,all,1e+150,0.0," in texts["tables/table1.csv"]
+
+
+@pytest.mark.parametrize("argv", [["describe"], ["replicate"]])
+def test_an_overflowing_moment_is_one_error_naming_the_variable(argv):
+    code, errors, _ = run_on(with_cells("days", lambda i: 1e160 * (1 + i % 5)), argv)
+    assert (code, errors) == (1, ["error: days: mean or standard deviation is not finite"])
+
+
+def test_figures_reject_an_overflowing_correlation_naming_the_column():
+    # the variance overflows: figA1.csv had the row days,days,nan and the run exited 0
+    code, errors, _ = run_on(with_cells("days", lambda i: 1e160 * (1 + i % 5)), ["figures"])
+    assert (code, errors) == (1, ["error: correlation figure: variance of days out of float range"])
+
+
+@pytest.mark.parametrize("value_of, named", [(lambda i: 0.5, "const"),
+                                             (lambda i: 5e-324 * (i % 2), "gov_eff")])
+def test_goveff_line_names_its_collinear_column(value_of, named):
+    # an unlabelled design named them x1 and x0
+    for argv in (["figures"], ["replicate"]):
+        code, errors, _ = run_on(with_cells("gov_eff", value_of), argv)
+        assert (code, errors) == (1, ["error: design matrix is rank deficient; collinear "
+                                      f"columns: ['{named}']"])

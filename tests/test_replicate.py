@@ -351,12 +351,29 @@ class TestDiffReport:
         assert replicate.replication_diff(snapshot, tables) == replicate.replication_diff(snapshot)
 
 
+def test_tabulate_rejects_a_non_finite_spread_naming_the_variable(snapshot):
+    table = replicate.run_model_suite(snapshot, builtin_specs()[:1])
+    fit = table.fits["model1"]
+    vcov = fit.outcome_vcov(heckman.PLAIN_ROBUST).copy()
+    vcov[1, 1] = np.inf  # an overflowed variance
+    fit._cache[heckman.plain_robust_vcov] = vcov
+    with pytest.raises(ValueError, match=f"model1: outcome estimate of {fit.outcome_labels[1]} "
+                                         "is not finite"):
+        replicate.tabulate(table, heckman.PLAIN_ROBUST)
+
+
 class TestRender:
     def test_round3_half_away_from_zero(self):
         assert render.round3(0.0005) == "0.001"
         assert render.round3(-0.0005) == "-0.001"
         assert render.round3(2.1285) == "2.129"
         assert render.round3(0.718) == "0.718"
+
+    def test_round3_renders_every_finite_double(self):
+        # the default 28-digit decimal context raised InvalidOperation from 1e25 up
+        assert render.round3(1e25) == "1" + "0" * 25 + ".000"
+        assert render.round3(-1.7976931348623157e308) == "-17976931348623157" + "0" * 292 + ".000"
+        assert render.round3(5e-324) == "0.000"
 
     def test_markdown_contains_stars_and_parens(self, table2):
         text = render.render_table_markdown(table2)
