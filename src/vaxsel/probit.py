@@ -60,9 +60,10 @@ class ProbitFit:
     labels: list[str] = field(default_factory=list)
     loglik_path: list[float] = field(default_factory=list, repr=False)
     halvings: int = 0
-    # score factors and Hessian weights at coef, read by sandwich_vcov; on the
-    # y = 1 rows they are lambda and delta at the index, the second stage's
-    # Mills column and covariance weights
+    # score factors g_i = +-lambda(s_i) and Hessian weights w_i = delta(s_i) at
+    # the signed index s_i = +-x_i'coef, read by sandwich_vcov and formed once
+    # when the fit returns; on the y = 1 rows they are lambda and delta at the
+    # index, the second stage's Mills column and covariance weights
     g: np.ndarray = field(default=None, repr=False)
     w: np.ndarray = field(default=None, repr=False)
 
@@ -102,38 +103,46 @@ def _prepare(y, X, labels=None):
     return y, X, design_labels(labels, X.shape[1])
 
 
-_Point = namedtuple("_Point", "coef ll g grad w score_norm info step")
+_Point = namedtuple("_Point", "coef ll lam grad w score_norm info step")
 
 
-def _terms(coef, ones, X):
-    """One pass over the signed index s_i = +-x_i'c (+ on the y_i = 1 rows,
-    ones) of one sample, or of a stack along the leading axes of coef, ones
-    and X, as a _Point: log L = sum_i log Phi(s_i) (a float, or a list per
-    sample), the score factors g_i = +-lambda(s_i), the score X'g, the
-    Hessian weights w_i = delta(s_i), the max-abs score, the information
-    X'WX (the negative Hessian) and the Newton step solving it for the
-    score, from one stacked solve; the step is None if any system is singular."""
-    idx = np.matmul(X, np.asarray(coef)[..., None])[..., 0]
-    log_cdf, lam, w = normal_tail_terms(np.where(ones, idx, -idx))
-    g = np.where(ones, lam, -lam)
-    grad = np.matmul(g[..., None, :], X)[..., 0, :]
-    info = np.matmul((X * w[..., None]).swapaxes(-1, -2), X)
+def _signed(ones, X):
+    """The sign-folded design: X with every y = 0 row negated (ones marks the
+    y = 1 rows), so that its row i times c is the signed index s_i = +-x_i'c."""
+    # a product by +-1 is exact, and needs no temporary copy of X
+    return np.asarray(X, dtype=float) * np.where(ones, 1.0, -1.0)[..., None]
+
+
+def _terms(coef, Xs):
+    """One pass over the signed index s = Xs c of one sample's sign-folded
+    design Xs (_signed), or of a stack along the leading axes of coef and Xs,
+    as a _Point: log L = sum_i log Phi(s_i) (a float, or a list per sample),
+    lambda(s_i), the score Xs'lambda, the Hessian weights w_i = delta(s_i),
+    the max-abs score, the information (Xs w)'Xs (the negative Hessian) and
+    the Newton step solving it for the score, from one stacked solve; the
+    step is None if any system is singular.  Negation is exact and rounding
+    is sign-symmetric, so each product and sum has the bits it would have
+    on the unsigned design with the signs applied to s and lambda."""
+    s = np.matmul(Xs, np.asarray(coef)[..., None])[..., 0]
+    log_cdf, lam, w = normal_tail_terms(s)
+    grad = np.matmul(lam[..., None, :], Xs)[..., 0, :]
+    info = np.matmul((Xs * w[..., None]).swapaxes(-1, -2), Xs)
     try:
         step = np.linalg.solve(info, grad[..., None])[..., 0]
     except np.linalg.LinAlgError:
         step = None
-    return _Point(coef, log_cdf.sum(axis=-1).tolist(), g, grad, w, np.abs(grad).max(axis=-1),
+    return _Point(coef, log_cdf.sum(axis=-1).tolist(), lam, grad, w, np.abs(grad).max(axis=-1),
                   info, step)
 
 
 def loglik(coef, y, X):
     """Probit log-likelihood sum_i [y_i log Phi(x_i'c) + (1-y_i) log Phi(-x_i'c)]."""
-    return _terms(coef, np.asarray(y) == 1.0, X).ll
+    return _terms(coef, _signed(np.asarray(y) == 1.0, X)).ll
 
 
 def score(coef, y, X):
     """Analytic gradient: sum_i g_i x_i with g_i = +-lambda(+-x_i'c)."""
-    return _terms(coef, np.asarray(y) == 1.0, X).grad
+    return _terms(coef, _signed(np.asarray(y) == 1.0, X)).grad
 
 
 def hessian(coef, y, X):
@@ -141,7 +150,7 @@ def hessian(coef, y, X):
 
     Negative semidefinite everywhere because delta lies in (0, 1).
     """
-    return -_terms(coef, np.asarray(y) == 1.0, X).info
+    return -_terms(coef, _signed(np.asarray(y) == 1.0, X)).info
 
 
 def _newton(y, X, labels, collinear):
@@ -205,7 +214,8 @@ def _newton(y, X, labels, collinear):
 
     return ProbitFit(coef=point.coef, vcov=vcov, loglik=point.ll, iterations=iterations,
                      converged=score_norm < SCORE_TOL, score_norm=score_norm, n=int(y.shape[0]),
-                     labels=labels, loglik_path=path, halvings=halvings, g=point.g, w=point.w)
+                     labels=labels, loglik_path=path, halvings=halvings,
+                     g=np.where(y == 1.0, point.lam, -point.lam), w=point.w.copy())
 
 
 def fit(y, X, labels=None) -> ProbitFit:
@@ -225,11 +235,11 @@ def fit(y, X, labels=None) -> ProbitFit:
     SeparationError : coefficients past +-50 with the score above SCORE_TOL (separation).
     """
     y, X, labels = _prepare(y, X, labels)
-    newton, ones = _newton(y, X, labels, collinear_columns(X, labels)), y == 1.0
+    newton, Xs = _newton(y, X, labels, collinear_columns(X, labels)), _signed(y == 1.0, X)
     coef = next(newton)
     while True:
         try:
-            coef = newton.send(_terms(coef, ones, X))
+            coef = newton.send(_terms(coef, Xs))
         except StopIteration as done:
             return done.value
 
@@ -247,7 +257,7 @@ def fit_many(Y, X, labels=None) -> list:
     # binary y and finite X, checked over the whole batch
     labels = _prepare(Y.ravel(), X.reshape(-1, X.shape[-1]), labels)[2]
     newtons = [_newton(y, x, labels, c) for y, x, c in zip(Y, X, collinear_columns(X, labels))]
-    results, pending, y_ones = [None] * len(Y), {}, Y == 1.0
+    results, pending, Xs = [None] * len(Y), {}, _signed(Y == 1.0, X)
 
     def advance(r, point):
         try:
@@ -261,14 +271,13 @@ def fit_many(Y, X, labels=None) -> list:
         advance(r, None)
     while pending:
         reps = sorted(pending)
-        # gathering rows copies the block; while every sample is pending it is not needed
-        Xm, ones = (X, y_ones) if len(reps) == len(Y) else (X[reps], y_ones[reps])
+        # gathering rows copies the block; while every sample is pending it is not needed;
+        # each fit copies what it keeps of its rows, so no fit holds the round's block
         coefs = [pending.pop(r) for r in reps]
-        p = _terms(np.array(coefs), ones, Xm)
+        p = _terms(np.array(coefs), Xs if len(reps) == len(Y) else Xs[reps])
         steps = [None] * len(reps) if p.step is None else p.step
-        for r, coef, ll, g, grad, w, sn, info, step in zip(reps, coefs, *p[1:-1], steps):
-            # copies: a fit holding row views would keep the whole round's block alive
-            advance(r, _Point(coef, ll, g.copy(), grad, w.copy(), sn, info, step))
+        for r, *point in zip(reps, coefs, *p[1:-1], steps):
+            advance(r, _Point(*point))
     return results
 
 

@@ -119,8 +119,8 @@ def normal_tail_terms(z):
         loglam = -0.5 * flat * flat - _LOG_SQRT_2PI - log_cdf
         lam = np.exp(loglam)
         vals = np.exp(loglam + np.log(flat + lam))
-        delta = np.where(pos, np.where(vals > 0.0, vals, np.nextafter(0.0, 1.0)),
-                         lam * (lam + flat))
+        # vals is an exp, never negative: fmax lifts 0 and NaN to the clamp
+        delta = np.where(pos, np.fmax(vals, np.nextafter(0.0, 1.0)), lam * (lam + flat))
     tail = flat < _TAIL_Z
     if np.any(tail):
         zt = flat[tail]

@@ -22,17 +22,21 @@ of each sample are packed to the front of zero rows, and
 heckman.second_stages and heckman.outcome_vcovs fit the second stages
 and the one outcome covariance the report reads, each sample failing
 alone.  And it spreads the chunks over W = min(chunks, usable CPUs)
-processes: the calling process fits chunks 0::W and one forked worker
-fits each w::W, and the outcomes are put back in replication order
-before any sum, so the report has the same bytes for every W.  A run of
-one chunk forks nothing, and where the fork start method is unavailable
-the chunks run serially.  generate is the one-sample case of the same
-draw.
+processes: one worker per extra CPU is forked with a pipe of its own
+and fits chunks w::W, the calling process fits chunks 0::W, then reads
+each worker's pickled outcomes (or its exception) from its pipe, and
+the outcomes are put back in replication order before any sum, so the
+report has the same bytes for every W.  A worker that ends without a
+whole answer is a WorkerError; no worker or pipe outlives the call.  A
+run of one chunk forks nothing, and where os.fork does not exist the
+chunks run serially.  generate is the one-sample case of the same draw.
 """
 
 from __future__ import annotations
 
 import os
+import pickle
+import signal
 import sys
 from collections import Counter
 from dataclasses import dataclass, field
@@ -274,33 +278,81 @@ def _fit_chunks(config, vcov_variant, truth, chunks) -> list:
     return outcomes
 
 
-def _fit_chunks_in_parallel(config, vcov_variant, truth, chunks) -> list:
-    """_fit_chunks over every chunk, spread over the calling process and forked workers."""
-    workers = min(len(chunks), _usable_cpus())
-    if workers > 1:
-        import multiprocessing
+def _fit_chunks_in_worker(write, config, vcov_variant, truth, chunks):
+    """In a forked worker: _fit_chunks on chunks, written to the pipe end write
+    as the pickle of (True, outcomes), or (False, exception) when it raised;
+    then the process ends, through os._exit, whatever happened (an interrupt
+    or exit ends it without an answer)."""
+    try:
+        try:
+            message = (True, _fit_chunks(config, vcov_variant, truth, chunks))
+        except Exception as exc:
+            message = (False, exc)
+        # pickled before anything is written: a message that cannot be pickled
+        # leaves the pipe empty, and the parent sees the worker end without an answer
+        data = pickle.dumps(message)
+        with open(write, "wb") as pipe:
+            pipe.write(data)
+    finally:
+        os._exit(0)
 
-        if "fork" not in multiprocessing.get_all_start_methods():
-            workers = 1
+
+def _received(read):
+    """The outcomes a worker wrote to the pipe end read, read to its end; the
+    worker's exception raised again, or WorkerError when no whole message came."""
+    parts = []
+    while part := os.read(read, 1 << 16):
+        parts.append(part)
+    try:
+        done, payload = pickle.loads(b"".join(parts))
+    except Exception as exc:  # nothing, a cut message, or one that cannot be unpickled
+        raise WorkerError("a Monte Carlo worker process ended abruptly "
+                          "before returning its replications") from exc
+    if not done:
+        raise payload
+    return payload
+
+
+def _fit_chunks_in_parallel(config, vcov_variant, truth, chunks) -> list:
+    """_fit_chunks over every chunk, spread over W = min(chunks, usable CPUs)
+    processes: one worker forked per extra CPU fits chunks w::W and sends them
+    back through its own pipe, while the calling process fits chunks 0::W and
+    then reads the pipes in order.  When this returns or raises, every pipe is
+    closed and every worker reaped; on a raise, workers still running are
+    killed first.  Without os.fork the chunks run serially."""
+    workers = min(len(chunks), _usable_cpus()) if hasattr(os, "fork") else 1
     if workers == 1:
         return _fit_chunks(config, vcov_variant, truth, chunks)
-
-    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 
     # a forked worker would write out a copy of anything still buffered
     sys.stdout.flush()
     sys.stderr.flush()
-    outcomes = [None] * len(chunks)
-    with ProcessPoolExecutor(workers - 1, mp_context=multiprocessing.get_context("fork")) as pool:
-        futures = [pool.submit(_fit_chunks, config, vcov_variant, truth, chunks[w::workers])
-                   for w in range(1, workers)]
-        outcomes[0::workers] = _fit_chunks(config, vcov_variant, truth, chunks[0::workers])
-        for w, future in enumerate(futures, 1):
+    outcomes, reads, pids = [None] * len(chunks), [], []
+    try:
+        for w in range(1, workers):
+            read, write = os.pipe()
+            reads.append(read)
             try:
-                outcomes[w::workers] = future.result()
-            except BrokenProcessPool as exc:
-                raise WorkerError("a Monte Carlo worker process ended abruptly "
-                                  "before returning its replications") from exc
+                pid = os.fork()
+                if pid == 0:
+                    _fit_chunks_in_worker(write, config, vcov_variant, truth, chunks[w::workers])
+            finally:
+                # closed here at once: while this process, or a worker forked
+                # later, holds it open, a dead worker's pipe never reads as EOF
+                os.close(write)
+            pids.append(pid)
+        outcomes[0::workers] = _fit_chunks(config, vcov_variant, truth, chunks[0::workers])
+        for w, read in enumerate(reads, 1):
+            outcomes[w::workers] = _received(read)
+    except BaseException:
+        for pid in pids:  # their replications are no longer wanted
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for read in reads:
+            os.close(read)
+        for pid in pids:
+            os.waitpid(pid, 0)
     return outcomes
 
 

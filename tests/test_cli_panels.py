@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from vaxsel.cli import main
 from vaxsel.panel import load_schema
-from tests.conftest import packaged
+from tests.conftest import examples, packaged
 
 with open(packaged("snapshot.csv"), encoding="utf-8", newline="") as _f:
     SNAPSHOT = list(csv.reader(_f))
@@ -102,7 +102,7 @@ def mutated(drawn):
     return rows
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=examples(30), deadline=None)
 @given(drawn=panels)
 def test_describe_fit_and_figures_give_finite_numbers_or_one_error_line(drawn):
     rows = mutated(drawn)
@@ -110,7 +110,7 @@ def test_describe_fit_and_figures_give_finite_numbers_or_one_error_line(drawn):
         check_run(argv, rows)
 
 
-@settings(max_examples=5, deadline=None)
+@settings(max_examples=examples(5), deadline=None)
 @given(drawn=panels)
 def test_replicate_gives_finite_numbers_or_one_error_line(drawn):
     check_run(["replicate", "--grid", "7"], mutated(drawn))

@@ -23,7 +23,7 @@ from vaxsel.panel import (
     save_panel,
 )
 from vaxsel.specs import ModelSpec, apply_outlier_filter, builtin_specs
-from tests.conftest import packaged
+from tests.conftest import examples, packaged
 from tests.rowwise_loader import load_panel as load_panel_rowwise
 
 MINI_SCHEMA = [
@@ -247,7 +247,7 @@ def malformed_csv(draw):
 
 class TestMalformedCsv:
     @given(data=malformed_csv())
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=examples(200), deadline=None)
     def test_loads_or_raises_panel_error(self, data, tmp_path_factory):
         tmp = tmp_path_factory.mktemp("fuzz")
         p = tmp / "fuzz.csv"
@@ -314,7 +314,7 @@ class TestColumnWiseLoader:
     fault in row-major order, and both must make the same of every file."""
 
     @given(data=st.one_of(malformed_csv(), mutated_csv()))
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=examples(300), deadline=None)
     def test_agrees_with_rowwise_loader(self, data, tmp_path_factory):
         p = tmp_path_factory.mktemp("oracle") / "panel.csv"
         p.write_bytes(data)
@@ -522,7 +522,7 @@ class TestRoundTrip:
         ),
         min_size=1, max_size=12,
     ))
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=examples(60), deadline=None)
     def test_random_panels_round_trip(self, rows, tmp_path_factory):
         tmp = tmp_path_factory.mktemp("rt")
         lines = []

@@ -10,6 +10,7 @@ from numpy.testing import assert_allclose
 from vaxsel import probit, synth
 from vaxsel.cli import SIM_OUTCOME_COEF, SIM_SELECTION_COEF
 from vaxsel.stdnorm import inverse_mills, inverse_mills_delta, normal_cdf
+from tests import unsigned_terms
 
 # analytic MLE of an intercept-only probit with ybar = 0.75
 PHI_INV_075 = 0.6744897501960817
@@ -351,9 +352,9 @@ class TestEvaluationCount:
         points = []
         terms = probit._terms
 
-        def counted_terms(coef, ones, X):
+        def counted_terms(coef, Xs):
             points.append(coef)
-            return terms(coef, ones, X)
+            return terms(coef, Xs)
 
         monkeypatch.setattr(probit, "_terms", counted_terms)
         calls = self.count_stdnorm(monkeypatch)
@@ -460,9 +461,9 @@ class TestFitMany:
         evaluations = []
         terms = probit._terms
 
-        def counted_terms(coef, ones, X):
+        def counted_terms(coef, Xs):
             evaluations[-1] += 1
-            return terms(coef, ones, X)
+            return terms(coef, Xs)
 
         monkeypatch.setattr(probit, "_terms", counted_terms)
         fits = []
@@ -485,9 +486,9 @@ class TestFitMany:
     def test_programming_error_propagates(self, monkeypatch):
         terms = probit._terms
 
-        def broken(coef, ones, X):
+        def broken(coef, Xs):
             # a score norm that cannot be compared: a bug inside the Newton loop
-            return terms(coef, ones, X)._replace(score_norm=[None] * len(coef))
+            return terms(coef, Xs)._replace(score_norm=[None] * len(coef))
 
         monkeypatch.setattr(probit, "_terms", broken)
         batch = _mixed_batch()
@@ -552,3 +553,73 @@ def test_fit_many_matches_fit_on_monte_carlo_streams(n):
             assert np.array_equal(getattr(got, name), getattr(want, name)), name
         assert np.array_equal(probit.sandwich_vcov(got, frame.selection_y, frame.selection_X),
                               probit.sandwich_vcov(want, frame.selection_y, frame.selection_X))
+
+
+def _stream_block(n, seed, reps=8):
+    """The first reps replications of simulate's default process at n and seed, as
+    one Monte Carlo chunk hands them to fit_many: (Y (reps, n), X (reps, n, k))."""
+    config = synth.DgpConfig(selection_coef=SIM_SELECTION_COEF, outcome_coef=SIM_OUTCOME_COEF,
+                             rho=0.5, sigma_u=1.0, n=n, seed=seed)
+    sel_X, _, _, selected = synth._draw(config, np.random.Philox(key=seed),
+                                        [rep + 1 for rep in range(reps)])[:4]
+    return selected.astype(float), sel_X
+
+
+class TestSignedDesign:
+    """_terms on the sign-folded design gives the bits of the unsigned pass,
+    tests/unsigned_terms.py, on every quantity the Newton loop and the fit read."""
+
+    @staticmethod
+    def assert_same(point, ones, want):
+        ll, g, grad, w, info, step = want
+        assert np.array_equal(point.ll, ll, equal_nan=True)
+        assert np.array_equal(np.where(ones, point.lam, -point.lam), g, equal_nan=True)
+        for got, expected in ((point.grad, grad), (point.w, w), (point.info, info)):
+            assert np.array_equal(got, expected, equal_nan=True)
+        assert (point.step is None) == (step is None)
+        if step is not None:
+            assert np.array_equal(point.step, step, equal_nan=True)
+
+    # the mc_paper (n = 189) and mc_large (n = 2000) benchmark streams at seed 101
+    @pytest.mark.parametrize("n", [189, 2000])
+    def test_every_newton_pass_matches_the_unsigned_pass(self, monkeypatch, n):
+        Y, X = _stream_block(n, 101)
+        ones = Y == 1.0
+        signed = probit._signed(ones, X)
+        passes, terms = [], probit._terms
+
+        def recorded(coef, Xs):
+            point = terms(coef, Xs)
+            passes.append((coef, Xs, point))
+            return point
+
+        monkeypatch.setattr(probit, "_terms", recorded)
+        fits = probit.fit_many(Y, X)
+        single = probit.fit(Y[3], X[3])
+        assert len(passes) > 2 * single.iterations
+        for coef, Xs, point in passes:
+            # the samples of the pass, found by their signed designs: one, or a round's block
+            rows = [next(r for r in range(len(Y)) if np.array_equal(x, signed[r]))
+                    for x in Xs.reshape(-1, *Xs.shape[-2:])]
+            rows = rows if Xs.ndim == 3 else rows[0]
+            self.assert_same(point, ones[rows], unsigned_terms.terms(coef, ones[rows], X[rows]))
+        for y, x, fit in zip(ones, X, [*fits, single]):
+            _, g, _, w, _, _ = unsigned_terms.terms(fit.coef, y, x)
+            assert np.array_equal(fit.g, g) and np.array_equal(fit.w, w)
+
+    def test_infinite_indexes_match_the_unsigned_pass(self):
+        # x * 1e308 overflows to +-inf on rows with |x| > 1.8; both classes meet both signs
+        rng = np.random.default_rng(5)
+        X = np.stack([np.column_stack([np.ones(50), rng.normal(scale=2.0, size=50)])
+                      for _ in range(3)])
+        ones = rng.uniform(size=(3, 50)) < 0.5
+        coef = np.array([[0.0, 1e308], [0.0, -1e308], [0.3, 0.7]])
+        # the overflow, and the inf - inf and inf * 0 it feeds, are the point here
+        with np.errstate(over="ignore", invalid="ignore"):
+            idx = np.where(ones, 1.0, -1.0) * (X @ coef[..., None])[..., 0]
+            assert np.isposinf(idx[:2]).any() and np.isneginf(idx[:2]).any()
+            self.assert_same(probit._terms(coef, probit._signed(ones, X)), ones,
+                             unsigned_terms.terms(coef, ones, X))
+            for r in range(3):
+                self.assert_same(probit._terms(coef[r], probit._signed(ones[r], X[r])), ones[r],
+                                 unsigned_terms.terms(coef[r], ones[r], X[r]))

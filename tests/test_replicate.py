@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from vaxsel import heckman, render, replicate
 from vaxsel.panel import Panel, VariableDef, filter_percentile
 from vaxsel.specs import ANCHOR_CELLS, ModelSpec, apply_outlier_filter, builtin_specs
+from tests.conftest import examples
 
 
 @pytest.fixture(scope="module")
@@ -243,7 +244,7 @@ class TestCorrelationMatrix:
         assert lookup[("gov_eff", "gdp_pc_ppp")] == pytest.approx(0.83, abs=0.03)
 
     @given(pan=holed_panel())
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=examples(150), deadline=None)
     def test_rows_are_corrcoef_of_each_ordered_pair(self, pan):
         fig = replicate.correlation_matrix(pan, pan.codes)
         assert [(a, b) for a, b, _ in fig.rows] == [(a, b) for a in pan.codes for b in pan.codes]

@@ -25,6 +25,7 @@ from vaxsel.stdnorm import (
     normal_pdf,
     normal_tail_terms,
 )
+from tests.conftest import examples
 
 mp.mp.dps = 120
 
@@ -209,7 +210,7 @@ class TestInverseMills:
             assert rel_err(delta, mp_delta(z)) < 1e-100
 
     @given(st.floats(allow_nan=False, allow_infinity=False))
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=examples(300), deadline=None)
     def test_relative_accuracy_whole_line(self, z):
         assert within(inverse_mills(z), mp_lambda_delta(z)[0], 1e-12)
 
@@ -231,13 +232,13 @@ class TestInverseMillsDelta:
         assert rel_err(got, mp_delta(20.0)) < 1e-12
 
     @given(st.floats(allow_nan=False, allow_infinity=False))
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=examples(300), deadline=None)
     def test_relative_accuracy_whole_line(self, z):
         # the mid regime forms lambda + z by cancellation: up to 4e-10 near -37
         assert within(inverse_mills_delta(z), mp_lambda_delta(z)[1], 1e-9)
 
     @given(st.floats(min_value=-1e300, max_value=1e300, allow_nan=False))
-    @settings(max_examples=300)
+    @settings(max_examples=examples(300))
     def test_strictly_inside_unit_interval(self, z):
         d = inverse_mills_delta(z)
         assert 0.0 < d < 1.0
@@ -250,7 +251,7 @@ class TestInverseMillsDelta:
             assert fd == pytest.approx(-inverse_mills_delta(z), rel=1e-6)
 
     @given(st.floats(-30, 30))
-    @settings(max_examples=200)
+    @settings(max_examples=examples(200))
     def test_derivative_identity_property(self, z):
         h = 1e-5
         fd = (inverse_mills(z + h) - inverse_mills(z - h)) / (2 * h)
@@ -302,6 +303,17 @@ def test_array_and_scalar_paths_match():
         terms = normal_tail_terms(float(zi))
         assert isinstance(terms, tuple) and all(type(t) is float for t in terms)
         np.testing.assert_array_equal([v[i] for v in vecs], terms)
+
+
+def test_fmax_clamp_is_the_where_clamp():
+    # normal_tail_terms lifts the z >= 0 delta values (an exp: zero, positive,
+    # +inf, or NaN at z = +inf) to the smallest subnormal with np.fmax, as it did
+    # with np.where(vals > 0.0, vals, tiny)
+    vals = np.array([0.0, 5e-324, 1e-300, np.inf, np.nan])
+    tiny = np.nextafter(0.0, 1.0)
+    assert np.fmax(vals, tiny).tobytes() == np.where(vals > 0.0, vals, tiny).tobytes()
+    # delta underflows to 0 past z ~ 38.6 and is NaN before the clamp at +inf
+    assert normal_tail_terms(np.array([40.0, 1e200, np.inf]))[2].tolist() == [tiny] * 3
 
 
 def _layouts():

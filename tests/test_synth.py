@@ -1,7 +1,6 @@
 """DGP and Monte Carlo harness tests."""
 
 import dataclasses
-import multiprocessing
 from collections import Counter
 import os
 import subprocess
@@ -281,6 +280,16 @@ class TestMonteCarlo:
             synth.monte_carlo(dataclasses.replace(BASE, n=100), 50)
 
 
+class NeedsTwoArguments(Exception):
+    """An exception that pickles, whose unpickling fails: pickle rebuilds it from
+    its args, here one argument short of its constructor."""
+
+    def __init__(self, message, count):
+        super().__init__(message)
+        self.count = count
+
+
+@pytest.mark.usefixtures("deadline")
 class TestWorkerProcesses:
     """Chunks spread over forked workers give the bytes of a serial run."""
 
@@ -350,20 +359,67 @@ class TestWorkerProcesses:
         synth.monte_carlo(dataclasses.replace(BASE, n=189), 50)
         assert forks == []
 
-    def test_programming_error_in_a_worker_propagates(self, monkeypatch):
+    @pytest.fixture
+    def leaves_nothing(self):
+        """After the test: this process has no child left, reaped or not, and no
+        more open file descriptors (pipe ends among them) than before it."""
+        def open_fds():
+            return len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else 0
+
+        before = open_fds()
+        yield
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert open_fds() == before
+
+    @staticmethod
+    def raising_in(monkeypatch, where, exc):
+        """Patch probit.fit_many to raise exc in the calling process (where
+        "parent") or in a forked worker ("worker"), on 50 reps at n = 4000:
+        13 chunks over 2 processes."""
         parent = os.getpid()
         fit_many = heckman.probit.fit_many
 
-        def broken_in_worker(*args, **kwargs):
-            if os.getpid() != parent:
-                raise TypeError("bug inside a worker's fit")
+        def raising(*args, **kwargs):
+            if (os.getpid() == parent) == (where == "parent"):
+                raise exc
             return fit_many(*args, **kwargs)
 
-        monkeypatch.setattr(heckman.probit, "fit_many", broken_in_worker)
+        monkeypatch.setattr(heckman.probit, "fit_many", raising)
         monkeypatch.setattr(synth, "_usable_cpus", lambda: 2)
+
+    def test_programming_error_in_a_worker_propagates(self, monkeypatch, forks, leaves_nothing):
+        self.raising_in(monkeypatch, "worker", TypeError("bug inside a worker's fit"))
         with pytest.raises(TypeError, match="bug inside a worker's fit"):
             synth.monte_carlo(dataclasses.replace(BASE, n=4000), 50)
-        assert multiprocessing.active_children() == []
+        assert len(forks) == 1
+
+    def test_error_in_the_calling_process_propagates(self, monkeypatch, forks, leaves_nothing):
+        # the calling process raises in its own first chunk while the worker fits its chunks
+        self.raising_in(monkeypatch, "parent", TypeError("bug inside the parent's fit"))
+        with pytest.raises(TypeError, match="bug inside the parent's fit"):
+            synth.monte_carlo(dataclasses.replace(BASE, n=4000), 50)
+        assert len(forks) == 1
+
+    @pytest.mark.parametrize("exc", [
+        RuntimeError("holds a function, which pickle refuses", lambda: None),
+        NeedsTwoArguments("pickles, but unpickling calls it with one argument", 2),
+    ], ids=["cannot_pickle", "cannot_unpickle"])
+    def test_worker_exception_that_cannot_travel_is_a_worker_error(
+            self, monkeypatch, leaves_nothing, exc):
+        self.raising_in(monkeypatch, "worker", exc)
+        with pytest.raises(synth.WorkerError, match="ended abruptly before returning"):
+            synth.monte_carlo(dataclasses.replace(BASE, n=4000), 50)
+
+    def test_without_fork_the_chunks_run_serially(self, monkeypatch, leaves_nothing):
+        cfg = dataclasses.replace(BASE, n=200)
+        monkeypatch.setattr(synth, "MC_CHUNK_ROWS", 8 * cfg.n)
+        monkeypatch.setattr(synth, "_usable_cpus", lambda: 1)
+        serial = synth.monte_carlo(cfg, 53)
+        monkeypatch.setattr(synth, "_usable_cpus", lambda: 2)
+        monkeypatch.delattr(os, "fork")
+        report = synth.monte_carlo(cfg, 53)
+        assert report.to_csv_text() == serial.to_csv_text()
 
     def test_progress_lines_are_written_once(self, tmp_path):
         env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
