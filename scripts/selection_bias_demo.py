@@ -6,7 +6,7 @@ correlations and compares naive least squares on the selected rows with
 the two-step estimates: the naive slope drifts with rho while the
 corrected slope stays on the truth.  Each replication is drawn and fitted
 on its own, through the one-sample cases of the stacked Monte Carlo code:
-synth._generate_with draws one stream, and fit_two_step runs the second
+synth.generate draws one replication's sample, and fit_two_step runs the second
 stage on a stack of one sample.
 
 Usage:
@@ -39,7 +39,7 @@ def run(rho, n, reps, seed):
     )
     naive, corrected = [], []
     for rep in range(reps):
-        sample = synth._generate_with(config, synth.replication_stream(config, rep))
+        sample = synth.generate(config, rep)
         fit = heckman.fit_two_step(sample.frame)
         ols_coef, _ = heckman.ols(sample.frame.outcome_y, sample.frame.outcome_X)
         naive.append(ols_coef[0])

@@ -1,62 +1,12 @@
 """Selection-model toolkit for cross-country vaccination rollout data.
 
-The package covers the full path from a flat country CSV to estimation
-output: stable standard-normal tail functions, probit maximum likelihood
-with analytic derivatives, the two-step selection estimator with two
-covariance variants, the built-in model suite with robustness filters
-and figure data, and a seeded synthetic process for validating the
-estimator by parameter recovery.
+The package loads none of its modules; import what you use from them:
+stdnorm (standard-normal tail functions), probit (probit maximum
+likelihood), heckman (the two-step estimator and its covariances), panel
+and specs (the country panel, model frames, the model specifications and
+outlier filters), replicate (tables, model suites, figure data), synth
+(the synthetic process and Monte Carlo recovery), render (markdown, CSV
+and SVG output) and cli (the command line).
 """
-
-from vaxsel.heckman import HeckmanFit, fit_two_step, ols, significance_stars
-from vaxsel.panel import (
-    ModelFrame,
-    Panel,
-    build_model_frame,
-    filter_percentile,
-    load_panel,
-    load_schema,
-    quantile,
-    save_panel,
-)
-from vaxsel.probit import ProbitFit, fit as fit_probit, predict_prob, sandwich_vcov
-from vaxsel.specs import ModelSpec, builtin_specs
-from vaxsel.stdnorm import (
-    inverse_mills,
-    inverse_mills_delta,
-    log_normal_cdf,
-    normal_cdf,
-    normal_pdf,
-)
-from vaxsel.synth import DgpConfig, generate, monte_carlo
-
-__all__ = [
-    "normal_pdf",
-    "normal_cdf",
-    "log_normal_cdf",
-    "inverse_mills",
-    "inverse_mills_delta",
-    "ProbitFit",
-    "fit_probit",
-    "predict_prob",
-    "sandwich_vcov",
-    "HeckmanFit",
-    "fit_two_step",
-    "ols",
-    "significance_stars",
-    "Panel",
-    "ModelFrame",
-    "load_panel",
-    "load_schema",
-    "save_panel",
-    "build_model_frame",
-    "filter_percentile",
-    "quantile",
-    "ModelSpec",
-    "builtin_specs",
-    "DgpConfig",
-    "generate",
-    "monte_carlo",
-]
 
 __version__ = "0.1.0"

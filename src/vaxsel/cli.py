@@ -15,7 +15,7 @@ from importlib import resources
 from pathlib import Path
 
 from vaxsel import heckman, render, replicate, synth
-from vaxsel.panel import load_panel, load_schema
+from vaxsel.panel import PanelError, load_panel, load_schema
 from vaxsel.specs import OUTLIER_FILTERS, apply_outlier_filter, builtin_specs
 
 VCOV_BY_FLAG = {"robust": heckman.PLAIN_ROBUST, "heckman": heckman.HECKMAN_CORRECTED}
@@ -210,7 +210,7 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return args.func(args)
-    except (*heckman.ESTIMATION_ERRORS, synth.WorkerError, OSError, MemoryError) as exc:
+    except (*heckman.ESTIMATION_ERRORS, PanelError, synth.WorkerError, OSError, MemoryError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 

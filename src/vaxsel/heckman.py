@@ -38,7 +38,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from vaxsel import probit
-from vaxsel.panel import PanelError
 
 PLAIN_ROBUST = "plain_robust"
 HECKMAN_CORRECTED = "heckman_corrected"
@@ -64,8 +63,9 @@ def check_vcov_variant(variant: str) -> None:
         raise ValueError(f"unknown vcov variant {variant!r}; choose from {VCOV_VARIANTS}")
 
 
-# What a model that cannot be estimated raises; anything else is a bug.
-ESTIMATION_ERRORS = (*probit.ESTIMATION_ERRORS, PanelError, CollinearMillsError)
+# What an estimator that cannot fit its frame raises; anything else is a bug.
+# A bad specification or frame raises panel.PanelError, which callers catch beside these.
+ESTIMATION_ERRORS = (*probit.ESTIMATION_ERRORS, CollinearMillsError)
 
 
 @dataclass

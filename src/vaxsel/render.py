@@ -12,8 +12,10 @@ import os
 import tempfile
 from decimal import ROUND_HALF_UP, Context, Decimal
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from vaxsel.replicate import FigureData, TableResult
+if TYPE_CHECKING:
+    from vaxsel.replicate import FigureData, TableResult
 
 
 def round3(x: float) -> str:
@@ -41,7 +43,9 @@ def write_text_atomic(path, text: str) -> None:
 # ---------------------------------------------------------------- tables
 
 
-def _cell_text(cell) -> str:
+def cell_text(cell) -> str:
+    """A table cell as printed: 'value', or 'value<stars> (spread)', each
+    through round3; '' for no cell."""
     if cell is None:
         return ""
     if cell.spread is None:
@@ -55,7 +59,7 @@ def render_table_markdown(table: TableResult) -> str:
     lines.append("| " + " | ".join(header) + " |")
     lines.append("|" + "---|" * len(header))
     for row in table.row_labels:
-        cells = [_cell_text(table.cell(row, col)) for col in table.column_labels]
+        cells = [cell_text(table.cell(row, col)) for col in table.column_labels]
         lines.append("| " + " | ".join([row] + cells) + " |")
     obs = [str(table.observations.get(col, "")) for col in table.column_labels]
     lines.append("| " + " | ".join(["observations"] + obs) + " |")

@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from vaxsel import heckman, probit
-from vaxsel.panel import Panel, build_model_frame, quantile
+from vaxsel import heckman, probit, render
+from vaxsel.panel import Panel, PanelError, build_model_frame, quantile
 from vaxsel.specs import ANCHOR_CELLS, TABLE_ROW_ORDER, apply_outlier_filter, builtin_specs
 from vaxsel.stdnorm import normal_cdf
 
@@ -167,7 +167,7 @@ def run_model_suite(
             # a covariance that fails is this model's error
             fit.outcome_vcov(vcov_variant), fit.selection_vcov(vcov_variant)
             table.fits[s.name] = fit
-        except heckman.ESTIMATION_ERRORS as exc:  # reported in-table, suite continues
+        except (*heckman.ESTIMATION_ERRORS, PanelError) as exc:  # in-table, suite continues
             table.column_errors[f"{s.name}:outcome"] = str(exc)
             table.column_errors[f"{s.name}:selection"] = str(exc)
     return tabulate(table, vcov_variant)
@@ -318,7 +318,8 @@ def all_figures(panel: Panel, grid_points: int = 100):
 def replication_diff(panel: Panel, tables=None) -> str:
     """Markdown report: reference estimate beside the computed cell for
     every anchor, under both second-stage covariance variants, from the
-    tables of replication_tables(panel), made here when not given.
+    tables of replication_tables(panel), made here when not given.  Every
+    cell is printed as the tables print it, by render.cell_text.
     """
     tables = replication_tables(panel) if tables is None else tables
     tables = {
@@ -343,7 +344,7 @@ def replication_diff(panel: Panel, tables=None) -> str:
         col = f"{a.model}:{a.stage}"
         robust = tables[(a.table, heckman.PLAIN_ROBUST)].cell(a.variable, col)
         corrected = tables[(a.table, heckman.HECKMAN_CORRECTED)].cell(a.variable, col)
-        ref = f"{a.ref_coef:.3f}{a.ref_stars} ({a.ref_se:.3f})"
+        ref = render.cell_text(Cell(a.ref_coef, a.ref_se, a.ref_stars))
         if robust is None:
             lines.append(
                 f"| {a.table} | {a.model} | {a.stage} | {a.variable} | {ref} "
@@ -351,7 +352,7 @@ def replication_diff(panel: Panel, tables=None) -> str:
             )
             continue
         # both variants tabulate the same fits, so both cells exist
-        comp_r, comp_c = (f"{c.value:.3f}{c.stars} ({c.spread:.3f})" for c in (robust, corrected))
+        comp_r, comp_c = render.cell_text(robust), render.cell_text(corrected)
         same_sign = math.copysign(1, robust.value) == math.copysign(1, a.ref_coef)
         # the sign of a noise-level estimate is not informative
         sign_match = "n/a" if a.ref_stars == "" else ("yes" if same_sign else "no")

@@ -145,8 +145,12 @@ def _draw(config: DgpConfig, bitgen, jumps):
     return sel_X, out_X, latent, selected, e
 
 
-def _generate_with(config: DgpConfig, bitgen) -> SyntheticSample:
-    sel_X, out_X, latent, selected, e = (a[0] for a in _draw(config, bitgen, [0]))
+def generate(config: DgpConfig, rep: int | None = None) -> SyntheticSample:
+    """One sample, fully reproducible from config.seed: the draw at jump 0, or the
+    one Monte Carlo replication rep (0-based) fits, at jump rep + 1."""
+    jump = 0 if rep is None else rep + 1
+    sel_X, out_X, latent, selected, e = (
+        a[0] for a in _draw(config, np.random.Philox(key=config.seed), [jump]))
     labels_sel, labels_out = _labels(config)
     frame = ModelFrame(
         selection_y=selected.astype(float),
@@ -159,16 +163,6 @@ def _generate_with(config: DgpConfig, bitgen) -> SyntheticSample:
         spec_name="synthetic",
     )
     return SyntheticSample(frame=frame, truth=config, latent=latent, selection_error=e)
-
-
-def generate(config: DgpConfig) -> SyntheticSample:
-    """Draw one sample, fully reproducible from config.seed."""
-    return _generate_with(config, np.random.Philox(key=config.seed))
-
-
-def replication_stream(config: DgpConfig, rep: int):
-    """Independent Philox stream for replication rep (0-based)."""
-    return np.random.Philox(key=config.seed).jumped(rep + 1)
 
 
 @dataclass

@@ -1,6 +1,7 @@
-"""The command line on value-mutated copies of the shipped snapshot: every run
-either exits 0 with only finite numbers in its output tree, or exits 1 with
-one error line that names only real columns, and never raises."""
+"""The command line on mutated copies of the shipped snapshot (values, binary
+cells and rows): every run either exits 0 with only finite numbers in its
+output tree, or exits 1 with one error line that names only real columns,
+and never raises."""
 
 import contextlib
 import csv
@@ -25,6 +26,10 @@ NONE_CODES = sorted(c for c, t in TRANSFORM.items() if t == "none")
 LOG_CODES = sorted(c for c, t in TRANSFORM.items() if t == "log")
 # started=0 rows may not carry these
 STARTERS_ONLY = ("vac_php", "days")
+BINARY_CODES = sorted(c for c, t in TRANSFORM.items() if t == "binary")
+# the starters' own (vac_php, days) cells, which a new starter takes in turn
+STARTER_CELLS = [tuple(r[COLUMN[c]] for c in STARTERS_ONLY)
+                 for r in SNAPSHOT[1:] if r[COLUMN["started"]] == "1"]
 
 # a number the renderer wrote as not finite: nan, inf or -inf standing alone
 NOT_FINITE = re.compile(r"(?<![A-Za-z])(nan|inf)(?![A-Za-z])")
@@ -46,10 +51,38 @@ mutations = st.one_of(
 # a scaled column, where large magnitudes meet rendering and moments, and up to two more
 panels = st.tuples(scales, st.lists(mutations, max_size=2)).map(lambda t: [t[0], *t[1]])
 
+# countries by their place in the (possibly already shortened) body
+places = st.sets(st.integers(0, len(SNAPSHOT) - 2), min_size=1, max_size=40)
+row_mutations = st.one_of(
+    # binary cells flipped; a started flip also clears or fills vac_php and days
+    st.tuples(st.just("flip"), st.sampled_from(BINARY_CODES), places),
+    st.tuples(st.just("drop"), st.none(), places),
+    # a country's row again, under a new iso3 (under its own, the loader rejects it)
+    st.tuples(st.just("duplicate"), st.none(), st.integers(0, len(SNAPSHOT) - 2)),
+)
+row_panels = st.lists(row_mutations, min_size=1, max_size=3)
+
 
 def mutate(rows, mutation):
     kind, a, b = mutation
     body = rows[1:]
+    if kind == "drop":
+        rows[1:] = [r for i, r in enumerate(body) if i not in b]
+        return
+    if kind == "duplicate":
+        copy = list(body[b % len(body)])
+        copy[0], copy[1] = f"X{len(rows)}", "Copy of " + copy[1]
+        rows.append(copy)
+        return
+    if kind == "flip":
+        for i in {i % len(body) for i in b}:
+            r = body[i]
+            r[COLUMN[a]] = "0" if r[COLUMN[a]] == "1" else "1"
+            if a == "started":
+                filled = STARTER_CELLS[i % len(STARTER_CELLS)] if r[COLUMN[a]] == "1" else ("", "")
+                for code, text in zip(STARTERS_ONLY, filled):
+                    r[COLUMN[code]] = text
+        return
     if kind == "one_class":
         members = [r for r in body if float(r[COLUMN["started"]]) == a]
         keep = members[b % len(members)]
@@ -114,6 +147,14 @@ def test_describe_fit_and_figures_give_finite_numbers_or_one_error_line(drawn):
 @given(drawn=panels)
 def test_replicate_gives_finite_numbers_or_one_error_line(drawn):
     check_run(["replicate", "--grid", "7"], mutated(drawn))
+
+
+@settings(max_examples=examples(8), deadline=None)
+@given(drawn=row_panels)
+def test_binary_flips_and_row_changes_give_finite_numbers_or_one_error_line(drawn):
+    rows = mutated(drawn)
+    for argv in (["fit", "--vcov", "heckman"], ["figures", "--grid", "7"]):
+        check_run(argv, rows)
 
 
 def with_cells(code, value_of):

@@ -578,8 +578,7 @@ class TestSecondStages:
         """Six Monte Carlo samples at n = 189 packed as second_stages takes them, with
         the selection rows of each packed the same way, and their first stages."""
         config = synth.DgpConfig(SIM_SELECTION_COEF, SIM_OUTCOME_COEF, 0.5, 1.0, 189, 7)
-        frames = [synth._generate_with(config, synth.replication_stream(config, rep)).frame
-                  for rep in range(reps)]
+        frames = [synth.generate(config, rep).frame for rep in range(reps)]
         firsts = [probit.fit(f.selection_y, f.selection_X) for f in frames]
         rows = np.array([f.outcome_y.shape[0] for f in frames])
 
@@ -651,8 +650,7 @@ class TestSecondStages:
         V, _ = heckman.outcome_vcovs(stages, heckman.HECKMAN_CORRECTED, Z)
         config = synth.DgpConfig(SIM_SELECTION_COEF, SIM_OUTCOME_COEF, 0.5, 1.0, 189, 7)
         for rep in range(6):
-            fit = heckman.fit_two_step(
-                synth._generate_with(config, synth.replication_stream(config, rep)).frame)
+            fit = heckman.fit_two_step(synth.generate(config, rep).frame)
             if rep == 0:
                 assert fit.imr_coef == pytest.approx(0.0494, abs=1e-4)
             n = args["rows"][rep]

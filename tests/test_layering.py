@@ -1,0 +1,42 @@
+"""The import graph has one direction: stdnorm <- probit <- heckman <- replicate/synth
+<- cli, with panel and specs as the data layer and render as a leaf.  Each check
+imports one module in a fresh interpreter and reads what it loaded."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# module: (the only vaxsel modules its import may load, or None for no limit,
+#          the third-party packages it may not load)
+LAYERS = {
+    "vaxsel": ({"vaxsel"}, {"numpy", "scipy", "yaml"}),
+    "vaxsel.render": ({"vaxsel", "vaxsel.render"}, {"numpy", "scipy", "yaml"}),
+    "vaxsel.panel": (None, {"scipy"}),
+    "vaxsel.specs": (None, {"scipy"}),
+    "vaxsel.stdnorm": (None, {"yaml"}),
+    "vaxsel.probit": (None, {"yaml"}),
+    "vaxsel.heckman": (None, {"yaml"}),
+}
+
+
+def loaded_by(module):
+    """The names in sys.modules after `import module` in a fresh interpreter."""
+    proc = subprocess.run(
+        [sys.executable, "-c", f"import sys, {module}; print(*sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True, text=True, check=True,
+    )
+    return set(proc.stdout.split())
+
+
+@pytest.mark.parametrize("module", LAYERS)
+def test_import_loads_only_the_layers_below(module):
+    own, banned = LAYERS[module]
+    loaded = loaded_by(module)
+    if own is not None:
+        assert sorted(m for m in loaded if m.split(".")[0] == "vaxsel") == sorted(own)
+    assert sorted(banned & loaded) == []

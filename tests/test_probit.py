@@ -514,7 +514,7 @@ def _pinned_digest(n):
                              rho=0.5, sigma_u=1.0, n=n, seed=7)
     h = hashlib.sha256()
     for rep in range(10):
-        frame = synth._generate_with(config, synth.replication_stream(config, rep)).frame
+        frame = synth.generate(config, rep).frame
         fit = probit.fit(frame.selection_y, frame.selection_X, labels=frame.selection_labels)
         sandwich = probit.sandwich_vcov(fit, frame.selection_y, frame.selection_X)
         for a in (fit.coef, fit.vcov, fit.loglik_path, [fit.score_norm], sandwich):
@@ -543,8 +543,7 @@ def test_fit_many_matches_fit_on_monte_carlo_streams(n):
     # the stacked pass must give the pinned per-sample bits, sandwich included
     config = synth.DgpConfig(selection_coef=SIM_SELECTION_COEF, outcome_coef=SIM_OUTCOME_COEF,
                              rho=0.5, sigma_u=1.0, n=n, seed=7)
-    frames = [synth._generate_with(config, synth.replication_stream(config, rep)).frame
-              for rep in range(10)]
+    frames = [synth.generate(config, rep).frame for rep in range(10)]
     many = probit.fit_many([f.selection_y for f in frames], [f.selection_X for f in frames],
                            labels=frames[0].selection_labels)
     for frame, got in zip(frames, many):

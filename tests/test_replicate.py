@@ -351,6 +351,23 @@ class TestDiffReport:
         tables = replicate.replication_tables(snapshot, heckman.HECKMAN_CORRECTED)
         assert replicate.replication_diff(snapshot, tables) == replicate.replication_diff(snapshot)
 
+    def test_cells_round_as_the_tables_round(self, snapshot, monkeypatch):
+        # 0.0625 is a tie: f"{v:.3f}" rounds it to even, 0.062, and the tables print 0.063
+        tabulate = replicate.tabulate
+
+        def tied(table, variant):
+            out = tabulate(table, variant)
+            for cell in out.cells.values():
+                cell.value = cell.spread = 0.0625
+            return out
+
+        monkeypatch.setattr(replicate, "tabulate", tied)
+        tables = replicate.replication_tables(snapshot)
+        report = replicate.replication_diff(snapshot, tables)
+        table = render.render_table_markdown(tables["table2"])
+        assert "0.063*** (0.063) |" in table and "0.062" not in table + report
+        assert report.count(" (0.063) |") == 2 * len(ANCHOR_CELLS)
+
 
 def test_tabulate_rejects_a_non_finite_spread_naming_the_variable(snapshot):
     table = replicate.run_model_suite(snapshot, builtin_specs()[:1])

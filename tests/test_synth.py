@@ -166,7 +166,7 @@ class TestMonteCarlo:
         cfg = dataclasses.replace(BASE, rho=0.0)
         diffs = []
         for rep in range(60):
-            sample = synth._generate_with(cfg, synth.replication_stream(cfg, rep))
+            sample = synth.generate(cfg, rep)
             fit = heckman.fit_two_step(sample.frame)
             naive, _ = heckman.ols(sample.frame.outcome_y, sample.frame.outcome_X)
             diffs.append(fit.outcome_coef[0] - naive[0])
@@ -190,7 +190,7 @@ class TestMonteCarlo:
         wins = 0
         reps = 100
         for rep in range(reps):
-            sample = synth._generate_with(cfg, synth.replication_stream(cfg, rep))
+            sample = synth.generate(cfg, rep)
             fit = heckman.fit_two_step(sample.frame)
             naive, _ = heckman.ols(sample.frame.outcome_y, sample.frame.outcome_X)
             if abs(naive[0] - truth_x1) > abs(fit.outcome_coef[0] - truth_x1):
@@ -340,8 +340,7 @@ class TestWorkerProcesses:
             return ProbitError("forced") if n % 7 == 0 else None
 
         forced_second_stage_errors(monkeypatch, error_of)
-        counts = [int(synth._generate_with(cfg, synth.replication_stream(cfg, rep))
-                      .frame.selection_y.sum()) for rep in range(53)]
+        counts = [int(synth.generate(cfg, rep).frame.selection_y.sum()) for rep in range(53)]
         names = [type(error_of(n)).__name__ for n in counts if error_of(n) is not None]
         expected = dict(Counter(names).most_common())
         assert set(expected) == {"CollinearMillsError", "ProbitError"}
@@ -450,7 +449,7 @@ class TestStackedChunk:
         stages, V, errors = synth._fit_chunk(cfg, variant, range(reps))
         outcomes = synth._fit_chunks(cfg, variant, truth, [range(reps)])[0]
         for rep in range(reps):
-            frame = synth._generate_with(cfg, synth.replication_stream(cfg, rep)).frame
+            frame = synth.generate(cfg, rep).frame
             fit = heckman.fit_two_step(frame)
             se = np.sqrt(np.diag(fit.outcome_vcov(variant)))
             assert errors[rep] is None
@@ -468,7 +467,7 @@ class TestStackedChunk:
         sel_X, out_X, latent, selected, e = synth._draw(
             cfg, np.random.Philox(key=cfg.seed), [rep + 1 for rep in range(6)])
         for rep in range(6):
-            sample = synth._generate_with(cfg, synth.replication_stream(cfg, rep))
+            sample = synth.generate(cfg, rep)
             frame = sample.frame
             assert np.array_equal(sel_X[rep], frame.selection_X)
             assert np.array_equal(selected[rep], frame.selection_y == 1.0)
@@ -484,11 +483,11 @@ class TestStackedChunk:
     def test_one_call_holds_the_four_draws_in_order(self):
         # the draws separate calls made: x (n, p), w (n, q), e and eta from the same stream
         cfg = self.config(189)
-        rng = np.random.Generator(synth.replication_stream(cfg, 3))
+        rng = np.random.Generator(np.random.Philox(key=cfg.seed).jumped(3 + 1))
         x, w = rng.standard_normal((cfg.n, cfg.n_shared)), rng.standard_normal((cfg.n, 1))
         e, eta = rng.standard_normal(cfg.n), rng.standard_normal(cfg.n)
         u = cfg.sigma_u * (cfg.rho * e + np.sqrt(1.0 - cfg.rho**2) * eta)
-        sample = synth._generate_with(cfg, synth.replication_stream(cfg, 3))
+        sample = synth.generate(cfg, 3)
         assert np.array_equal(sample.frame.selection_X,
                               np.column_stack([x, w, np.ones(cfg.n)]))
         assert np.array_equal(sample.selection_error, e)
