@@ -473,7 +473,7 @@ def verify(pan, verbose=True):
         if verbose:
             print(f"  [{'ok' if ok else 'soft-fail' if soft else 'FAIL'}] {label} {detail}")
 
-    check("counts 189/133/56", pan.n_records == 189 and pan.n_started == 56)
+    check("counts 189/133/56", pan.n_records == 189 and (pan.column("started") == 1.0).sum() == 56)
     sp = pan.column("soft_power_30")
     st = pan.column("started")
     check("soft-power started share 26/30", int((sp * st).sum()) == 26 and int(sp.sum()) == 30)
@@ -487,7 +487,7 @@ def verify(pan, verbose=True):
         check(f"{code} group means", abs(m_no - m0) < 1e-9 and abs(m_yes - m1) < 1e-9
               and abs(m_all - pooled) < 1e-9, f"all={m_all:.4f}")
 
-    grr = float(np.nanmean(pan.raw_column("gov_response")))
+    grr = float(np.nanmean(pan.raw["gov_response"]))
     check("gov_response raw mean ~57.2", abs(grr - 57.22) < 0.1, f"{grr:.3f}")
     days = desc.cell("days", "all").value
     check("days mean ~27.11", abs(days - 27.11) < 0.05, f"{days:.3f}")

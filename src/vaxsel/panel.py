@@ -87,8 +87,8 @@ class Panel:
             missing = [c for c in self.codes if c not in columns]
             if missing:
                 raise FrameError(f"panel {store} have no column for {missing}")
-            setattr(self, store, {c: _read_only(v, float, n, f"{store} column {c!r}")
-                                  for c, v in columns.items()})
+            setattr(self, store, {c: _read_only(columns[c], float, n, f"{store} column {c!r}")
+                                  for c in self.codes})
 
     @property
     def codes(self):
@@ -98,24 +98,11 @@ class Panel:
     def n_records(self):
         return len(self.iso3)
 
-    @property
-    def n_started(self):
-        return int((self.values.get(CODE_STARTED, np.empty(0)) == 1.0).sum())
-
-    def def_for(self, code):
-        for d in self.defs:
-            if d.code == code:
-                return d
-        raise SchemaError(f"variable {code!r} is not in the panel schema")
-
     def column(self, code):
         """Transformed values as a read-only float array, NaN where missing."""
-        self.def_for(code)
+        if code not in self.values:
+            raise SchemaError(f"variable {code!r} is not in the panel schema")
         return self.values[code]
-
-    def raw_column(self, code):
-        self.def_for(code)
-        return self.raw[code]
 
     def take(self, rows):
         """The panel restricted to rows (a boolean mask or index array)."""
@@ -198,7 +185,8 @@ def load_panel(path, schema) -> Panel:
     if not path.exists():
         raise PanelError(f"data file not found: {path}")
     try:
-        text = path.read_text(encoding="utf-8")
+        # drop the BOM of a "CSV UTF-8" export after decoding, so a bad byte's offset counts it
+        text = path.read_text(encoding="utf-8").removeprefix("\ufeff")
         rows = list(csv.reader(text.splitlines()))
     except UnicodeDecodeError as exc:
         raise ParseError(f"data file {path} is not UTF-8 text (byte {exc.start})") from exc
@@ -334,7 +322,6 @@ class ModelFrame:
     outcome_X: np.ndarray
     outcome_labels: list
     outcome_keep: np.ndarray
-    spec_name: str = ""
     # country codes of the selection and outcome rows; empty for frames
     # not assembled from a panel
     row_labels: list = field(default_factory=list)
@@ -353,35 +340,32 @@ def build_model_frame(panel: Panel, spec) -> ModelFrame:
     sel_vars = list(spec.selection_vars)
     out_vars = list(spec.outcome_vars)
     dummies = list(DUMMY_CODES)
-    for code in sel_vars + out_vars + dummies + [CODE_STARTED, CODE_VAC]:
-        panel.def_for(code)
-
-    started = panel.column(CODE_STARTED)
-    sel_cols = {c: panel.column(c) for c in sel_vars}
+    # every column is read before any is used: the first code the panel lacks is the error
+    cols = {c: panel.column(c) for c in sel_vars + out_vars + dummies + [CODE_STARTED, CODE_VAC]}
+    started = cols[CODE_STARTED]
     keep_sel = ~np.isnan(started)
     for c in sel_vars:
-        keep_sel &= ~np.isnan(sel_cols[c])
+        keep_sel &= ~np.isnan(cols[c])
     if not keep_sel.any():
         raise FrameError(f"{spec.name}: no usable rows after listwise deletion")
 
     idx = np.where(keep_sel)[0]
     selection_y = started[idx]
-    selection_X = np.column_stack([sel_cols[c][idx] for c in sel_vars] + [np.ones(idx.size)])
+    selection_X = np.column_stack([cols[c][idx] for c in sel_vars] + [np.ones(idx.size)])
     selection_labels = sel_vars + ["const"]
 
-    out_cols = {c: panel.column(c) for c in out_vars + dummies}
-    vac = panel.column(CODE_VAC)
+    vac = cols[CODE_VAC]
     sel_rows = idx[selection_y == 1.0]
     keep_out = ~np.isnan(vac[sel_rows])
     for c in out_vars + dummies:
-        keep_out &= ~np.isnan(out_cols[c][sel_rows])
+        keep_out &= ~np.isnan(cols[c][sel_rows])
     out_rows = sel_rows[keep_out]
     if out_rows.size == 0:
         raise FrameError(f"{spec.name}: no selected rows with complete outcome data")
 
     outcome_y = vac[out_rows]
     outcome_X = np.column_stack(
-        [out_cols[c][out_rows] for c in out_vars + dummies] + [np.ones(out_rows.size)]
+        [cols[c][out_rows] for c in out_vars + dummies] + [np.ones(out_rows.size)]
     )
     outcome_labels = out_vars + dummies + ["const"]
 
@@ -395,5 +379,4 @@ def build_model_frame(panel: Panel, spec) -> ModelFrame:
         row_labels=panel.iso3[idx].tolist(),
         outcome_row_labels=panel.iso3[out_rows].tolist(),
         outcome_keep=keep_out,
-        spec_name=spec.name,
     )

@@ -2,8 +2,11 @@
 
 The log-likelihood is globally concave, so Newton from a zero start with
 step-halving converges for any full-rank design unless the data are
-(quasi-)separated, in which case the coefficients diverge and a
-SeparationError is raised instead of returning a garbage fit.
+(quasi-)separated, in which case the coefficients diverge.  What is
+checked is the divergence: a coefficient past +-50 while the score is
+still above SCORE_TOL raises SeparationError.  A quasi-separated design
+can instead converge to a finite coefficient, where the maximum-likelihood
+estimate does not exist; that fit is returned as converged.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from vaxsel.stdnorm import normal_cdf, normal_tail_terms
+from vaxsel.stdnorm import normal_tail_terms
 
 SCORE_TOL = 1e-8
 MAX_ITER = 100
@@ -279,14 +282,6 @@ def fit_many(Y, X, labels=None) -> list:
         for r, *point in zip(reps, coefs, *p[1:-1], steps):
             advance(r, _Point(*point))
     return results
-
-
-def predict_prob(fit: ProbitFit, X) -> np.ndarray:
-    """Phi(x'coef) per row of X."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    if X.shape[1] != fit.coef.shape[0]:
-        raise ValueError("column count does not match the fitted coefficients")
-    return normal_cdf(X @ fit.coef)
 
 
 def sandwich_vcov(fit: ProbitFit, y, X) -> np.ndarray:

@@ -14,7 +14,8 @@ import numpy as np
 
 from vaxsel import heckman, probit, render
 from vaxsel.panel import Panel, PanelError, build_model_frame, quantile
-from vaxsel.specs import ANCHOR_CELLS, TABLE_ROW_ORDER, apply_outlier_filter, builtin_specs
+from vaxsel.specs import (ANCHOR_CELLS, REPLICATION_TABLES, TABLE_ROW_ORDER, apply_outlier_filter,
+                          builtin_specs)
 from vaxsel.stdnorm import normal_cdf
 
 DESCRIPTIVE_ORDER = (
@@ -99,13 +100,6 @@ def descriptive_table(panel: Panel) -> TableResult:
     return out
 
 
-# title of each robustness suite, by the outlier filter it runs on
-ROBUSTNESS_TITLES = {
-    "table3": "Estimated selection models (gov. effectiveness and GDP outliers excluded)",
-    "table4": "Estimated selection models (vaccination rate outliers excluded)",
-}
-
-
 def tabulate(table: TableResult, vcov_variant: str) -> TableResult:
     """The fits of a run_model_suite table as paired columns under
     vcov_variant, read from each fit's covariance methods, not refitted.  A
@@ -173,20 +167,14 @@ def run_model_suite(
     return tabulate(table, vcov_variant)
 
 
-def run_outlier_suites(panel: Panel, vcov_variant=heckman.PLAIN_ROBUST):
-    """The two robustness suites, tables 3 and 4: the first four model
-    specifications on the panel trimmed by each named outlier filter."""
-    specs = builtin_specs()[:4]
-    return tuple(
-        run_model_suite(apply_outlier_filter(panel, name), specs, vcov_variant, title)
-        for name, title in ROBUSTNESS_TITLES.items()
-    )
-
-
 def replication_tables(panel: Panel, vcov_variant: str = heckman.PLAIN_ROBUST) -> dict:
-    """Tables 2-4 keyed by table id, each cell fitted once."""
-    t3, t4 = run_outlier_suites(panel, vcov_variant)
-    return {"table2": run_model_suite(panel, None, vcov_variant), "table3": t3, "table4": t4}
+    """Tables 2-4 keyed by table id, each cell fitted once: per REPLICATION_TABLES
+    entry, its first n specifications on the panel under its outlier filter."""
+    specs = builtin_specs()
+    return {
+        table: run_model_suite(apply_outlier_filter(panel, name), specs[:n], vcov_variant, title)
+        for table, (title, name, n) in REPLICATION_TABLES.items()
+    }
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")  # checked as non-finite below
@@ -315,13 +303,12 @@ def all_figures(panel: Panel, grid_points: int = 100):
     ]
 
 
-def replication_diff(panel: Panel, tables=None) -> str:
+def replication_diff(tables) -> str:
     """Markdown report: reference estimate beside the computed cell for
-    every anchor, under both second-stage covariance variants, from the
-    tables of replication_tables(panel), made here when not given.  Every
-    cell is printed as the tables print it, by render.cell_text.
+    every anchor, under both second-stage covariance variants, read from
+    the fits of replication_tables' tables.  Every cell is printed as the
+    tables print it, by render.cell_text.
     """
-    tables = replication_tables(panel) if tables is None else tables
     tables = {
         (name, variant): tabulate(table, variant)
         for name, table in tables.items()

@@ -6,8 +6,8 @@ the log vaccination rate among starters.  The vaccine provider dummies
 enter the outcome stage of every model; days since first vaccination is
 outcome-only; soft-power membership is selection-only and government
 effectiveness outcome-only (the exclusion pattern that identifies the
-correction term).  The named outlier filters of the robustness suites
-live here too.
+correction term).  The named outlier filters, the registry of tables
+2-4 that run on them and the tables' reference cells live here too.
 """
 
 from __future__ import annotations
@@ -94,6 +94,16 @@ OUTLIER_FILTERS = {
     "none": (),
     "table3": (("gov_eff", 0.05, 0.95), ("gdp", 0.05, 0.95)),
     "table4": (("vac_php", 0.0, 0.95),),
+}
+
+
+# The estimation tables of a replication run, in output order: table id ->
+# (title, outlier filter, how many of builtin_specs it fits, from the first).
+REPLICATION_TABLES = {
+    "table2": ("Estimated selection models", "none", 5),
+    "table3": ("Estimated selection models (gov. effectiveness and GDP outliers excluded)",
+               "table3", 4),
+    "table4": ("Estimated selection models (vaccination rate outliers excluded)", "table4", 4),
 }
 
 

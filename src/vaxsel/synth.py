@@ -160,7 +160,6 @@ def generate(config: DgpConfig, rep: int | None = None) -> SyntheticSample:
         outcome_X=out_X[selected],
         outcome_labels=labels_out,
         outcome_keep=np.ones(int(selected.sum()), dtype=bool),
-        spec_name="synthetic",
     )
     return SyntheticSample(frame=frame, truth=config, latent=latent, selection_error=e)
 

@@ -72,7 +72,7 @@ def load_panel(path, schema) -> Panel:
     if not path.exists():
         raise PanelError(f"data file not found: {path}")
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8").removeprefix("\ufeff")
         rows = list(csv.reader(text.splitlines()))
     except UnicodeDecodeError as exc:
         raise ParseError(f"data file {path} is not UTF-8 text (byte {exc.start})") from exc

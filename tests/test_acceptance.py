@@ -185,7 +185,7 @@ def test_criterion_5_table2_pattern(snapshot):
         assert c.value > 0 and c.stars == "***", (m, c)
     assert cell("gov_eff", "model5", "outcome").stars == ""
 
-    diff = replicate.replication_diff(snapshot)
+    diff = replicate.replication_diff(replicate.replication_tables(snapshot))
     assert "0.718*** (0.217)" in diff
     for a in ANCHOR_CELLS:
         assert f"| {a.table} | {a.model} | {a.stage} | {a.variable} |" in diff
@@ -194,7 +194,8 @@ def test_criterion_5_table2_pattern(snapshot):
 
 def test_criterion_6_robustness_suites(snapshot):
     """Outlier suites preserve the patterns; identity filters change nothing."""
-    t3, t4 = replicate.run_outlier_suites(snapshot)
+    tables = replicate.replication_tables(snapshot)
+    t3, t4 = tables["table3"], tables["table4"]
     for t, label in ((t3, "table3"), (t4, "table4")):
         c = t.cell("gov_eff", "model2:outcome")
         assert c.value > 0 and c.stars == "***", (label, c)

@@ -76,6 +76,16 @@ def test_output_tree_matches_reference_digests(tmp_path, run):
     assert tree_digest(out) == run["files"]
 
 
+@pytest.mark.parametrize("command", ["describe", "replicate"])
+def test_a_byte_order_mark_before_the_header_changes_no_output(tmp_path, command):
+    # a spreadsheet's "CSV UTF-8" export writes one; the header read as '\ufeffiso3', name
+    data = tmp_path / "bom.csv"
+    data.write_bytes(b"\xef\xbb\xbf" + packaged("snapshot.csv").read_bytes())
+    assert main([command, "--out", str(tmp_path / "plain")]) == 0
+    assert main([command, "--data", str(data), "--out", str(tmp_path / "bom")]) == 0
+    assert tree_digest(tmp_path / "bom") == tree_digest(tmp_path / "plain")
+
+
 def test_replicate_fits_each_cell_once(tmp_path, monkeypatch):
     frames = []
     fit_two_step = heckman.fit_two_step

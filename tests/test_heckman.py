@@ -38,7 +38,6 @@ def simple_frame(rng, n=400, rho=0.5, gamma_w=1.0):
         outcome_X=np.column_stack([x[selected], np.ones(ns)]),
         outcome_labels=["x", "const"],
         outcome_keep=np.ones(ns, dtype=bool),
-        spec_name="simple",
     )
 
 
@@ -157,7 +156,6 @@ class TestFitTwoStep:
                 outcome_X=np.column_stack([xo[selected], np.ones(ns)]),
                 outcome_labels=["x", "const"],
                 outcome_keep=np.ones(ns, dtype=bool),
-                spec_name="perm",
             )
 
         fit1 = heckman.fit_two_step(frame_from(np.arange(n)))
@@ -181,7 +179,6 @@ class TestFitTwoStep:
             outcome_X=X,
             outcome_labels=["x", "const"],
             outcome_keep=np.ones(n, dtype=bool),
-            spec_name="degenerate",
         )
         fit = heckman.fit_two_step(frame)
         assert fit.degenerate
@@ -308,7 +305,6 @@ class TestFitTwoStep:
             outcome_X=np.column_stack([x[selected], np.ones(ns)]),
             outcome_labels=["x", "const"],
             outcome_keep=np.ones(ns, dtype=bool),
-            spec_name="no_instrument",
         )
         with pytest.raises(heckman.CollinearMillsError) as err:
             heckman.fit_two_step(frame)
@@ -355,7 +351,6 @@ class TestFitTwoStep:
                 outcome_X=np.column_stack([x[selected], np.ones(ns)]),
                 outcome_labels=["x", "const"],
                 outcome_keep=np.ones(ns, dtype=bool),
-                spec_name="t",
             )
 
         rng = np.random.default_rng(321)

@@ -61,7 +61,7 @@ def assert_panels_equal(a, b):
 class TestLoadPanel:
     def test_snapshot_counts(self, snapshot):
         assert snapshot.n_records == 189
-        assert snapshot.n_started == 56
+        assert int((snapshot.column("started") == 1.0).sum()) == 56
 
     def test_empty_file(self, tmp_path):
         p = tmp_path / "empty.csv"
@@ -79,7 +79,7 @@ class TestLoadPanel:
         pan = load_panel(p, MINI_SCHEMA)
         assert pan.n_records == 1
         assert pan.column("cases")[0] == pytest.approx(math.log(1200.0))
-        assert pan.raw_column("cases")[0] == 1200.0
+        assert pan.raw["cases"][0] == 1200.0
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(panel.PanelError) as err:
@@ -139,7 +139,7 @@ class TestLoadPanel:
         p = write_mini(tmp_path, ["ABW,Aruba,0,0.4,0,,,0,0,0,0"])
         pan = load_panel(p, MINI_SCHEMA)
         assert np.isnan(pan.column("cases")[0])
-        assert pan.raw_column("cases")[0] == 0.0
+        assert pan.raw["cases"][0] == 0.0
         assert any("ABW:cases" in line for line in pan.audit)
 
     def test_duplicate_header_column_is_schema_error(self, tmp_path):
@@ -342,6 +342,10 @@ class TestColumnWiseLoader:
 
 
 class TestColumnar:
+    def test_a_code_outside_the_schema_is_a_schema_error_naming_it(self, snapshot):
+        with pytest.raises(SchemaError, match="variable 'mystery' is not in the panel schema"):
+            snapshot.column("mystery")
+
     @pytest.mark.parametrize("name", ["table3", "table4"])
     def test_outlier_filters_keep_rows_whole_and_in_order(self, snapshot, name):
         filtered = apply_outlier_filter(snapshot, name)
@@ -357,7 +361,7 @@ class TestColumnar:
                                   equal_nan=True), code
 
     def test_columns_are_read_only(self, snapshot):
-        for read in (snapshot.column, snapshot.raw_column):
+        for read in (snapshot.column, snapshot.raw.__getitem__):
             col = read("gdp")
             before = col.copy()
             with pytest.raises(ValueError):
@@ -388,11 +392,11 @@ class TestTransforms:
     def test_apply_log_zero_is_missing_and_audited(self, tmp_path):
         p = write_mini(tmp_path, ["X,Xland,0,0.4,0,,,0,0,0,0"])
         pan = load_panel(p, MINI_SCHEMA)
-        assert np.isnan(pan.column("cases")[0]) and pan.raw_column("cases")[0] == 0.0
+        assert np.isnan(pan.column("cases")[0]) and pan.raw["cases"][0] == 0.0
         assert pan.audit == ["X:cases: non-positive value 0.0 treated as missing under log"]
 
     def test_snapshot_gov_response_raw_mean(self, snapshot):
-        raw = snapshot.raw_column("gov_response")
+        raw = snapshot.raw["gov_response"]
         # the reference table labels this row as a log but prints the raw
         # index mean; the snapshot follows the raw-mean reading
         assert np.nanmean(raw) == pytest.approx(57.22, abs=0.1)

@@ -7,13 +7,19 @@ from hypothesis import strategies as st
 
 from vaxsel import heckman, render, replicate
 from vaxsel.panel import Panel, VariableDef, filter_percentile
-from vaxsel.specs import ANCHOR_CELLS, ModelSpec, apply_outlier_filter, builtin_specs
+from vaxsel.specs import (ANCHOR_CELLS, OUTLIER_FILTERS, REPLICATION_TABLES, ModelSpec,
+                          apply_outlier_filter, builtin_specs)
 from tests.conftest import examples
 
 
 @pytest.fixture(scope="module")
 def table2(snapshot):
     return replicate.run_model_suite(snapshot)
+
+
+@pytest.fixture(scope="module")
+def tables(snapshot):
+    return replicate.replication_tables(snapshot)
 
 
 def with_column(panel, vdef, values, raw):
@@ -44,6 +50,14 @@ class TestSpecs:
     def test_gov_eff_never_in_selection(self):
         with pytest.raises(ValueError):
             ModelSpec("bad", ("gov_eff",), ("cases",))
+
+    def test_every_anchor_is_a_cell_of_a_registry_table(self):
+        names = [s.name for s in builtin_specs()]
+        for a in ANCHOR_CELLS:
+            assert a.table in REPLICATION_TABLES, a
+            _, outlier_filter, n_models = REPLICATION_TABLES[a.table]
+            assert outlier_filter in OUTLIER_FILTERS
+            assert a.model in names[:n_models], a
 
 
 class TestDescriptiveTable:
@@ -193,8 +207,8 @@ class TestOutlierSuites:
         with pytest.raises(ValueError, match="unknown filter"):
             apply_outlier_filter(snapshot, "table5")
 
-    def test_robustness_patterns(self, snapshot):
-        t3, t4 = replicate.run_outlier_suites(snapshot)
+    def test_robustness_patterns(self, tables):
+        t3, t4 = tables["table3"], tables["table4"]
         assert t3.observations["model1:selection"] == 131
         assert t4.observations["model1:selection"] == 162
         for t, m4_req in ((t3, ("***",)), (t4, ("**", "***"))):
@@ -325,15 +339,16 @@ class TestFigures:
 
 
 class TestDiffReport:
-    def test_contains_every_anchor(self, snapshot):
-        text = replicate.replication_diff(snapshot)
+    def test_contains_every_anchor(self, tables):
+        text = replicate.replication_diff(tables)
         assert "0.718*** (0.217)" in text
         assert "0.400*** (0.127)" in text
         for a in ANCHOR_CELLS:
             assert f"| {a.table} | {a.model} | {a.stage} | {a.variable} |" in text
 
-    def test_deterministic(self, snapshot):
-        assert replicate.replication_diff(snapshot) == replicate.replication_diff(snapshot)
+    def test_deterministic(self, snapshot, tables):
+        again = replicate.replication_tables(snapshot)
+        assert replicate.replication_diff(again) == replicate.replication_diff(tables)
 
     def test_fits_each_cell_once(self, snapshot, monkeypatch):
         calls = []
@@ -344,12 +359,15 @@ class TestDiffReport:
             return fit_two_step(frame, *args, **kwargs)
 
         monkeypatch.setattr(heckman, "fit_two_step", counting)
-        replicate.replication_diff(snapshot)
+        tables = replicate.replication_tables(snapshot)
+        assert len(calls) == 13
+        # the report reads the tables' fits and refits none of them
+        replicate.replication_diff(tables)
         assert len(calls) == 13
 
-    def test_tables_fitted_under_either_variant_give_the_same_report(self, snapshot):
-        tables = replicate.replication_tables(snapshot, heckman.HECKMAN_CORRECTED)
-        assert replicate.replication_diff(snapshot, tables) == replicate.replication_diff(snapshot)
+    def test_tables_fitted_under_either_variant_give_the_same_report(self, snapshot, tables):
+        corrected = replicate.replication_tables(snapshot, heckman.HECKMAN_CORRECTED)
+        assert replicate.replication_diff(corrected) == replicate.replication_diff(tables)
 
     def test_cells_round_as_the_tables_round(self, snapshot, monkeypatch):
         # 0.0625 is a tie: f"{v:.3f}" rounds it to even, 0.062, and the tables print 0.063
@@ -363,7 +381,7 @@ class TestDiffReport:
 
         monkeypatch.setattr(replicate, "tabulate", tied)
         tables = replicate.replication_tables(snapshot)
-        report = replicate.replication_diff(snapshot, tables)
+        report = replicate.replication_diff(tables)
         table = render.render_table_markdown(tables["table2"])
         assert "0.063*** (0.063) |" in table and "0.062" not in table + report
         assert report.count(" (0.063) |") == 2 * len(ANCHOR_CELLS)
