@@ -8,8 +8,8 @@ estimated selection index; this is the only reading under which the
 correction removes the truncation bias, and it is the convention used
 throughout this module.
 
-A fit is a function of its frame alone.  Two covariance variants for
-the second stage are read from it:
+A fit is a function of its frame alone.  It carries two covariance
+variants for the second stage:
 
 ``plain_robust``
     HC1 sandwich treating the Mills column as a fixed regressor, with the
@@ -22,7 +22,7 @@ the second stage are read from it:
     sigma^2 (W'W)^{-1} when the Mills coefficient is zero.
 
 Both are functions of the same first stage and point estimates, so one fit
-serves both: HeckmanFit computes each stage's covariance on its first request.
+serves both: fit_two_step computes both variants and stores them on the fit.
 
 The second stage works on a stack of samples, their selected rows packed to
 the front of zero rows: second_stages solves each sample on its own rows and
@@ -33,7 +33,7 @@ covariances of the stack at once.  fit_two_step is the one-sample case.
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -76,7 +76,8 @@ class HeckmanFit:
     entry, the Mills-ratio coefficient (an estimate of rho * sigma_u);
     imr_coef mirrors that last entry.  In the degenerate all-selected
     case the Mills column is skipped, outcome_coef has no extra entry and
-    imr_coef is 0.  outcome_vcov() and selection_vcov() give either variant.
+    imr_coef is 0.  vcov maps each variant to its (outcome, selection)
+    covariances; a degenerate fit has its robust outcome one and None under both.
     """
 
     first_stage: probit.ProbitFit
@@ -88,34 +89,8 @@ class HeckmanFit:
     residuals: np.ndarray
     sigma2: float
     rho: float
+    vcov: dict
     degenerate: bool = False
-    design: np.ndarray = field(default=None, repr=False)
-    frame: object = field(default=None, repr=False)
-    _cache: dict = field(default_factory=dict, init=False, repr=False)
-
-    def _cached(self, compute, *args):
-        if compute not in self._cache:
-            self._cache[compute] = compute(*args)
-        return self._cache[compute]
-
-    def outcome_vcov(self, variant: str) -> np.ndarray:
-        """Second-stage covariance under variant, computed once and then the
-        same object; a degenerate fit has only its robust one, for either variant."""
-        check_vcov_variant(variant)
-        robust = self.degenerate or variant == PLAIN_ROBUST
-        return self._cached(plain_robust_vcov if robust else heckman_corrected_vcov, self)
-
-    def selection_vcov(self, variant: str):
-        """First-stage covariance under variant, cached like outcome_vcov: the
-        probit sandwich for plain_robust, the first stage's vcov for
-        heckman_corrected, None for a degenerate fit."""
-        check_vcov_variant(variant)
-        if self.degenerate:
-            return None
-        if variant == HECKMAN_CORRECTED:
-            return self.first_stage.vcov
-        return self._cached(probit.sandwich_vcov, self.first_stage, self.frame.selection_y,
-                            self.frame.selection_X)
 
 
 def ols(y, X, labels=None):
@@ -152,17 +127,25 @@ def significance_stars(coef: float, se: float) -> str:
     return ""
 
 
-def _hc1(W, e, n):
-    """HC1 sandwich of one design W (n, k) with residuals e, or of a stack (R, m, k)
-    whose sample r has zero rows past its n[r]."""
+def plain_robust_vcov(W, e, n):
+    """HC1 sandwich, Mills column held fixed, of one design W (n, k) with residuals
+    e, or of a stack (R, m, k) whose sample r has zero rows past its n[r]."""
     wtw_inv = np.linalg.inv(W.swapaxes(-1, -2) @ W)
     meat = (W * (e**2)[..., None]).swapaxes(-1, -2) @ W
     v = wtw_inv @ meat @ wtw_inv * np.asarray(n / (n - W.shape[-1]))[..., None, None]
     return 0.5 * (v + v.swapaxes(-1, -2))
 
 
-def _corrected(W, delta, Z, V1, rho2, sigma2):
-    """heckman_corrected_vcov from its parts, for one sample or a stack padded as _hc1's."""
+def heckman_corrected_vcov(W, delta, Z, V1, rho2, sigma2):
+    """Two-step covariance with the generated-regressor adjustment, for one sample
+    or a stack padded as plain_robust_vcov's.
+
+    sigma^2 (W'W)^{-1} [ W'(I - rho^2 D) W + Q ] (W'W)^{-1}, with
+    Q = rho^2 (W'D Z) V1 (Z'D W) the first-stage estimation error carried
+    through the Mills column by the first stage's covariance V1.  On the
+    selected rows the outcome keeps, Z is the selection design and D the
+    diagonal of delta at the first-stage index (the first stage's w there).
+    """
     rho2 = np.asarray(rho2)[..., None]
     wtw_inv = np.linalg.inv(W.swapaxes(-1, -2) @ W)
     WdZ = (W * delta[..., None]).swapaxes(-1, -2) @ Z
@@ -170,28 +153,6 @@ def _corrected(W, delta, Z, V1, rho2, sigma2):
     core = (W * (1.0 - rho2 * delta)[..., None]).swapaxes(-1, -2) @ W + Q
     v = np.asarray(sigma2)[..., None, None] * wtw_inv @ core @ wtw_inv
     return 0.5 * (v + v.swapaxes(-1, -2))
-
-
-def plain_robust_vcov(fit: HeckmanFit) -> np.ndarray:
-    """HC1 sandwich for the second stage, Mills column held fixed."""
-    return _hc1(fit.design, fit.residuals, fit.design.shape[0])
-
-
-def heckman_corrected_vcov(fit: HeckmanFit) -> np.ndarray:
-    """Two-step covariance with the generated-regressor adjustment.
-
-    sigma^2 (W'W)^{-1} [ W'(I - rho^2 D) W + Q ] (W'W)^{-1}, with
-    Q = rho^2 (W'D Z) V1 (Z'D W) the first-stage estimation error carried
-    through the Mills column.  On the selected rows the outcome keeps, Z is
-    fit.frame's selection design and D the diagonal of delta at the
-    first-stage index, which is the first stage's Hessian weights w there.
-    """
-    if fit.degenerate:
-        raise CollinearMillsError("no correction term in a degenerate all-selected fit")
-    selected = np.asarray(fit.frame.selection_y, dtype=float) == 1.0
-    Z = np.asarray(fit.frame.selection_X, dtype=float)[selected][fit.frame.outcome_keep]
-    delta = fit.first_stage.w[selected][fit.frame.outcome_keep]
-    return _corrected(fit.design, delta, Z, fit.first_stage.vcov, fit.rho**2, fit.sigma2)
 
 
 SecondStages = namedtuple("SecondStages",
@@ -254,7 +215,8 @@ def outcome_vcovs(stages: SecondStages, variant: str, Z=None):
     """The (R, k, k) outcome covariances of stages under variant (zero where a sample
     failed) and per sample None or its error, a singular W'W's LinAlgError included:
     stacked, or one sample at a time when the stack meets a singular matrix.  Z is
-    the selection designs packed like the outcome rows, read by heckman_corrected."""
+    the selection designs packed like the outcome rows, read by heckman_corrected.
+    fit_two_step calls it on a stack of one."""
     check_vcov_variant(variant)
     errors = list(stages.errors)
     ok = [r for r, err in enumerate(errors) if err is None]
@@ -262,12 +224,12 @@ def outcome_vcovs(stages: SecondStages, variant: str, Z=None):
     if not ok:
         return V, errors
     if variant == PLAIN_ROBUST:
-        vcov, args = _hc1, (stages.design[ok], stages.residuals[ok], stages.rows[ok])
+        vcov, args = plain_robust_vcov, (stages.design[ok], stages.residuals[ok], stages.rows[ok])
     else:
-        rho = stages.rho.tolist()  # squared by Python's float power, as a single fit's is
-        vcov, args = _corrected, (stages.design[ok], stages.delta[ok], Z[ok],
-                                  np.array([stages.first_stages[r].vcov for r in ok]),
-                                  np.array([rho[r] ** 2 for r in ok]), stages.sigma2[ok])
+        rho2 = np.array([float(stages.rho[r]) ** 2 for r in ok])  # Python's float power
+        V1 = np.array([stages.first_stages[r].vcov for r in ok])
+        vcov, args = heckman_corrected_vcov, (stages.design[ok], stages.delta[ok], Z[ok], V1, rho2,
+                                              stages.sigma2[ok])
     try:
         V[ok] = vcov(*args)
     except np.linalg.LinAlgError:
@@ -287,9 +249,9 @@ def fit_two_step(frame) -> HeckmanFit:
     frame : ModelFrame with selection_y/selection_X over all usable rows
         and outcome_y/outcome_X over the selected subset.
 
-    The first stage's g and w on the selected rows are lambda and delta.  No
-    covariance is computed here: HeckmanFit.outcome_vcov and
-    HeckmanFit.selection_vcov give either variant from the returned fit.
+    The first stage's g and w on the selected rows are lambda and delta.  Both
+    covariance variants are computed here, the outcome half by outcome_vcovs on
+    the one-sample stack, and stored as HeckmanFit.vcov.
 
     Raises
     ------
@@ -299,8 +261,9 @@ def fit_two_step(frame) -> HeckmanFit:
     decomposed once, by the SVD in lstsq.  Above condition number 1e10 its
     collinear columns are named by probit.collinear_columns: RankDeficientError
     when any is an outcome column, else CollinearMillsError, which usually
-    means the selection equation needs an exclusion restriction.  With every
-    row selected the outcome design goes through ols and its checks.
+    means the selection equation needs an exclusion restriction.  A covariance
+    that fails raises its error, a singular W'W's LinAlgError among them.  With
+    every row selected the outcome design goes through ols and its checks.
     """
     sel_y = np.asarray(frame.selection_y, dtype=float).ravel()
     out_y, out_X = (np.asarray(a, dtype=float) for a in (frame.outcome_y, frame.outcome_X))
@@ -313,10 +276,11 @@ def fit_two_step(frame) -> HeckmanFit:
         # Phi of the index is ~1 for every row, so the Mills column is a
         # near-zero constant collinear with the intercept; fall back to
         # plain least squares and say so.
-        first, W = None, out_X
-        coef, resid = ols(out_y, W, labels_w)
+        first = None
+        coef, resid = ols(out_y, out_X, labels_w)
         imr_coef = rho = 0.0
         sigma2 = float(resid @ resid / n_selected)
+        vcov = dict.fromkeys(VCOV_VARIANTS, (plain_robust_vcov(out_X, resid, n_selected), None))
     else:
         first = probit.fit(sel_y, frame.selection_X, frame.selection_labels)
         mills, delta = first.g[selected][keep], first.w[selected][keep]
@@ -324,14 +288,20 @@ def fit_two_step(frame) -> HeckmanFit:
             raise ValueError("outcome rows do not line up with the selected selection rows")
         stage = second_stages(out_y[None], out_X[None], mills[None], delta[None], [n_selected],
                               labels_w, [first])
-        if stage.errors[0] is not None:
-            raise stage.errors[0]
-        W, coef, resid = stage.design[0], stage.coef[0], stage.residuals[0]
+        Z = np.asarray(frame.selection_X, dtype=float)[selected][keep]
+        vcov = {}
+        for variant in VCOV_VARIANTS:  # the stage's own error first, as outcome_vcovs keeps it
+            V, (error,) = outcome_vcovs(stage, variant, Z[None])
+            if error is not None:
+                raise error
+            vcov[variant] = (V[0], first.vcov if variant == HECKMAN_CORRECTED
+                             else probit.sandwich_vcov(first, sel_y, frame.selection_X))
+        coef, resid = stage.coef[0], stage.residuals[0]
         labels_w.append(IMR_LABEL)
         imr_coef, sigma2, rho = float(coef[-1]), float(stage.sigma2[0]), float(stage.rho[0])
 
     return HeckmanFit(
         first_stage=first, outcome_coef=coef, imr_coef=imr_coef, outcome_labels=labels_w,
         n_total=sel_y.shape[0], n_selected=n_selected, residuals=resid, sigma2=sigma2, rho=rho,
-        degenerate=first is None, design=W, frame=frame,
+        vcov=vcov, degenerate=first is None,
     )

@@ -12,6 +12,7 @@ panel's audit list.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -185,9 +186,10 @@ def load_panel(path, schema) -> Panel:
     if not path.exists():
         raise PanelError(f"data file not found: {path}")
     try:
-        # drop the BOM of a "CSV UTF-8" export after decoding, so a bad byte's offset counts it
-        text = path.read_text(encoding="utf-8").removeprefix("\ufeff")
-        rows = list(csv.reader(text.splitlines()))
+        # decoded without newline translation, so a quoted CR LF keeps its CR; the BOM of
+        # a "CSV UTF-8" export is dropped after decoding, so a bad byte's offset counts it
+        text = path.read_bytes().decode("utf-8").removeprefix("\ufeff")
+        rows = list(csv.reader(io.StringIO(text, newline="")))
     except UnicodeDecodeError as exc:
         raise ParseError(f"data file {path} is not UTF-8 text (byte {exc.start})") from exc
     except csv.Error as exc:
@@ -270,8 +272,8 @@ def save_panel(panel: Panel, path) -> None:
 
 
 def csv_quote(text):
-    """text as one CSV field: quoted, with doubled quotes, when it holds a comma or a quote."""
-    if "," in text or '"' in text:
+    """text as one CSV field: quoted, with doubled quotes, when it holds , " CR or LF."""
+    if any(c in text for c in ',"\n\r'):
         return '"' + text.replace('"', '""') + '"'
     return text
 

@@ -102,7 +102,7 @@ def descriptive_table(panel: Panel) -> TableResult:
 
 def tabulate(table: TableResult, vcov_variant: str) -> TableResult:
     """The fits of a run_model_suite table as paired columns under
-    vcov_variant, read from each fit's covariance methods, not refitted.  A
+    vcov_variant, read from each fit's stored covariances, not refitted.  A
     degenerate (all-selected) fit gets a note of its own: it has no
     selection stage and is read under plain_robust whatever the variant."""
     out = TableResult(
@@ -121,10 +121,11 @@ def tabulate(table: TableResult, vcov_variant: str) -> TableResult:
                   f"column; second-stage covariance: {heckman.PLAIN_ROBUST}"
                   for name, fit in table.fits.items() if fit.degenerate]
     for name, fit in table.fits.items():
-        stages = [("outcome", fit.outcome_labels, fit.outcome_coef, fit.outcome_vcov(vcov_variant))]
+        outcome_vcov, selection_vcov = fit.vcov[vcov_variant]
+        stages = [("outcome", fit.outcome_labels, fit.outcome_coef, outcome_vcov)]
         if not fit.degenerate:
             first = fit.first_stage
-            stages.append(("selection", first.labels, first.coef, fit.selection_vcov(vcov_variant)))
+            stages.append(("selection", first.labels, first.coef, selection_vcov))
         for stage, labels, coefs, vcov in stages:
             for label, coef, se in zip(labels, coefs.tolist(), np.sqrt(np.diag(vcov)).tolist()):
                 if not (math.isfinite(coef) and math.isfinite(se)):
@@ -157,10 +158,7 @@ def run_model_suite(
     )
     for s in specs:
         try:
-            fit = heckman.fit_two_step(build_model_frame(panel, s))
-            # a covariance that fails is this model's error
-            fit.outcome_vcov(vcov_variant), fit.selection_vcov(vcov_variant)
-            table.fits[s.name] = fit
+            table.fits[s.name] = heckman.fit_two_step(build_model_frame(panel, s))
         except (*heckman.ESTIMATION_ERRORS, PanelError) as exc:  # in-table, suite continues
             table.column_errors[f"{s.name}:outcome"] = str(exc)
             table.column_errors[f"{s.name}:selection"] = str(exc)

@@ -7,6 +7,7 @@ the same values and raw bits, the same audit lines, or the same exception.
 """
 
 import csv
+import io
 import math
 from pathlib import Path
 
@@ -72,8 +73,8 @@ def load_panel(path, schema) -> Panel:
     if not path.exists():
         raise PanelError(f"data file not found: {path}")
     try:
-        text = path.read_text(encoding="utf-8").removeprefix("\ufeff")
-        rows = list(csv.reader(text.splitlines()))
+        text = path.read_bytes().decode("utf-8").removeprefix("\ufeff")
+        rows = list(csv.reader(io.StringIO(text, newline="")))
     except UnicodeDecodeError as exc:
         raise ParseError(f"data file {path} is not UTF-8 text (byte {exc.start})") from exc
     except csv.Error as exc:

@@ -10,6 +10,7 @@ import signal
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -100,6 +101,23 @@ def test_replicate_fits_each_cell_once(tmp_path, monkeypatch):
     assert main(["replicate", "--out", str(tmp_path / "out")]) == 0
     assert len(frames) == 13
     assert len(set(frames)) == 13
+
+
+def test_a_failing_covariance_is_a_column_error_of_replicate(tmp_path, monkeypatch, capsys):
+    def singular(*args):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(heckman, "heckman_corrected_vcov", singular)
+    out = tmp_path / "out"
+    assert main(["replicate", "--out", str(out)]) == 0
+    assert "error:" not in capsys.readouterr().err
+    for table in ("table2", "table3", "table4"):
+        text = (out / "tables" / f"{table}.md").read_text(encoding="utf-8")
+        assert "- model1:outcome: estimation failed: Singular matrix" in text
+    report = (out / "report" / "replication_diff.md").read_text(encoding="utf-8")
+    rows = [line for line in report.splitlines() if line.startswith(("| table2", "| table3",
+                                                                    "| table4"))]
+    assert rows and all("| (model failed) | (model failed) | no | no |" in r for r in rows)
 
 
 def forced_second_stage_errors(monkeypatch, error_of):

@@ -41,6 +41,15 @@ def simple_frame(rng, n=400, rho=0.5, gamma_w=1.0):
     )
 
 
+def corrected_parts(frame, fit):
+    """W (outcome_X and the Mills column), delta and Z of fit on frame's kept selected
+    rows: the design arguments of heckman_corrected_vcov."""
+    selected = frame.selection_y == 1.0
+    g, w = (a[selected][frame.outcome_keep] for a in (fit.first_stage.g, fit.first_stage.w))
+    return (np.column_stack([frame.outcome_X, g]), w,
+            frame.selection_X[selected][frame.outcome_keep])
+
+
 class TestOls:
     def test_exact_line(self):
         x = np.arange(10, dtype=float)
@@ -242,14 +251,20 @@ class TestFitTwoStep:
         counting(probit, "collinear_columns")
         fit = heckman.fit_two_step(frame)
         assert len(firsts) == 1 and fit.first_stage is firsts[0]
-        for variant in heckman.VCOV_VARIANTS:
-            fit.outcome_vcov(variant), fit.selection_vcov(variant)
-            assert calls == {"lstsq": 1, "cond": 0, "qr": 0, "collinear_columns": 0}
+        # both covariance variants are computed inside the fit
+        assert calls == {"lstsq": 1, "cond": 0, "qr": 0, "collinear_columns": 0}
 
     def test_second_stage_reads_lambda_and_delta_from_the_first_stage(self, monkeypatch):
         frame = simple_frame(np.random.default_rng(7))
         want = heckman.fit_two_step(frame)
         firsts, inside = self.spy_on_first_stage(monkeypatch)
+        stages = []
+
+        def second_stages(*args, original=heckman.second_stages):
+            stages.append(original(*args))
+            return stages[-1]
+
+        monkeypatch.setattr(heckman, "second_stages", second_stages)
         calls = []
         for module in (probit, stdnorm, heckman):
             if hasattr(module, "normal_tail_terms"):
@@ -260,13 +275,11 @@ class TestFitTwoStep:
 
                 monkeypatch.setattr(module, "normal_tail_terms", counted)
         fit = heckman.fit_two_step(frame)
-        for variant in heckman.VCOV_VARIANTS:
-            fit.outcome_vcov(variant), fit.selection_vcov(variant)
         assert calls == []
-        (first,) = firsts
+        (first,), (stage,) = firsts, stages
         assert fit.first_stage is first
         selected = frame.selection_y == 1.0
-        assert np.array_equal(fit.design[:, -1], first.g[selected][frame.outcome_keep])
+        assert np.array_equal(stage.design[0, :, -1], first.g[selected][frame.outcome_keep])
         assert np.array_equal(fit.outcome_coef, want.outcome_coef)
         assert "delta" not in {f.name for f in dataclasses.fields(heckman.HeckmanFit)}
 
@@ -376,7 +389,7 @@ class TestFitTwoStep:
 class TestPlainRobustVcov:
     def test_symmetric_psd(self):
         fit = heckman.fit_two_step(simple_frame(np.random.default_rng(1)))
-        v = fit.outcome_vcov(heckman.PLAIN_ROBUST)
+        v, _ = fit.vcov[heckman.PLAIN_ROBUST]
         assert_allclose(v, v.T, atol=1e-14)
         assert np.all(np.linalg.eigvalsh(v) >= -1e-12)
 
@@ -386,20 +399,8 @@ class TestPlainRobustVcov:
         x = rng.standard_normal(n)
         X = np.column_stack([np.ones(n), x])
         y = 1.0 + 0.5 * x + rng.standard_normal(n)
-        coef, resid = heckman.ols(y, X)
-        fake = heckman.HeckmanFit(
-            first_stage=None,
-            outcome_coef=coef,
-            imr_coef=0.0,
-            outcome_labels=["const", "x"],
-            n_total=n,
-            n_selected=n,
-            residuals=resid,
-            sigma2=float(resid @ resid / n),
-            rho=0.0,
-            design=X,
-        )
-        hc1 = heckman.plain_robust_vcov(fake)
+        _, resid = heckman.ols(y, X)
+        hc1 = heckman.plain_robust_vcov(X, resid, n)
         classical = float(resid @ resid / (n - 2)) * np.linalg.inv(X.T @ X)
         # off-diagonals of both are ~0 here; the meaningful comparison is
         # entrywise on the variances
@@ -418,7 +419,7 @@ class TestPlainRobustVcov:
             outcome_keep=np.tile(frame.outcome_keep, 2),
         )
         fit2 = heckman.fit_two_step(dup)
-        v1, v2 = (fit.outcome_vcov(heckman.PLAIN_ROBUST) for fit in (fit1, fit2))
+        v1, v2 = (fit.vcov[heckman.PLAIN_ROBUST][0] for fit in (fit1, fit2))
         ratio = np.diag(v2) / np.diag(v1)
         assert np.all((ratio > 0.45) & (ratio < 0.55))
 
@@ -429,17 +430,17 @@ class TestHeckmanCorrectedVcov:
         frame = simple_frame(rng)
         fit = heckman.fit_two_step(frame)
         rss = float(fit.residuals @ fit.residuals)
-        forced = dataclasses.replace(
-            fit, imr_coef=0.0, rho=0.0, sigma2=rss / fit.n_selected
-        )
-        v = heckman.heckman_corrected_vcov(forced)
-        unadjusted = forced.sigma2 * np.linalg.inv(fit.design.T @ fit.design)
+        W, delta, Z = corrected_parts(frame, fit)
+        sigma2 = rss / fit.n_selected
+        v = heckman.heckman_corrected_vcov(W, delta, Z, fit.first_stage.vcov, 0.0, sigma2)
+        unadjusted = sigma2 * np.linalg.inv(W.T @ W)
         assert_allclose(v, unadjusted, atol=1e-10)
 
     def test_reads_delta_from_the_fit(self, monkeypatch):
         frame = simple_frame(np.random.default_rng(15))
         fit = heckman.fit_two_step(frame)
-        stored = fit.outcome_vcov(heckman.HECKMAN_CORRECTED)
+        stored, _ = fit.vcov[heckman.HECKMAN_CORRECTED]
+        parts = corrected_parts(frame, fit)
 
         def refuse(*args, **kwargs):
             raise AssertionError("the corrected covariance recomputed a normal tail term")
@@ -448,11 +449,12 @@ class TestHeckmanCorrectedVcov:
             for name in ("normal_tail_terms", "inverse_mills_delta", "inverse_mills"):
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, refuse)
-        assert np.array_equal(heckman.heckman_corrected_vcov(fit), stored)
+        assert np.array_equal(heckman.heckman_corrected_vcov(
+            *parts, fit.first_stage.vcov, fit.rho**2, fit.sigma2), stored)
 
     def test_symmetric(self):
         frame = simple_frame(np.random.default_rng(14))
-        v = heckman.fit_two_step(frame).outcome_vcov(heckman.HECKMAN_CORRECTED)
+        v, _ = heckman.fit_two_step(frame).vcov[heckman.HECKMAN_CORRECTED]
         assert_allclose(v, v.T, atol=1e-14)
 
     def test_coverage_on_synthetic_truth(self):
@@ -462,6 +464,8 @@ class TestHeckmanCorrectedVcov:
 
 
 class TestCovariancesOnDemand:
+    """Each fit carries both variants' covariances, computed once by fit_two_step."""
+
     @staticmethod
     def frames(snapshot):
         from vaxsel.panel import build_model_frame
@@ -476,12 +480,16 @@ class TestCovariancesOnDemand:
                 yield build_model_frame(panel, spec)
 
     @staticmethod
-    def direct(fit, variant):
-        """The (outcome, selection) covariances from the functions themselves."""
+    def direct(frame, fit, variant):
+        """The (outcome, selection) covariances from the functions themselves, on one
+        sample rather than a stack of one."""
+        W, delta, Z = corrected_parts(frame, fit)
+        first = fit.first_stage
         if variant == heckman.PLAIN_ROBUST:
-            return heckman.plain_robust_vcov(fit), probit.sandwich_vcov(
-                fit.first_stage, fit.frame.selection_y, fit.frame.selection_X)
-        return heckman.heckman_corrected_vcov(fit), fit.first_stage.vcov
+            return (heckman.plain_robust_vcov(W, fit.residuals, fit.n_selected),
+                    probit.sandwich_vcov(first, frame.selection_y, frame.selection_X))
+        return (heckman.heckman_corrected_vcov(W, delta, Z, first.vcov, fit.rho**2, fit.sigma2),
+                first.vcov)
 
     @staticmethod
     def counting_covariance_calls(monkeypatch):
@@ -501,33 +509,18 @@ class TestCovariancesOnDemand:
         assert len(frames) == 14
         for frame in frames:
             fit = heckman.fit_two_step(frame)
-            outcome, selection = fit.outcome_vcov(variant), fit.selection_vcov(variant)
-            direct_outcome, direct_selection = self.direct(fit, variant)
+            outcome, selection = fit.vcov[variant]
+            direct_outcome, direct_selection = self.direct(frame, fit, variant)
             assert np.array_equal(outcome, direct_outcome)
             assert np.array_equal(selection, direct_selection)
 
-    @pytest.mark.parametrize("variant", heckman.VCOV_VARIANTS)
-    def test_second_request_returns_the_same_objects(self, monkeypatch, variant):
-        fit = heckman.fit_two_step(simple_frame(np.random.default_rng(25)))
+    def test_one_fit_computes_each_covariance_once(self, monkeypatch):
         calls = self.counting_covariance_calls(monkeypatch)
-        first = fit.outcome_vcov(variant)
-        assert calls == [{heckman.PLAIN_ROBUST: "plain_robust_vcov",
-                          heckman.HECKMAN_CORRECTED: "heckman_corrected_vcov"}[variant]]
-        second = fit.selection_vcov(variant)
-        assert len(calls) == 1 + (variant == heckman.PLAIN_ROBUST)
-        calls.clear()
-        assert fit.outcome_vcov(variant) is first and fit.selection_vcov(variant) is second
-        assert calls == []
-
-    def test_fit_computes_no_covariance(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("computed a covariance nobody asked for")
-
-        monkeypatch.setattr(heckman, "plain_robust_vcov", refuse)
-        monkeypatch.setattr(heckman, "heckman_corrected_vcov", refuse)
-        monkeypatch.setattr(heckman.probit, "sandwich_vcov", refuse)
-        fit = heckman.fit_two_step(simple_frame(np.random.default_rng(22)))
-        assert fit.outcome_coef.shape == (3,)
+        fit = heckman.fit_two_step(simple_frame(np.random.default_rng(25)))
+        assert calls == ["plain_robust_vcov", "sandwich_vcov", "heckman_corrected_vcov"]
+        assert list(fit.vcov) == list(heckman.VCOV_VARIANTS)
+        fields = {f.name for f in dataclasses.fields(heckman.HeckmanFit)}
+        assert not fields & {"frame", "design"}
 
     def test_variant_is_not_a_fit_argument(self):
         frame = simple_frame(np.random.default_rng(26))
@@ -550,19 +543,11 @@ class TestCovariancesOnDemand:
             outcome_keep=np.ones(n, dtype=bool),
         )
         fit = heckman.fit_two_step(frame)
-        robust = fit.outcome_vcov(heckman.HECKMAN_CORRECTED)
-        assert np.array_equal(robust, heckman.plain_robust_vcov(fit))
+        robust, _ = fit.vcov[heckman.HECKMAN_CORRECTED]
+        assert np.array_equal(robust, heckman.plain_robust_vcov(frame.outcome_X, fit.residuals, n))
         for variant in heckman.VCOV_VARIANTS:
-            assert fit.outcome_vcov(variant) is robust and fit.selection_vcov(variant) is None
-        for half in (fit.outcome_vcov, fit.selection_vcov):
-            with pytest.raises(ValueError, match="'hc3'"):
-                half("hc3")
-
-    def test_unknown_variant_rejected(self):
-        fit = heckman.fit_two_step(simple_frame(np.random.default_rng(24)))
-        for half in (fit.outcome_vcov, fit.selection_vcov):
-            with pytest.raises(ValueError):
-                half("hc3")
+            assert fit.vcov[variant][0] is robust and fit.vcov[variant][1] is None
+        assert list(fit.vcov) == list(heckman.VCOV_VARIANTS)
 
 
 class TestSecondStages:
@@ -639,6 +624,11 @@ class TestSecondStages:
             assert np.array_equal(stages.coef[r], clean.coef[r])
             assert np.array_equal(V[r], clean_V[r])
 
+    def test_unknown_variant_rejected(self):
+        args, Z = self.stack()
+        with pytest.raises(ValueError, match="'hc3'"):
+            heckman.outcome_vcovs(heckman.second_stages(**args), "hc3", Z)
+
     def test_fit_two_step_is_the_one_sample_stack(self):
         args, Z = self.stack()
         stages = heckman.second_stages(**args)
@@ -653,5 +643,5 @@ class TestSecondStages:
             assert np.array_equal(fit.residuals, stages.residuals[rep, :n])
             assert not np.any(stages.residuals[rep, n:])
             assert fit.sigma2 == stages.sigma2[rep] and fit.rho == stages.rho[rep]
-            np.testing.assert_allclose(fit.outcome_vcov(heckman.HECKMAN_CORRECTED), V[rep],
+            np.testing.assert_allclose(fit.vcov[heckman.HECKMAN_CORRECTED][0], V[rep],
                                        rtol=1e-13, atol=0)

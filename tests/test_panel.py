@@ -544,6 +544,20 @@ class TestRoundTrip:
         again = load_panel(out, MINI_SCHEMA)
         assert_panels_equal(again, pan)
 
+    def test_a_quoted_line_break_survives_a_load(self, tmp_path):
+        p = write_mini(tmp_path, ['AAA,"Line\nBreak",10,0.5,0,,,0,0,0,0'])
+        assert load_panel(p, MINI_SCHEMA).name.tolist() == ["Line\nBreak"]
+
+    @pytest.mark.parametrize("brk", ["\n", "\r\n", "\u2028"], ids=["LF", "CRLF", "U+2028"])
+    def test_a_name_holding_a_line_break_round_trips(self, snapshot, tmp_path, brk):
+        names = snapshot.name.tolist()
+        names[0] = f"Line{brk}Break"
+        pan = Panel(snapshot.iso3, names, snapshot.values, snapshot.raw, snapshot.defs,
+                    snapshot.audit)
+        out = tmp_path / "copy.csv"
+        save_panel(pan, out)
+        assert_panels_equal(load_panel(out, snapshot.defs), pan)
+
     def test_soft_power_started_share(self, snapshot):
         sp = snapshot.column("soft_power_30")
         st_col = snapshot.column("started")

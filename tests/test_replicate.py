@@ -125,14 +125,14 @@ class TestRunModelSuite:
         cell = table2.cell("gov_eff", "model2:outcome")
         j = fit.outcome_labels.index("gov_eff")
         assert cell.value == float(fit.outcome_coef[j])
-        assert cell.spread == float(np.sqrt(fit.outcome_vcov(heckman.PLAIN_ROBUST)[j, j]))
+        assert cell.spread == float(np.sqrt(fit.vcov[heckman.PLAIN_ROBUST][0][j, j]))
 
     def test_both_halves_rendered_from_the_fit(self, table2):
         for name, fit in table2.fits.items():
-            halves = [("outcome", fit.outcome_labels, fit.outcome_vcov(heckman.PLAIN_ROBUST))]
+            outcome_vcov, selection_vcov = fit.vcov[heckman.PLAIN_ROBUST]
+            halves = [("outcome", fit.outcome_labels, outcome_vcov)]
             if not fit.degenerate:
-                halves.append(("selection", fit.first_stage.labels,
-                               fit.selection_vcov(heckman.PLAIN_ROBUST)))
+                halves.append(("selection", fit.first_stage.labels, selection_vcov))
             for stage, labels, vcov in halves:
                 for j, label in enumerate(labels):
                     spread = table2.cell(label, f"{name}:{stage}").spread
@@ -171,7 +171,7 @@ class TestRunModelSuite:
             replicate.run_model_suite(snapshot, builtin_specs()[:1])
 
     def test_failing_covariance_is_a_column_error(self, snapshot, monkeypatch):
-        def singular(fit):
+        def singular(*args):
             raise np.linalg.LinAlgError("Singular matrix")
 
         monkeypatch.setattr(heckman, "heckman_corrected_vcov", singular)
@@ -180,7 +180,8 @@ class TestRunModelSuite:
         assert table.column_errors == {
             f"{s.name}:{stage}": "Singular matrix" for s in specs for stage in ("outcome", "selection")}
         assert table.fits == {} and table.cells == {}
-        assert replicate.run_model_suite(snapshot, specs).column_errors == {}
+        # a fit computes both variants, so the failure is a column error under either
+        assert replicate.run_model_suite(snapshot, specs).column_errors == table.column_errors
 
     def test_unknown_variant_raises_instead_of_column_errors(self, snapshot):
         with pytest.raises(ValueError, match="'hc3'"):
@@ -390,9 +391,10 @@ class TestDiffReport:
 def test_tabulate_rejects_a_non_finite_spread_naming_the_variable(snapshot):
     table = replicate.run_model_suite(snapshot, builtin_specs()[:1])
     fit = table.fits["model1"]
-    vcov = fit.outcome_vcov(heckman.PLAIN_ROBUST).copy()
+    vcov, selection_vcov = fit.vcov[heckman.PLAIN_ROBUST]
+    vcov = vcov.copy()
     vcov[1, 1] = np.inf  # an overflowed variance
-    fit._cache[heckman.plain_robust_vcov] = vcov
+    fit.vcov[heckman.PLAIN_ROBUST] = vcov, selection_vcov
     with pytest.raises(ValueError, match=f"model1: outcome estimate of {fit.outcome_labels[1]} "
                                          "is not finite"):
         replicate.tabulate(table, heckman.PLAIN_ROBUST)

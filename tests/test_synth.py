@@ -16,6 +16,8 @@ from vaxsel.probit import ProbitError
 from vaxsel.stdnorm import inverse_mills
 
 REPO = Path(__file__).resolve().parents[1]
+VCOV_FUNCTIONS = {heckman.PLAIN_ROBUST: "plain_robust_vcov",
+                  heckman.HECKMAN_CORRECTED: "heckman_corrected_vcov"}
 
 BASE = synth.DgpConfig(
     selection_coef=(1.0, -0.5, 1.0, 0.0),
@@ -233,7 +235,7 @@ class TestMonteCarlo:
     def test_failing_covariance_is_a_failed_replication(self, monkeypatch, variant):
         cfg = dataclasses.replace(BASE, n=189)
         clean = synth.monte_carlo(cfg, 50, variant)
-        name = {heckman.PLAIN_ROBUST: "_hc1", heckman.HECKMAN_CORRECTED: "_corrected"}[variant]
+        name = VCOV_FUNCTIONS[variant]
         original, calls = getattr(heckman, name), []
 
         def every_fifth_singular(W, *args):
@@ -451,7 +453,7 @@ class TestStackedChunk:
         for rep in range(reps):
             frame = synth.generate(cfg, rep).frame
             fit = heckman.fit_two_step(frame)
-            se = np.sqrt(np.diag(fit.outcome_vcov(variant)))
+            se = np.sqrt(np.diag(fit.vcov[variant][0]))
             assert errors[rep] is None
             assert np.array_equal(stages.coef[rep], fit.outcome_coef)
             # sums over each sample's own rows, not its zero padding, keep every bit
@@ -461,6 +463,18 @@ class TestStackedChunk:
             estimate, covered = outcomes[rep]
             assert np.array_equal(estimate, fit.outcome_coef)
             assert np.array_equal(covered, np.abs(fit.outcome_coef - truth) <= heckman.Z_95 * se)
+
+    @pytest.mark.parametrize("variant", heckman.VCOV_VARIANTS)
+    def test_one_chunk_reaches_its_covariance_function_once(self, monkeypatch, variant):
+        calls = []
+        for name in VCOV_FUNCTIONS.values():
+            def counting(*args, original=getattr(heckman, name), name=name):
+                calls.append(name)
+                return original(*args)
+
+            monkeypatch.setattr(heckman, name, counting)
+        synth._fit_chunk(self.config(189), variant, range(8))
+        assert calls == [VCOV_FUNCTIONS[variant]]
 
     def test_stacked_draws_are_the_one_sample_draws(self):
         cfg = self.config(189)
