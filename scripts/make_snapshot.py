@@ -436,25 +436,20 @@ class Builder:
 
     # ----- serialization -----
 
-    def csv_text(self, schema):
-        """The candidate CSV, with the schema's columns in the schema's order."""
-        codes = [d.code for d in schema]
-        log_codes = {d.code for d in schema if d.transform == "log"}
-        lines = [",".join(["iso3", "name"] + codes)]
-        for i in range(self.n):
-            iso3 = self.iso[i]
-            cells = [iso3, panel.csv_quote(self.name[iso3])]
-            for code in codes:
-                v = self.cols[code][i]
-                if code == "military_exp" and iso3 in self.military_zero:
-                    v = 0.0
-                elif code == "gov_response" and not np.isnan(v):
-                    v = self.gov_resp_raw[i]
-                elif code in log_codes:
-                    v = np.exp(v)
-                cells.append("" if np.isnan(v) else panel.format_number(float(v)))
-            lines.append(",".join(cells))
-        return "\n".join(lines) + "\n"
+    def raw_panel(self, schema):
+        """The candidate as a panel of its raw columns, in the schema's order."""
+        raw = {}
+        for d in schema:
+            v = self.cols[d.code]
+            if d.code == "gov_response":
+                v = np.where(np.isnan(v), v, self.gov_resp_raw)
+            elif d.transform == "log":
+                v = np.exp(v)
+            if d.code == "military_exp":
+                v = np.where(np.isin(self.iso, sorted(self.military_zero)), 0.0, v)
+            raw[d.code] = v
+        return panel.Panel(iso3=self.iso, name=[self.name[i] for i in self.iso], values=raw,
+                           raw=raw, defs=list(schema))
 
 
 # --------------------------------------------------------------------------
@@ -585,7 +580,7 @@ def candidate_panel(seed, schema):
     b.build()
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "snapshot.csv"
-        path.write_text(b.csv_text(schema), encoding="utf-8")
+        panel.save_panel(b.raw_panel(schema), path)
         return panel.load_panel(path, schema)
 
 

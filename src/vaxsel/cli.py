@@ -141,8 +141,8 @@ def cmd_simulate(args):
         tally = ", ".join(f"{name} {count}" for name, count in report.failures.items())
         _progress(f"simulate: {report.reps_failed} replications failed ({tally})")
     out = Path(args.out)
-    render.write_text_atomic(out / "recovery.csv", report.to_csv_text())
-    render.write_text_atomic(out / "recovery.md", report.to_markdown())
+    render.write_text_atomic(out / "recovery.csv", render.render_recovery_csv(report))
+    render.write_text_atomic(out / "recovery.md", render.render_recovery_markdown(report))
     _progress(f"simulate: wrote recovery report under {out}")
     return 0
 

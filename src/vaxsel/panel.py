@@ -20,6 +20,8 @@ from pathlib import Path
 import numpy as np
 import yaml
 
+from vaxsel.render import csv_quote
+
 CODE_STARTED = "started"
 CODE_VAC = "vac_php"
 CODE_DAYS = "days"
@@ -269,13 +271,6 @@ def save_panel(panel: Panel, path) -> None:
                         for v in panel.raw[d.code].tolist()])
     lines = [",".join(["iso3", "name"] + panel.codes)] + [",".join(r) for r in zip(*columns)]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def csv_quote(text):
-    """text as one CSV field: quoted, with doubled quotes, when it holds , " CR or LF."""
-    if any(c in text for c in ',"\n\r'):
-        return '"' + text.replace('"', '""') + '"'
-    return text
 
 
 def quantile(values, p):

@@ -1,9 +1,13 @@
-"""Rendering: markdown and CSV tables, figure CSVs, small static SVGs.
+"""Rendering: the text of the output files, written atomically.
 
-Numbers are rounded only here (3 decimals, ties away from zero) for the
-human-readable markdown; CSV carries full shortest-roundtrip precision.
-SVGs are written by hand so the output tree is byte-identical across
-runs: no timestamps, no generator metadata, fixed coordinate formatting.
+Tables, figure CSVs and SVGs and the recovery report are formatted here, and
+every markdown table, the replication diff's among them, goes through
+markdown_table.  Numbers are rounded for print only here, except in the notes
+of figures 2 and 3, which replicate formats where it computes them.  Table
+cells round to 3 decimals, ties away from zero (cell_text); CSV tables and
+figure data keep shortest-roundtrip precision.  SVGs are written by hand, one
+writer per element kind, so the output tree is byte-identical across runs: no
+timestamps, no generator metadata, fixed coordinate formatting.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     from vaxsel.replicate import FigureData, TableResult
+    from vaxsel.synth import RecoveryReport
 
 
 def round3(x: float) -> str:
@@ -40,6 +45,23 @@ def write_text_atomic(path, text: str) -> None:
         raise
 
 
+_CSV_SPECIAL = frozenset(',"\n\r')
+
+
+def csv_quote(text):
+    """text as one CSV field: quoted, with doubled quotes, when it holds , " CR or LF."""
+    if not _CSV_SPECIAL.isdisjoint(text):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def markdown_table(header, rows):
+    """The lines of a markdown table: header, rule, and one line per row of strings."""
+    lines = ["| " + " | ".join(header) + " |", "|" + "---|" * len(header)]
+    lines += ["| " + " | ".join(row) + " |" for row in rows]
+    return lines
+
+
 # ---------------------------------------------------------------- tables
 
 
@@ -54,15 +76,10 @@ def cell_text(cell) -> str:
 
 
 def render_table_markdown(table: TableResult) -> str:
-    lines = [f"# {table.title}", ""]
-    header = ["variable"] + list(table.column_labels)
-    lines.append("| " + " | ".join(header) + " |")
-    lines.append("|" + "---|" * len(header))
-    for row in table.row_labels:
-        cells = [cell_text(table.cell(row, col)) for col in table.column_labels]
-        lines.append("| " + " | ".join([row] + cells) + " |")
-    obs = [str(table.observations.get(col, "")) for col in table.column_labels]
-    lines.append("| " + " | ".join(["observations"] + obs) + " |")
+    cols = table.column_labels
+    rows = [[row] + [cell_text(table.cell(row, col)) for col in cols] for row in table.row_labels]
+    rows.append(["observations"] + [str(table.observations.get(col, "")) for col in cols])
+    lines = [f"# {table.title}", "", *markdown_table(["variable", *cols], rows)]
     if table.column_errors:
         lines.append("")
         for col, msg in sorted(table.column_errors.items()):
@@ -92,16 +109,39 @@ def render_table_csv(table: TableResult) -> str:
     return "\n".join(lines) + "\n"
 
 
+# ---------------------------------------------------------------- recovery report
+
+
+def render_recovery_csv(report: RecoveryReport) -> str:
+    lines = ["parameter,truth,mean_estimate,mean_bias,rmse,coverage"]
+    for p in report.parameters:
+        lines.append(f"{p.name},{p.truth:.6f},{p.mean_estimate:.6f},"
+                     f"{p.mean_bias:.6f},{p.rmse:.6f},{p.coverage:.6f}")
+    return "\n".join(lines) + "\n"
+
+
+def render_recovery_markdown(report: RecoveryReport) -> str:
+    c = report.config
+    rows = [[p.name, f"{p.truth:.4f}", f"{p.mean_estimate:.4f}", f"{p.mean_bias:.4f}",
+             f"{p.rmse:.4f}", f"{p.coverage:.3f}"] for p in report.parameters]
+    lines = ["# Parameter recovery", "",
+             f"- n = {c.n}, rho = {c.rho}, sigma_u = {c.sigma_u}, seed = {c.seed}",
+             f"- replications: {report.reps_used} used, {report.reps_failed} failed "
+             f"(of {report.reps_requested})",
+             f"- interval coverage from the {report.vcov_variant} covariance at 95%", "",
+             *markdown_table(["parameter", "truth", "mean estimate", "mean bias", "rmse",
+                              "coverage"], rows)]
+    return "\n".join(lines) + "\n"
+
+
 # ---------------------------------------------------------------- figures
 
 
 def render_figure_csv(fig: FigureData) -> str:
-    lines = [",".join(fig.columns)]
-    for row in fig.rows:
-        lines.append(",".join("" if v is None else repr(v) if isinstance(v, float) else str(v)
-                              for v in row))
-    for note in fig.notes:
-        lines.append(f"# {note}")
+    lines = [",".join(map(csv_quote, fig.columns))]
+    lines += [",".join("" if v is None else repr(v) if isinstance(v, float)
+                       else csv_quote(str(v)) for v in row) for row in fig.rows]
+    lines += [f"# {note}" for note in fig.notes]
     return "\n".join(lines) + "\n"
 
 
@@ -119,43 +159,38 @@ def _sy(y, lo, hi):
     return _H - _MB - (_H - _MT - _MB) * (y - lo) / span
 
 
-def _fmt(v):
-    return f"{v:.2f}"
+def _fmt(v):  # 2 decimals; a str is one of the few coordinates printed unrounded
+    return v if isinstance(v, str) else f"{v:.2f}"
+
+
+def _line(x1, y1, x2, y2, stroke, extra=""):
+    return (f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" y2="{_fmt(y2)}" '
+            f'stroke="{stroke}"{extra}/>')
+
+
+def _text(x, y, size, anchor, body, extra=""):
+    return (f'<text x="{_fmt(x)}" y="{_fmt(y)}" font-size="{size}" '
+            f'text-anchor="{anchor}"{extra}>{body}</text>')
+
+
+def _rect(x, y, width, height, fill, stroke):
+    return (f'<rect x="{_fmt(x)}" y="{_fmt(y)}" width="{_fmt(width)}" '
+            f'height="{_fmt(height)}" fill="{fill}" stroke="{stroke}"/>')
 
 
 def _axes(xlo, xhi, ylo, yhi, xlabel, ylabel, title):
-    parts = []
     x0, y0 = _sx(xlo, xlo, xhi), _sy(ylo, ylo, yhi)
     x1, y1 = _sx(xhi, xlo, xhi), _sy(yhi, ylo, yhi)
-    parts.append(
-        f'<line x1="{_fmt(x0)}" y1="{_fmt(y0)}" x2="{_fmt(x1)}" y2="{_fmt(y0)}" stroke="black"/>'
-    )
-    parts.append(
-        f'<line x1="{_fmt(x0)}" y1="{_fmt(y0)}" x2="{_fmt(x0)}" y2="{_fmt(y1)}" stroke="black"/>'
-    )
+    parts = [_line(x0, y0, x1, y0, "black"), _line(x0, y0, x0, y1, "black")]
     for i in range(5):
         xv = xlo + (xhi - xlo) * i / 4
         yv = ylo + (yhi - ylo) * i / 4
-        xs, ys = _sx(xv, xlo, xhi), _sy(yv, ylo, yhi)
-        parts.append(
-            f'<text x="{_fmt(xs)}" y="{_fmt(y0 + 18)}" font-size="11" '
-            f'text-anchor="middle">{xv:.1f}</text>'
-        )
-        parts.append(
-            f'<text x="{_fmt(x0 - 8)}" y="{_fmt(ys + 4)}" font-size="11" '
-            f'text-anchor="end">{yv:.1f}</text>'
-        )
-    parts.append(
-        f'<text x="{_fmt((x0 + x1) / 2)}" y="{_H - 12}" font-size="13" '
-        f'text-anchor="middle">{xlabel}</text>'
-    )
-    parts.append(
-        f'<text x="16" y="{_fmt((y0 + y1) / 2)}" font-size="13" text-anchor="middle" '
-        f'transform="rotate(-90 16 {_fmt((y0 + y1) / 2)})">{ylabel}</text>'
-    )
-    parts.append(
-        f'<text x="{_W / 2}" y="18" font-size="14" text-anchor="middle">{title}</text>'
-    )
+        parts.append(_text(_sx(xv, xlo, xhi), y0 + 18, 11, "middle", f"{xv:.1f}"))
+        parts.append(_text(x0 - 8, _sy(yv, ylo, yhi) + 4, 11, "end", f"{yv:.1f}"))
+    ym = (y0 + y1) / 2
+    parts.append(_text((x0 + x1) / 2, str(_H - 12), 13, "middle", xlabel))
+    parts.append(_text("16", ym, 13, "middle", ylabel, f' transform="rotate(-90 16 {_fmt(ym)})"'))
+    parts.append(_text(str(_W / 2), "18", 14, "middle", title))
     return parts
 
 
@@ -176,31 +211,17 @@ def _render_boxplot(fig: FigureData) -> str:
     ylo, yhi = ylo - pad, yhi + pad
     parts = _axes(0, 1, ylo, yhi, "", "log GDP", "GDP by vaccination start status")
     centers = {"not_started": 0.3, "started": 0.7}
-    for group, (mn, q1, med, q3, mx) in stats.items():
+    half = 50
+    for group, five in stats.items():
         cx = _sx(centers[group], 0, 1)
-        half = 50
-        ys = {k: _sy(v, ylo, yhi) for k, v in
-              (("mn", mn), ("q1", q1), ("med", med), ("q3", q3), ("mx", mx))}
-        parts.append(
-            f'<line x1="{_fmt(cx)}" y1="{_fmt(ys["mn"])}" x2="{_fmt(cx)}" '
-            f'y2="{_fmt(ys["q1"])}" stroke="black"/>'
-        )
-        parts.append(
-            f'<line x1="{_fmt(cx)}" y1="{_fmt(ys["q3"])}" x2="{_fmt(cx)}" '
-            f'y2="{_fmt(ys["mx"])}" stroke="black"/>'
-        )
-        parts.append(
-            f'<rect x="{_fmt(cx - half)}" y="{_fmt(ys["q3"])}" width="{2 * half}" '
-            f'height="{_fmt(ys["q1"] - ys["q3"])}" fill="#9ecae1" stroke="black"/>'
-        )
-        parts.append(
-            f'<line x1="{_fmt(cx - half)}" y1="{_fmt(ys["med"])}" x2="{_fmt(cx + half)}" '
-            f'y2="{_fmt(ys["med"])}" stroke="black" stroke-width="2"/>'
-        )
-        parts.append(
-            f'<text x="{_fmt(cx)}" y="{_H - 32}" font-size="12" '
-            f'text-anchor="middle">{group}</text>'
-        )
+        mn, q1, med, q3, mx = (_sy(v, ylo, yhi) for v in five)
+        parts += [
+            _line(cx, mn, cx, q1, "black"),
+            _line(cx, q3, cx, mx, "black"),
+            _rect(cx - half, q3, str(2 * half), q1 - q3, "#9ecae1", "black"),
+            _line(cx - half, med, cx + half, med, "black", ' stroke-width="2"'),
+            _text(cx, str(_H - 32), 12, "middle", group),
+        ]
     return _svg(parts)
 
 
@@ -237,11 +258,8 @@ def _render_scatter(fig: FigureData) -> str:
     slope = fig.meta["slope"]
     intercept = fig.meta["intercept"]
     y0, y1 = intercept + slope * xlo, intercept + slope * xhi
-    parts.append(
-        f'<line x1="{_fmt(_sx(xlo, xlo, xhi))}" y1="{_fmt(_sy(y0, ylo, yhi))}" '
-        f'x2="{_fmt(_sx(xhi, xlo, xhi))}" y2="{_fmt(_sy(y1, ylo, yhi))}" '
-        f'stroke="#a63603" stroke-width="2"/>'
-    )
+    parts.append(_line(_sx(xlo, xlo, xhi), _sy(y0, ylo, yhi), _sx(xhi, xlo, xhi),
+                       _sy(y1, ylo, yhi), "#a63603", ' stroke-width="2"'))
     for x, y in zip(xs, ys):
         parts.append(
             f'<circle cx="{_fmt(_sx(x, xlo, xhi))}" cy="{_fmt(_sy(y, ylo, yhi))}" '
@@ -264,33 +282,20 @@ def _render_heatmap(fig: FigureData) -> str:
     codes = fig.meta["codes"]
     k = len(codes)
     cell = min((_W - _ML - _MR) / k, (_H - _MT - _MB) / k)
-    parts = [f'<text x="{_W / 2}" y="18" font-size="14" text-anchor="middle">'
-             "Correlation matrix</text>"]
+    parts = [_text(str(_W / 2), "18", 14, "middle", "Correlation matrix")]
     lookup = {(a, b): v for a, b, v in fig.rows}
     for i, a in enumerate(codes):
         for j, b in enumerate(codes):
             v = lookup.get((a, b))
             x = _ML + j * cell
             y = _MT + i * cell
-            fill = "#eeeeee" if v is None else _corr_color(v)
-            parts.append(
-                f'<rect x="{_fmt(x)}" y="{_fmt(y)}" width="{_fmt(cell)}" '
-                f'height="{_fmt(cell)}" fill="{fill}" stroke="white"/>'
-            )
+            parts.append(_rect(x, y, cell, cell, "#eeeeee" if v is None else _corr_color(v),
+                               "white"))
             if v is not None:
-                parts.append(
-                    f'<text x="{_fmt(x + cell / 2)}" y="{_fmt(y + cell / 2 + 3)}" '
-                    f'font-size="9" text-anchor="middle">{v:.2f}</text>'
-                )
+                parts.append(_text(x + cell / 2, y + cell / 2 + 3, 9, "middle", f"{v:.2f}"))
     for i, a in enumerate(codes):
-        parts.append(
-            f'<text x="{_fmt(_ML - 6)}" y="{_fmt(_MT + i * cell + cell / 2 + 3)}" '
-            f'font-size="9" text-anchor="end">{a}</text>'
-        )
-        parts.append(
-            f'<text x="{_fmt(_ML + i * cell + cell / 2)}" y="{_fmt(_MT + len(codes) * cell + 12)}" '
-            f'font-size="9" text-anchor="middle">{a}</text>'
-        )
+        parts.append(_text(_ML - 6, _MT + i * cell + cell / 2 + 3, 9, "end", a))
+        parts.append(_text(_ML + i * cell + cell / 2, _MT + k * cell + 12, 9, "middle", a))
     return _svg(parts)
 
 

@@ -2,7 +2,8 @@
 
 Everything here is a pure function of the loaded panel: re-running any
 suite on an unchanged snapshot yields identical numbers, and table cells
-carry full-precision floats (rounding happens only in the renderer).
+carry full-precision floats.  Rounding for print happens in render, except
+in the one-line notes of figures 2 and 3, formatted here with their numbers.
 """
 
 from __future__ import annotations
@@ -321,30 +322,25 @@ def replication_diff(tables) -> str:
         "coefficient equality is not expected because the underlying data",
         "snapshot cannot be reconstructed bit-for-bit.",
         "",
-        "| table | model | stage | variable | reference | computed (robust) | "
-        "computed (corrected) | sign match | stars match |",
-        "|---|---|---|---|---|---|---|---|---|",
     ]
+    rows = []
     for a in ANCHOR_CELLS:
         col = f"{a.model}:{a.stage}"
         robust = tables[(a.table, heckman.PLAIN_ROBUST)].cell(a.variable, col)
         corrected = tables[(a.table, heckman.HECKMAN_CORRECTED)].cell(a.variable, col)
-        ref = render.cell_text(Cell(a.ref_coef, a.ref_se, a.ref_stars))
+        where = [a.table, a.model, a.stage, a.variable,
+                 render.cell_text(Cell(a.ref_coef, a.ref_se, a.ref_stars))]
         if robust is None:
-            lines.append(
-                f"| {a.table} | {a.model} | {a.stage} | {a.variable} | {ref} "
-                f"| (model failed) | (model failed) | no | no |"
-            )
+            rows.append(where + ["(model failed)", "(model failed)", "no", "no"])
             continue
         # both variants tabulate the same fits, so both cells exist
-        comp_r, comp_c = render.cell_text(robust), render.cell_text(corrected)
         same_sign = math.copysign(1, robust.value) == math.copysign(1, a.ref_coef)
         # the sign of a noise-level estimate is not informative
         sign_match = "n/a" if a.ref_stars == "" else ("yes" if same_sign else "no")
-        stars_match = "yes" if robust.stars == a.ref_stars else "no"
-        lines.append(
-            f"| {a.table} | {a.model} | {a.stage} | {a.variable} | {ref} "
-            f"| {comp_r} | {comp_c} | {sign_match} | {stars_match} |"
-        )
+        rows.append(where + [render.cell_text(robust), render.cell_text(corrected), sign_match,
+                             "yes" if robust.stars == a.ref_stars else "no"])
+    lines += render.markdown_table(["table", "model", "stage", "variable", "reference",
+                                    "computed (robust)", "computed (corrected)", "sign match",
+                                    "stars match"], rows)
     lines.append("")
     return "\n".join(lines) + "\n"

@@ -176,6 +176,7 @@ class ParameterRecovery:
 
 @dataclass
 class RecoveryReport:
+    """A Monte Carlo run's numbers; render.render_recovery_csv/_markdown write its text."""
     config: DgpConfig
     reps_requested: int
     reps_used: int
@@ -191,35 +192,6 @@ class RecoveryReport:
             if p.name == name:
                 return p
         raise KeyError(name)
-
-    def to_csv_text(self) -> str:
-        lines = ["parameter,truth,mean_estimate,mean_bias,rmse,coverage"]
-        for p in self.parameters:
-            lines.append(
-                f"{p.name},{p.truth:.6f},{p.mean_estimate:.6f},"
-                f"{p.mean_bias:.6f},{p.rmse:.6f},{p.coverage:.6f}"
-            )
-        return "\n".join(lines) + "\n"
-
-    def to_markdown(self) -> str:
-        c = self.config
-        head = [
-            "# Parameter recovery",
-            "",
-            f"- n = {c.n}, rho = {c.rho}, sigma_u = {c.sigma_u}, seed = {c.seed}",
-            f"- replications: {self.reps_used} used, {self.reps_failed} failed "
-            f"(of {self.reps_requested})",
-            f"- interval coverage from the {self.vcov_variant} covariance at 95%",
-            "",
-            "| parameter | truth | mean estimate | mean bias | rmse | coverage |",
-            "|---|---|---|---|---|---|",
-        ]
-        for p in self.parameters:
-            head.append(
-                f"| {p.name} | {p.truth:.4f} | {p.mean_estimate:.4f} "
-                f"| {p.mean_bias:.4f} | {p.rmse:.4f} | {p.coverage:.3f} |"
-            )
-        return "\n".join(head) + "\n"
 
 
 def _usable_cpus():

@@ -210,3 +210,15 @@ def test_goveff_line_names_its_collinear_column(value_of, named):
         code, errors, _ = run_on(with_cells("gov_eff", value_of), argv)
         assert (code, errors) == (1, ["error: design matrix is rank deficient; collinear "
                                       f"columns: ['{named}']"])
+
+
+def test_figure_csvs_quote_a_comma_in_a_country_code():
+    # fig3.csv wrote US,A bare: a 4-field row among the 3-field ones, and the run exited 0
+    rows = [list(r) for r in SNAPSHOT]
+    next(r for r in rows[1:] if r[0] == "USA")[0] = "US,A"
+    code, errors, texts = run_on(rows, ["figures", "--grid", "7"])
+    assert (code, errors) == (0, [])
+    body = [r for r in csv.reader(io.StringIO(texts["figures/fig3.csv"]))
+            if not r[0].startswith("#")]
+    assert {len(r) for r in body} == {3}
+    assert [r[0] for r in body if "," in r[0]] == ["US,A"]

@@ -1,5 +1,8 @@
 """Replication-layer tests: tables, figures, diff report, rendering."""
 
+from collections import Counter
+from xml.etree import ElementTree
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -429,6 +432,17 @@ class TestRender:
         for fig in figs:
             assert render.render_figure_svg(fig) == render.render_figure_svg(fig)
             assert render.render_figure_svg(fig).startswith("<svg")
+
+    def test_svg_elements_match_the_figure_data(self, snapshot):
+        # the sha256 pins of the output tree hold only on some CPUs; the element counts on all
+        figs = {fig.figure_id: fig for fig in replicate.all_figures(snapshot, grid_points=7)}
+        tags = {fid: Counter(el.tag.split("}")[1] for el in
+                             ElementTree.fromstring(render.render_figure_svg(fig)).iter())
+                for fid, fig in figs.items()}
+        assert tags["fig1"]["rect"] == 3  # the background and the two boxes
+        assert (tags["fig2"]["polygon"], tags["fig2"]["polyline"]) == (1, 1)
+        assert tags["fig3"]["circle"] == len(figs["fig3"].rows)
+        assert tags["figA1"]["rect"] == 1 + len(figs["figA1"].meta["codes"]) ** 2
 
     def test_unknown_figure_id(self):
         with pytest.raises(ValueError):

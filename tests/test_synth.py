@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vaxsel import heckman, synth
+from vaxsel import heckman, render, synth
 from vaxsel.cli import SIM_OUTCOME_COEF, SIM_SELECTION_COEF
 from vaxsel.probit import ProbitError
 from vaxsel.stdnorm import inverse_mills
@@ -157,8 +157,8 @@ class TestMonteCarlo:
     def test_report_is_deterministic(self):
         r1 = synth.monte_carlo(BASE, 50)
         r2 = synth.monte_carlo(BASE, 50)
-        assert r1.to_csv_text() == r2.to_csv_text()
-        assert r1.to_markdown() == r2.to_markdown()
+        assert render.render_recovery_csv(r1) == render.render_recovery_csv(r2)
+        assert render.render_recovery_markdown(r1) == render.render_recovery_markdown(r2)
 
     def test_minimum_reps(self):
         with pytest.raises(ValueError):
@@ -207,8 +207,9 @@ class TestMonteCarlo:
         chunked = synth.monte_carlo(cfg, 53)
         monkeypatch.setattr(synth, "MC_CHUNK_ROWS", cfg.n)
         single = synth.monte_carlo(cfg, 53)
-        assert chunked.to_csv_text() == single.to_csv_text()
-        assert chunked.to_markdown() == single.to_markdown()
+        assert render.render_recovery_csv(chunked) == render.render_recovery_csv(single)
+        assert (render.render_recovery_markdown(chunked)
+                == render.render_recovery_markdown(single))
 
     def test_failed_reps_are_counted(self):
         report = synth.monte_carlo(BASE, 50)
@@ -261,7 +262,7 @@ class TestMonteCarlo:
         clean = synth.monte_carlo(cfg, 50, heckman.PLAIN_ROBUST)
         monkeypatch.setattr(heckman.probit, "sandwich_vcov", refuse)
         report = synth.monte_carlo(cfg, 50, heckman.PLAIN_ROBUST)
-        assert report.to_csv_text() == clean.to_csv_text()
+        assert render.render_recovery_csv(report) == render.render_recovery_csv(clean)
 
     def test_all_selected_replications_count_as_failed(self):
         # a selection intercept of 4 selects every row of some samples; their
@@ -328,8 +329,8 @@ class TestWorkerProcesses:
         for report in reports.values():
             assert report.reps_failed == serial.reps_failed
             assert report.failures == serial.failures
-            assert report.to_csv_text().encode() == serial.to_csv_text().encode()
-            assert report.to_markdown().encode() == serial.to_markdown().encode()
+            for text in (render.render_recovery_csv, render.render_recovery_markdown):
+                assert text(report).encode() == text(serial).encode()
 
     def test_failures_are_tallied_by_error_class_in_every_process(self, monkeypatch, forks):
         # 53 reps in chunks of 8; failures are forced by each sample's selected count
@@ -420,7 +421,7 @@ class TestWorkerProcesses:
         monkeypatch.setattr(synth, "_usable_cpus", lambda: 2)
         monkeypatch.delattr(os, "fork")
         report = synth.monte_carlo(cfg, 53)
-        assert report.to_csv_text() == serial.to_csv_text()
+        assert render.render_recovery_csv(report) == render.render_recovery_csv(serial)
 
     def test_progress_lines_are_written_once(self, tmp_path):
         env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
