@@ -167,9 +167,9 @@ def second_stages(y, X, mills, delta, rows, labels, first_stages) -> SecondStage
     first_stages holds per sample its ProbitFit, or the error fit_many recorded.
     Each sample takes one lstsq on its own rows of W (X and the Mills column) and
     sums sigma^2 over them.  errors holds per sample None or, in the order checked,
-    the first stage's error, a ProbitError if it did not converge, a ValueError on
-    NaN or +-inf outcome data or fewer than k + 1 rows, or the condition check's
-    RankDeficientError or CollinearMillsError (see fit_two_step).
+    the first stage's error, a ValueError on NaN or +-inf outcome data or fewer
+    than k + 1 rows, or the condition check's RankDeficientError or
+    CollinearMillsError (see fit_two_step).
     """
     W = np.concatenate([X, mills[..., None]], axis=-1)
     labels, k = [*labels, IMR_LABEL], W.shape[-1]
@@ -179,9 +179,6 @@ def second_stages(y, X, mills, delta, rows, labels, first_stages) -> SecondStage
     def solve(r, first, n):  # None once sample r's coef, resid and sigma2 are set, else its error
         if isinstance(first, Exception):
             return first
-        if not first.converged:
-            return probit.ProbitError(
-                f"first-stage probit did not converge (score norm {first.score_norm:.2e})")
         if not finite[r]:
             return ValueError("outcome y or X contains NaN or infinite values")
         if n < k + 1:

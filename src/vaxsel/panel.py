@@ -297,6 +297,8 @@ def filter_percentile(panel: Panel, variable, low_p, high_p) -> Panel:
         raise ValueError("low_p must be below high_p")
     col = panel.column(variable)
     present = col[~np.isnan(col)]
+    if present.size == 0:
+        return panel
     lo = quantile(present, low_p)
     hi = quantile(present, high_p)
     return panel.take(np.isnan(col) | ((lo <= col) & (col <= hi)))

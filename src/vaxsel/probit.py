@@ -2,11 +2,11 @@
 
 The log-likelihood is globally concave, so Newton from a zero start with
 step-halving converges for any full-rank design unless the data are
-(quasi-)separated, in which case the coefficients diverge.  What is
-checked is the divergence: a coefficient past +-50 while the score is
-still above SCORE_TOL raises SeparationError.  A quasi-separated design
-can instead converge to a finite coefficient, where the maximum-likelihood
-estimate does not exist; that fit is returned as converged.
+(quasi-)separated, in which case the coefficients diverge: a coefficient
+past +-50 while the score is above SCORE_TOL raises SeparationError, and
+any other stop short of SCORE_TOL raises ProbitError.  A quasi-separated
+design can instead reach a finite coefficient, where the maximum-likelihood
+estimate does not exist; that fit is returned.
 """
 
 from __future__ import annotations
@@ -48,16 +48,15 @@ ESTIMATION_ERRORS = (ProbitError, ValueError, np.linalg.LinAlgError)
 class ProbitFit:
     """First-stage estimate: coefficients, covariance and diagnostics.
 
-    vcov is the observed-information inverse at the optimum; use
-    sandwich_vcov for the heteroskedasticity-robust variant.  halvings
-    counts the line-search candidates the fit evaluated and did not accept.
+    vcov is the observed-information inverse at the optimum, where score_norm
+    < SCORE_TOL; use sandwich_vcov for the robust variant.  iterations counts
+    the accepted Newton steps, halvings the line-search candidates not accepted.
     """
 
     coef: np.ndarray
     vcov: np.ndarray
     loglik: float
     iterations: int
-    converged: bool
     score_norm: float
     n: int
     labels: list[str] = field(default_factory=list)
@@ -167,18 +166,20 @@ def _newton(y, X, labels, collinear):
 
     point = yield np.zeros(X.shape[1])
     path = [point.ll]
-    iterations = halvings = 0
+    halvings = 0
 
-    for iterations in range(1, MAX_ITER + 1):
+    for iterations in range(MAX_ITER + 1):  # the accepted steps so far
         coef, ll, sn, step = point.coef, point.ll, point.score_norm, point.step
         if sn < SCORE_TOL:
-            iterations -= 1
             break
+        if iterations == MAX_ITER:
+            raise ProbitError(f"probit on {labels} did not converge: iteration cap {MAX_ITER} "
+                              f"reached (score norm {sn:.2e})")
         if step is None:  # the stacked solve that evaluated it met a singular system
             try:
                 step = np.linalg.solve(point.info, point.grad)
             except np.linalg.LinAlgError as exc:
-                raise ProbitError(f"singular Hessian at iteration {iterations}") from exc
+                raise ProbitError(f"singular Hessian at iteration {iterations + 1}") from exc
 
         full = yield coef + step
         for halved in range(MAX_STEP_HALVINGS):
@@ -197,8 +198,8 @@ def _newton(y, X, labels, collinear):
             drop = ll - cand.ll
             if not (np.isfinite(cand.ll) and drop <= 64.0 * np.finfo(float).eps * max(1.0, abs(ll))
                     and cand.score_norm < SCORE_TOL):
-                halvings += MAX_STEP_HALVINGS
-                break
+                raise ProbitError(f"probit on {labels} did not converge: line search failed at "
+                                  f"iteration {iterations + 1} (score norm {sn:.2e})")
         halvings += halved
         path.append(cand.ll)
         if abs(cand.coef).max() > SEPARATION_COEF_BOUND and cand.score_norm > SCORE_TOL:
@@ -208,7 +209,6 @@ def _newton(y, X, labels, collinear):
             )
         point = cand
 
-    score_norm = float(point.score_norm)
     try:
         vcov = np.linalg.inv(point.info)
     except np.linalg.LinAlgError as exc:
@@ -216,14 +216,13 @@ def _newton(y, X, labels, collinear):
     vcov = 0.5 * (vcov + vcov.T)
 
     return ProbitFit(coef=point.coef, vcov=vcov, loglik=point.ll, iterations=iterations,
-                     converged=score_norm < SCORE_TOL, score_norm=score_norm, n=int(y.shape[0]),
-                     labels=labels, loglik_path=path, halvings=halvings,
+                     score_norm=float(point.score_norm), n=int(y.shape[0]), labels=labels,
+                     loglik_path=path, halvings=halvings,
                      g=np.where(y == 1.0, point.lam, -point.lam), w=point.w.copy())
 
 
 def fit(y, X, labels=None) -> ProbitFit:
-    """Fit a probit by Newton iteration from a zero start until the max-abs score
-    is below SCORE_TOL; a fit short of it after MAX_ITER iterations has converged=False.
+    """Fit a probit by Newton iteration from a zero start to a max-abs score below SCORE_TOL.
 
     Parameters
     ----------
@@ -236,6 +235,7 @@ def fit(y, X, labels=None) -> ProbitFit:
     ValueError : NaN or infinite entries in X, non-binary or single-class y.
     RankDeficientError : collinear design.
     SeparationError : coefficients past +-50 with the score above SCORE_TOL (separation).
+    ProbitError : score still >= SCORE_TOL after MAX_ITER steps, or a failed line search.
     """
     y, X, labels = _prepare(y, X, labels)
     newton, Xs = _newton(y, X, labels, collinear_columns(X, labels)), _signed(y == 1.0, X)
@@ -287,8 +287,6 @@ def fit_many(Y, X, labels=None) -> list:
 def sandwich_vcov(fit: ProbitFit, y, X) -> np.ndarray:
     """Robust covariance H^{-1} (sum_i s_i s_i') H^{-1}, H the negative
     Hessian and s_i = g_i x_i the per-observation score rows."""
-    if not fit.converged:
-        raise ProbitError("sandwich covariance requires a converged fit")
     y, X, _ = _prepare(y, X, fit.labels)
     if X.shape[0] != fit.n:
         raise ValueError(f"fit has {fit.n} rows; y and X have {X.shape[0]}")

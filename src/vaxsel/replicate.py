@@ -220,6 +220,8 @@ def gdp_boxplot_stats(panel: Panel) -> FigureData:
     rows = []
     for label, mask in (("not_started", st == 0.0), ("started", st == 1.0)):
         vals = gdp[mask & ~np.isnan(gdp)]
+        if vals.size == 0:
+            raise ValueError(f"figure 1: no gdp value among the {label} countries")
         rows.append((label, *(quantile(vals, p) for p in (0.0, 0.25, 0.5, 0.75, 1.0))))
     return FigureData(
         figure_id="fig1",
@@ -242,9 +244,6 @@ def conditional_start_curve(panel: Panel, n_points: int = 100) -> FigureData:
 
     X = np.column_stack([gdp[ok], np.ones(int(ok.sum()))])
     fit = probit.fit(st[ok], X, labels=["gdp", "const"])
-    if not fit.converged:
-        raise probit.ProbitError(
-            f"start-probability probit did not converge (score norm {fit.score_norm:.2e})")
     G = np.column_stack([grid, np.ones(grid.size)])
     index = G @ fit.coef
     se_index = np.sqrt(np.einsum("ij,jk,ik->i", G, fit.vcov, G))

@@ -393,7 +393,8 @@ def test_unconverged_start_probit_exits_1(tmp_path, monkeypatch, capsys):
     assert "Traceback" not in err
     errors = [line for line in err.splitlines() if line.startswith("error:")]
     assert len(errors) == 1
-    assert errors[0].startswith("error: start-probability probit did not converge (score norm ")
+    assert errors[0].startswith("error: probit on ['gdp', 'const'] did not converge: "
+                                "line search failed at iteration 1 (score norm ")
     assert not list(out.rglob("fig2*"))
 
 

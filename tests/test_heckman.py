@@ -599,16 +599,12 @@ class TestSecondStages:
             for name in ("y", "X", "mills"):
                 args[name][r] *= 1e-170
             return args, np.linalg.LinAlgError
-        if how == "unconverged_first_stage":
-            args["first_stages"][r] = dataclasses.replace(args["first_stages"][r], converged=False)
-            return args, probit.ProbitError
         args["first_stages"][r] = probit.SeparationError("recorded by fit_many")
         return args, probit.SeparationError
 
     @pytest.mark.parametrize("variant", heckman.VCOV_VARIANTS)
     @pytest.mark.parametrize("how", ["collinear_mills", "collinear_outcome", "too_few_rows",
-                                     "non_finite_outcome", "singular_wtw",
-                                     "unconverged_first_stage", "first_stage_error"])
+                                     "non_finite_outcome", "singular_wtw", "first_stage_error"])
     def test_only_the_spoiled_sample_fails(self, variant, how):
         args, Z = self.stack()
         clean = heckman.second_stages(**args)

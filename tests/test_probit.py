@@ -139,7 +139,7 @@ class TestFit:
     def test_intercept_only_balanced(self):
         y = np.array([0.0, 1.0] * 10)
         fit = probit.fit(y, np.ones((20, 1)))
-        assert fit.converged
+        assert fit.score_norm < probit.SCORE_TOL
         assert abs(fit.coef[0]) < 1e-10
 
     def test_intercept_only_three_quarters(self):
@@ -244,10 +244,25 @@ class TestFit:
         X = np.column_stack([np.ones(200), rng.normal(size=200)])
         y = (rng.uniform(size=200) < normal_cdf(0.5 + 1.2 * X[:, 1])).astype(float)
         monkeypatch.setattr(probit, "MAX_ITER", 1)
-        fit = probit.fit(y, X)
-        assert not fit.converged
-        assert fit.score_norm >= 1e-8
-        assert fit.iterations == 1
+        with pytest.raises(probit.ProbitError, match="iteration cap 1 reached"):
+            probit.fit(y, X)
+
+    @pytest.mark.parametrize("cap, value, cause", [
+        ("MAX_ITER", 2, "iteration cap 2 reached (score norm 3.58e+00)"),
+        # no halving allowed: only the terminal rule could accept the first full step
+        ("MAX_STEP_HALVINGS", 0, "line search failed at iteration 1 (score norm 9.34e+01)"),
+    ])
+    def test_a_fit_that_stops_short_raises_naming_its_labels_and_score(self, monkeypatch,
+                                                                        cap, value, cause):
+        # this fit takes 5 Newton steps and no halving
+        rng = np.random.default_rng(6)
+        X = np.column_stack([rng.normal(size=200), np.ones(200)])
+        y = (rng.uniform(size=200) < normal_cdf(0.5 + 1.2 * X[:, 0])).astype(float)
+        monkeypatch.setattr(probit, cap, value)
+        with pytest.raises(probit.ProbitError) as raised:
+            probit.fit(y, X, labels=["gdp", "const"])
+        assert type(raised.value) is probit.ProbitError
+        assert str(raised.value) == f"probit on ['gdp', 'const'] did not converge: {cause}"
 
 
 class TestSandwich:
@@ -321,7 +336,7 @@ class TestEvaluationCount:
         y = (rng.uniform(size=n) < normal_cdf(0.2 + 0.6 * X[:, 1])).astype(float)
         calls = self.count_stdnorm(monkeypatch)
         fit = probit.fit(y, X)
-        assert fit.converged and len(fit.loglik_path) == fit.iterations + 1
+        assert fit.score_norm < probit.SCORE_TOL and len(fit.loglik_path) == fit.iterations + 1
         assert self.per_point(calls, n) == fit.iterations + 1
         calls.clear()
         probit.sandwich_vcov(fit, y, X)
@@ -345,7 +360,7 @@ class TestEvaluationCount:
         monkeypatch.setattr(probit, "_terms", counted_terms)
         calls = self.count_stdnorm(monkeypatch)
         fit = probit.fit(y, X)
-        assert fit.converged and len(points) > fit.iterations + 1
+        assert fit.score_norm < probit.SCORE_TOL and len(points) > fit.iterations + 1
         assert self.per_point(calls, n) == len(points)
         # every evaluation but the start and one per iteration was a rejected candidate
         assert fit.halvings == len(points) - fit.iterations - 1 > 0
@@ -375,8 +390,8 @@ def _mixed_batch():
 class TestFitMany:
     """fit_many drives fit's Newton loop for a batch of samples."""
 
-    FIELDS = ("coef", "vcov", "loglik", "iterations", "converged", "score_norm", "n",
-              "labels", "loglik_path", "halvings", "g", "w")
+    FIELDS = ("coef", "vcov", "loglik", "iterations", "score_norm", "n", "labels",
+              "loglik_path", "halvings", "g", "w")
 
     @classmethod
     def assert_matches_fit(cls, batch, many):
@@ -468,6 +483,28 @@ class TestFitMany:
         assert len(calls) == rounds == max(evaluations) == evaluations[1]
         assert fits[1].halvings > 0  # the halving draw; its count moves with the BLAS kernel
         assert calls[0] == 3 * 100  # the rank-deficient and single-class samples never start
+
+    def test_records_the_iteration_cap_error_for_exactly_the_samples_that_reach_it(
+            self, monkeypatch):
+        # simulate --n 189's first 16 streams: their fits take 5 to 7 Newton steps
+        Y, X = _stream_block(189, 7, reps=16)
+        uncapped = probit.fit_many(Y, X)
+        monkeypatch.setattr(probit, "MAX_ITER", 6)
+        many = probit.fit_many(Y, X)
+        capped = [r for r, fit in enumerate(uncapped) if fit.iterations > 6]
+        assert capped == [1, 2]
+        for r, (got, want) in enumerate(zip(many, uncapped)):
+            if r in capped:
+                assert type(got) is probit.ProbitError
+                assert str(got).startswith("probit on ['x0', 'x1', 'x2', 'x3'] did not converge: "
+                                           "iteration cap 6 reached (score norm ")
+                with pytest.raises(probit.ProbitError) as raised:
+                    probit.fit(Y[r], X[r])
+                assert str(raised.value) == str(got)
+                continue
+            assert got.score_norm < probit.SCORE_TOL
+            for name in self.FIELDS:
+                assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
     def test_programming_error_propagates(self, monkeypatch):
         terms = probit._terms

@@ -274,6 +274,16 @@ class TestCorrelationMatrix:
             else:
                 assert value is None, (a, b)
 
+    @pytest.mark.xfail(strict=True, reason="each ordered pair takes its own value, which "
+                       "can differ from its mirror's in the last bit (ROADMAP item 5: the "
+                       "symmetry fix)")
+    def test_matrix_is_symmetric_with_a_unit_diagonal(self, snapshot):
+        # 48 of the 110 off-diagonal entries differed from their mirror, and the
+        # diagonal of health_exp and military_exp read 0.9999999999999999
+        corr = {(a, b): v for a, b, v in replicate.correlation_matrix(snapshot).rows}
+        assert [ab for ab, v in corr.items() if v != corr[ab[::-1]]] == []
+        assert [a for (a, b), v in corr.items() if a == b and v is not None and v != 1.0] == []
+
     def test_constant_column_is_blank(self, snapshot):
         flat = np.ones(snapshot.n_records)
         pan = with_column(snapshot, VariableDef("flat", "none"), flat, flat)

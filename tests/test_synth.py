@@ -264,6 +264,15 @@ class TestMonteCarlo:
         report = synth.monte_carlo(cfg, 50, heckman.PLAIN_ROBUST)
         assert render.render_recovery_csv(report) == render.render_recovery_csv(clean)
 
+    def test_a_first_stage_cut_short_fails_only_its_replication(self, monkeypatch):
+        # simulate --n 189 --vcov robust --reps 50 --seed 7 with the Newton loop capped
+        # at 6 steps: the 3 first stages that need more fail, as ProbitError
+        cfg = synth.DgpConfig(SIM_SELECTION_COEF, SIM_OUTCOME_COEF, 0.5, 1.0, 189, 7)
+        monkeypatch.setattr(heckman.probit, "MAX_ITER", 6)
+        report = synth.monte_carlo(cfg, 50, heckman.PLAIN_ROBUST)
+        assert report.failures == {"ProbitError": 3}
+        assert report.reps_used == 47
+
     def test_all_selected_replications_count_as_failed(self):
         # a selection intercept of 4 selects every row of some samples; their
         # first stage fails on a single class and the replication with it
