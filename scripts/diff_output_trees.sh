@@ -24,7 +24,8 @@ here=$(cd "$(dirname "$0")/.." && pwd)
 work=${2:-$(mktemp -d)}
 mkdir -p "$work"
 
-# one vaxsel argv per line, without --out
+# one vaxsel argv per line, without --out; the two seed-101 simulate lines are the
+# benchmark's mc_paper and mc_large operations
 ARGVS='replicate
 replicate --vcov heckman
 fit --filter table3
@@ -32,6 +33,8 @@ fit --filter table4 --vcov heckman
 simulate --reps 50 --seed 7
 simulate --n 189 --vcov robust --reps 50 --seed 7
 simulate --n 189 --vcov robust --reps 50 --seed 202
+simulate --n 189 --vcov robust --reps 50 --seed 101
+simulate --reps 50 --seed 101
 simulate --reps 200
 describe
 figures --grid 7'

@@ -11,6 +11,7 @@ estimate does not exist; that fit is returned.
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 from dataclasses import dataclass, field
 
@@ -133,8 +134,8 @@ def _terms(coef, Xs):
         step = np.linalg.solve(info, grad[..., None])[..., 0]
     except np.linalg.LinAlgError:
         step = None
-    return _Point(coef, log_cdf.sum(axis=-1).tolist(), lam, grad, w, np.abs(grad).max(axis=-1),
-                  info, step)
+    return _Point(coef, log_cdf.sum(axis=-1).tolist(), lam, grad, w,
+                  np.abs(grad).max(axis=-1).tolist(), info, step)
 
 
 def loglik(coef, y, X):
@@ -155,16 +156,18 @@ def hessian(coef, y, X):
     return -_terms(coef, _signed(np.asarray(y) == 1.0, X)).info
 
 
-def _newton(y, X, labels, collinear):
-    """fit's Newton loop on prepared y and X (with collinear_columns collinear)
-    as a generator returning the ProbitFit: it yields each coefficient vector
-    to be sent its _Point (_terms), and itself only accepts, halves and stops."""
+def _newton(k, labels, collinear, single_class):
+    """fit's Newton loop for a k-column design with collinear_columns collinear, y having one
+    class if single_class, as a generator: it yields each coefficient vector to be sent its
+    _Point (_terms), and itself accepts (a finite log L only, so finite coefficients), halves
+    and stops, on Python floats.  It returns the optimum's _Point, iterations, log L path and
+    halvings, which _finish makes a ProbitFit."""
     if collinear:
         raise RankDeficientError(collinear)
-    if y.min() == y.max():
+    if single_class:
         raise ValueError("y contains a single class; probit is not estimable")
 
-    point = yield np.zeros(X.shape[1])
+    point = yield np.zeros(k)
     path = [point.ll]
     halvings = 0
 
@@ -187,7 +190,7 @@ def _newton(y, X, labels, collinear):
             # Near the optimum the quadratic gain falls below float
             # resolution and the likelihood ties; accept the step if it
             # still contracts the score, keeping the path nondecreasing.
-            if np.isfinite(cand.ll) and (
+            if math.isfinite(cand.ll) and (
                     cand.ll > ll or (cand.ll == ll and cand.score_norm <= 0.9 * sn)):
                 break
         else:
@@ -196,33 +199,41 @@ def _newton(y, X, labels, collinear):
             # score inside tolerance.  That is convergence, not descent.
             cand = full
             drop = ll - cand.ll
-            if not (np.isfinite(cand.ll) and drop <= 64.0 * np.finfo(float).eps * max(1.0, abs(ll))
+            if not (math.isfinite(cand.ll) and drop <= 64.0 * math.ulp(1.0) * max(1.0, abs(ll))
                     and cand.score_norm < SCORE_TOL):
                 raise ProbitError(f"probit on {labels} did not converge: line search failed at "
                                   f"iteration {iterations + 1} (score norm {sn:.2e})")
         halvings += halved
         path.append(cand.ll)
-        if abs(cand.coef).max() > SEPARATION_COEF_BOUND and cand.score_norm > SCORE_TOL:
+        if (max(map(abs, cand.coef.tolist())) > SEPARATION_COEF_BOUND
+                and cand.score_norm > SCORE_TOL):
             raise SeparationError(
                 "coefficients diverging beyond +-50 with nonzero score; "
                 "the classes appear perfectly separated"
             )
         point = cand
+    return point, iterations, path, halvings
 
+
+def _finish(Y, done, labels):
+    """The ProbitFits of the (m, n) samples Y whose _newton loops returned done (fit's batch
+    is of one): vcov from one stacked inv, symmetrised, and g = +-lambda."""
     try:
-        vcov = np.linalg.inv(point.info)
+        V = np.linalg.inv(np.array([p.info for p, *_ in done]))
     except np.linalg.LinAlgError as exc:
         raise ProbitError("observed information is singular at the optimum") from exc
-    vcov = 0.5 * (vcov + vcov.T)
-
-    return ProbitFit(coef=point.coef, vcov=vcov, loglik=point.ll, iterations=iterations,
-                     score_norm=float(point.score_norm), n=int(y.shape[0]), labels=labels,
-                     loglik_path=path, halvings=halvings,
-                     g=np.where(y == 1.0, point.lam, -point.lam), w=point.w.copy())
+    V = 0.5 * (V + V.swapaxes(-1, -2))
+    lam, W = np.array([p.lam for p, *_ in done]), np.array([p.w for p, *_ in done])
+    return [ProbitFit(coef=p.coef, vcov=v, loglik=p.ll, iterations=iterations,
+                      score_norm=p.score_norm, n=Y.shape[1], labels=labels, loglik_path=path,
+                      halvings=halvings, g=g, w=w)
+            for (p, iterations, path, halvings), v, g, w
+            in zip(done, V, np.where(Y == 1.0, lam, -lam), W)]
 
 
 def fit(y, X, labels=None) -> ProbitFit:
-    """Fit a probit by Newton iteration from a zero start to a max-abs score below SCORE_TOL.
+    """Fit a probit by Newton iteration from a zero start to a max-abs score below SCORE_TOL,
+    through _newton, _terms and, on a batch of one, the _finish that fit_many uses.
 
     Parameters
     ----------
@@ -235,23 +246,24 @@ def fit(y, X, labels=None) -> ProbitFit:
     ValueError : NaN or infinite entries in X, non-binary or single-class y.
     RankDeficientError : collinear design.
     SeparationError : coefficients past +-50 with the score above SCORE_TOL (separation).
-    ProbitError : score still >= SCORE_TOL after MAX_ITER steps, or a failed line search.
+    ProbitError : score >= SCORE_TOL after MAX_ITER steps, a failed line search, or an
+        observed information singular at the optimum.
     """
     y, X, labels = _prepare(y, X, labels)
-    newton, Xs = _newton(y, X, labels, collinear_columns(X, labels)), _signed(y == 1.0, X)
-    coef = next(newton)
+    newton = _newton(X.shape[1], labels, collinear_columns(X, labels), y.min() == y.max())
+    Xs, coef = _signed(y == 1.0, X), next(newton)
     while True:
         try:
             coef = newton.send(_terms(coef, Xs))
         except StopIteration as done:
-            return done.value
+            return _finish(y[None], [done.value], labels)[0]
 
 
 def fit_many(Y, X, labels=None) -> list:
-    """fit for R samples at once, Y of shape (R, n) and X of shape (R, n, k):
-    one stacked rank QR and one _newton generator per sample; each round makes
-    one stacked _terms call, with its one stacked solve, on the pending
-    coefficient vectors, so the generators do no linear algebra.
+    """fit for R samples at once, Y of shape (R, n) and X of shape (R, n, k): one stacked
+    rank QR and single-class test, one _newton generator per sample, one stacked _terms call
+    (with its one stacked solve) per round on the pending coefficient vectors, so the
+    generators do no linear algebra, and one _finish for the samples that converge.
     Returns per sample its ProbitFit, bit-identical to fit's, or the
     estimation error its fit raised; malformed Y or X raises ValueError."""
     Y, X = np.asarray(Y, dtype=float), np.asarray(X, dtype=float)
@@ -259,7 +271,8 @@ def fit_many(Y, X, labels=None) -> list:
         raise ValueError(f"Y must be (R, n) and X (R, n, k); got {Y.shape} and {X.shape}")
     # binary y and finite X, checked over the whole batch
     labels = _prepare(Y.ravel(), X.reshape(-1, X.shape[-1]), labels)[2]
-    newtons = [_newton(y, x, labels, c) for y, x, c in zip(Y, X, collinear_columns(X, labels))]
+    newtons = [_newton(X.shape[2], labels, c, s)
+               for c, s in zip(collinear_columns(X, labels), (Y.min(1) == Y.max(1)).tolist())]
     results, pending, Xs = [None] * len(Y), {}, _signed(Y == 1.0, X)
 
     def advance(r, point):
@@ -274,13 +287,25 @@ def fit_many(Y, X, labels=None) -> list:
         advance(r, None)
     while pending:
         reps = sorted(pending)
-        # gathering rows copies the block; while every sample is pending it is not needed;
-        # each fit copies what it keeps of its rows, so no fit holds the round's block
+        # gathering rows copies the block; while every sample is pending it is not needed
         coefs = [pending.pop(r) for r in reps]
         p = _terms(np.array(coefs), Xs if len(reps) == len(Y) else Xs[reps])
         steps = [None] * len(reps) if p.step is None else p.step
         for r, *point in zip(reps, coefs, *p[1:-1], steps):
             advance(r, _Point(*point))
+    # _finish copies what the fits keep of the rounds' blocks
+    done = [r for r, result in enumerate(results) if isinstance(result, tuple)]
+    try:
+        fits = _finish(Y[done], [results[r] for r in done], labels) if done else []
+    except ProbitError:  # a singular information: one _finish per sample
+        fits = []
+        for r in done:
+            try:
+                fits += _finish(Y[[r]], [results[r]], labels)
+            except ProbitError as exc:
+                fits.append(exc)
+    for r, result in zip(done, fits):
+        results[r] = result
     return results
 
 

@@ -272,11 +272,14 @@ def goveff_scatter_fit(panel: Panel) -> FigureData:
     OLS line and its slope p-value, over the countries that started."""
     ge = panel.column("gov_eff")
     vac = panel.column("vac_php")
-    st = panel.column("started")
-    mask = (st == 1.0) & ~np.isnan(ge) & ~np.isnan(vac)
+    started = panel.column("started") == 1.0
+    mask = started & ~np.isnan(ge) & ~np.isnan(vac)
     n = int(mask.sum())
-    if n < 3:
-        raise ValueError("need at least three started countries for the fitted line")
+    if n < 3:  # the column, or both, with too few values among the starters
+        few = [c for c, v in (("gov_eff", ge), ("vac_php", vac))
+               if (~np.isnan(v[started])).sum() < 3]
+        raise ValueError("figure 3: fewer than three started countries with a "
+                         f"{' and '.join(few or ['gov_eff', 'vac_php'])} value")
     X = np.column_stack([ge[mask], np.ones(n)])
     coef, resid = heckman.ols(vac[mask], X, ["gov_eff", "const"])
     s2 = float(resid @ resid) / (n - 2)

@@ -16,8 +16,8 @@ Conventions used throughout:
 delta is the negative derivative of lambda and lives strictly inside
 (0, 1); it supplies the probit Hessian weights and the weight matrix of
 the corrected two-step covariance.  normal_tail_terms computes log Phi,
-lambda and delta together in one pass; log_normal_cdf, inverse_mills and
-inverse_mills_delta are views of its three results.
+lambda and delta together, each element by its own regime's formulas;
+log_normal_cdf, inverse_mills and inverse_mills_delta are views of its results.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 # Below this point erfc(-z/sqrt(2)) leaves the normal double range and the
 # asymptotic series takes over.
 _TAIL_Z = -37.0
+_TINY = np.nextafter(0.0, 1.0)  # delta's clamp at the right
 
 # Coefficients of the Mills-ratio series in u = 1/z**2:
 #   Phi(z) = phi(z)/(-z) * M(u),  M(u) = 1 - u + 3u^2 - 15u^3 + ...
@@ -92,9 +93,9 @@ def normal_tail_terms(z):
       are formed in log space.
 
     The last two regimes share one erfc(|z|/sqrt(2)) and lambda's formula.
-    Both run on the whole flattened block and np.where keeps, per element,
-    the regime it belongs to; the rare z < -37 elements are then
-    overwritten from the series.  No element is gathered outside the tail.
+    The z >= 0 formulas run on the whole flattened block; the z < 0 and NaN
+    elements, gathered once, then get their own log Phi and delta, and the
+    rare z < -37 elements are overwritten from the series.
 
     lambda is strictly positive and strictly decreasing, with
     lambda(z) ~ -z + (-1/z) in the far left tail and lambda(z) ~ phi(z) in
@@ -106,23 +107,24 @@ def normal_tail_terms(z):
     """
     arr, scalar = _wrap(z)
     flat = arr.reshape(-1)
-    pos = flat >= 0.0
-    # Each element keeps one regime's value; the other regime's overflow and
-    # log(0) are thrown away.  A kept value warns only in the z >= 0 regime,
-    # where z*z overflows beyond |z| ~ 1.3e154 and z = +inf gives -inf + inf;
-    # lambda = 0 and the clamp below are the intended answers there.
+    # What the other regime's formulas give an element (overflow, log(0)) is overwritten.
+    # A kept value warns only for z >= 0, where z*z overflows beyond |z| ~ 1.3e154 and
+    # z = +inf gives -inf + inf; lambda = 0 and the clamp are the intended answers there.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         # erfc(|z|/sqrt2) is erfc(-z/sqrt2) for z < 0 and erfc(z/sqrt2) for
         # z >= 0.  No where=: scipy 1.17.1's erfc then corrupts later elements.
         e = erfc(np.abs(flat) / _SQRT2)
-        log_cdf = np.where(pos, np.log1p(-0.5 * e), np.log(0.5 * e))
+        neg = np.flatnonzero(~(flat >= 0.0))
+        log_cdf = np.log1p(-0.5 * e)
+        log_cdf[neg] = np.log(0.5 * e[neg])
         loglam = -0.5 * flat * flat - _LOG_SQRT_2PI - log_cdf
         lam = np.exp(loglam)
-        vals = np.exp(loglam + np.log(flat + lam))
-        # vals is an exp, never negative: fmax lifts 0 and NaN to the clamp
-        delta = np.where(pos, np.fmax(vals, np.nextafter(0.0, 1.0)), lam * (lam + flat))
+        # an exp is never negative: fmax lifts 0 and NaN to the clamp
+        delta = np.fmax(np.exp(loglam + np.log(flat + lam)), _TINY)
+        lam_neg = lam[neg]
+        delta[neg] = lam_neg * (lam_neg + flat[neg])
     tail = flat < _TAIL_Z
-    if np.any(tail):
+    if tail.any():
         zt = flat[tail]
         with np.errstate(over="ignore"):
             u = 1.0 / (zt * zt)

@@ -225,6 +225,13 @@ def test_a_boxplot_group_with_no_gdp_value_is_named():
                                   "countries"])
 
 
+def test_a_scatter_line_with_too_few_values_names_the_column():
+    # 56 countries started; the error names the column that none of them has a value of
+    code, errors, _ = run_on(blanked("gov_eff"), ["figures"])
+    assert (code, errors) == (1, ["error: figure 3: fewer than three started countries with a "
+                                  "gov_eff value"])
+
+
 def test_describe_renders_a_large_finite_mean():
     code, errors, texts = run_on(with_cells("days", lambda i: 1e150), ["describe"])
     assert (code, errors) == (0, [])

@@ -417,7 +417,7 @@ class TestFitMany:
     def test_one_solve_per_round_and_one_qr_per_batch(self, monkeypatch):
         batch = _mixed_batch()
         events = []
-        for name in ("solve", "qr"):
+        for name in ("solve", "qr", "inv"):
             def counted(a, *args, original=getattr(probit.np.linalg, name), name=name, **kwargs):
                 events.append((name, np.shape(a)))
                 return original(a, *args, **kwargs)
@@ -436,6 +436,8 @@ class TestFitMany:
         names = [name for name, _ in events]
         # how many rounds the halving draw takes moves with the BLAS kernel's last bits
         assert names.count("qr") == 1 and many[1].halvings > 0
+        # the two samples that converge are finished together, after the last round
+        assert names.count("inv") == 1 and events[-1] == ("inv", (2, 2, 2))
         # a solve follows a kernel pass and solves that round's whole block;
         # every kernel pass, rejected candidates included, makes exactly one
         for before, (name, shape) in zip(events[1:], events[2:]):
@@ -456,6 +458,46 @@ class TestFitMany:
         many = probit.fit_many([y for y, _ in batch], [X for _, X in batch], labels=["a", "b"])
         monkeypatch.undo()
         self.assert_matches_fit(batch, many)
+
+    @staticmethod
+    def singular_inverse(monkeypatch, singular):
+        """np.linalg.inv raising on a stack of more than one matrix, and on the
+        per-sample calls singular says to fail (it is given their count so far)."""
+        inv, singles = np.linalg.inv, []
+
+        def patched(a):
+            if np.ndim(a) == 3 and len(a) == 1:
+                singles.append(a)
+            if np.ndim(a) == 3 and (len(a) > 1 or singular(len(singles))):
+                raise np.linalg.LinAlgError("Singular matrix")
+            return inv(a)
+
+        monkeypatch.setattr(probit.np.linalg, "inv", patched)
+
+    def test_singular_stacked_inverse_falls_back_per_sample(self, monkeypatch):
+        batch = _mixed_batch()
+        self.singular_inverse(monkeypatch, lambda count: False)
+        many = probit.fit_many([y for y, _ in batch], [X for _, X in batch], labels=["a", "b"])
+        monkeypatch.undo()
+        self.assert_matches_fit(batch, many)
+
+    def test_a_singular_information_fails_only_its_own_sample(self, monkeypatch):
+        batch = _mixed_batch()
+        want = probit.fit_many([y for y, _ in batch], [X for _, X in batch])
+        # the per-sample fallback finishes the samples in order: the first is the ordinary fit
+        self.singular_inverse(monkeypatch, lambda count: count == 1)
+        many = probit.fit_many([y for y, _ in batch], [X for _, X in batch])
+        assert type(many[0]) is probit.ProbitError
+        assert str(many[0]) == "observed information is singular at the optimum"
+        assert isinstance(many[0].__cause__, np.linalg.LinAlgError)
+        for name in self.FIELDS:
+            assert np.array_equal(getattr(many[1], name), getattr(want[1], name)), name
+        assert [type(r) for r in many[2:]] == [type(r) for r in want[2:]]
+        assert [str(r) for r in many[2:]] == [str(r) for r in want[2:]]
+        # fit finishes its one sample through the same code
+        self.singular_inverse(monkeypatch, lambda count: True)
+        with pytest.raises(probit.ProbitError, match="^observed information is singular"):
+            probit.fit(*batch[1])
 
     def test_one_kernel_call_per_round(self, monkeypatch):
         batch = _mixed_batch()

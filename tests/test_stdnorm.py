@@ -341,6 +341,29 @@ def test_block_and_row_calls_give_the_same_bits(layout):
             assert out[i].tobytes() == out_row.tobytes()
 
 
+@pytest.mark.parametrize("layout", [*_layouts(), "0-d"])
+def test_the_kernel_never_writes_into_its_input(layout):
+    # the kernel works on a flat view of the caller's array, not on a copy
+    z = np.array(-40.0) if layout == "0-d" else _layouts()[layout]
+    before = z.copy()
+    outs = normal_tail_terms(z)
+    assert z.tobytes() == before.tobytes()
+    for i, out in enumerate(outs):
+        assert not np.shares_memory(z, out)
+        assert not any(np.shares_memory(out, other) for other in outs[i + 1:])
+
+
+def test_no_runtime_warning_from_a_block():
+    # the scalar calls are checked in test_nan_propagates_and_infinities_give_limits;
+    # a block mixes every regime, so a step outside the errstate would warn here
+    rng = np.random.default_rng(5)
+    wide = rng.choice([-1.0, 1.0], size=10_000) * 10.0 ** rng.uniform(-300, 300, size=10_000)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for z in (np.array(EDGE_VALUES), np.array(EDGE_VALUES).reshape(3, 7), wide):
+            normal_tail_terms(z)
+
+
 def test_one_erfc_call_over_the_whole_input(monkeypatch):
     # both erfc regimes read one erfc(|z|/sqrt2); where= is never passed,
     # because scipy 1.17.1's erfc returns wrong values and corrupts the heap with it
