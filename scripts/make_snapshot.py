@@ -560,7 +560,7 @@ def verify(pan, verbose=True):
           box["started"][1] >= box["not_started"][3] - 0.5)
 
     curve = replicate.conditional_start_curve(pan).meta
-    slope_t = curve["slope"] / curve["slope_se"]
+    slope_t = curve["slope"] / curve["se"]
     check("start-probability slope positive, 1%", curve["slope"] > 0 and slope_t > 2.575829,
           f"t={slope_t:.2f}")
 

@@ -111,7 +111,7 @@ def cmd_replicate(args):
     _write_figures(out, replicate.all_figures(panel, grid_points=args.grid))
     _progress("replicate: diff report")
     render.write_text_atomic(out / "report" / "replication_diff.md",
-                             replicate.replication_diff(tables))
+                             render.render_replication_diff(replicate.replication_diff(tables)))
     render.write_text_atomic(out / "report" / "audit.log",
                              "".join(line + "\n" for line in panel.audit))
     _progress(f"replicate: output tree complete under {out}")

@@ -73,16 +73,15 @@ class HeckmanFit:
     """Full two-step result.
 
     outcome_coef covers the outcome design columns plus, as its last
-    entry, the Mills-ratio coefficient (an estimate of rho * sigma_u);
-    imr_coef mirrors that last entry.  In the degenerate all-selected
-    case the Mills column is skipped, outcome_coef has no extra entry and
-    imr_coef is 0.  vcov maps each variant to its (outcome, selection)
-    covariances; a degenerate fit has its robust outcome one and None under both.
+    entry, the Mills-ratio coefficient (an estimate of rho * sigma_u).  In
+    the degenerate all-selected case the Mills column is skipped and
+    outcome_coef has no extra entry.  vcov maps each variant to its (outcome,
+    selection) covariances; a degenerate fit has its robust outcome one and
+    None under both.
     """
 
     first_stage: probit.ProbitFit
     outcome_coef: np.ndarray
-    imr_coef: float
     outcome_labels: list[str]
     n_total: int
     n_selected: int
@@ -275,8 +274,7 @@ def fit_two_step(frame) -> HeckmanFit:
         # plain least squares and say so.
         first = None
         coef, resid = ols(out_y, out_X, labels_w)
-        imr_coef = rho = 0.0
-        sigma2 = float(resid @ resid / n_selected)
+        sigma2, rho = float(resid @ resid / n_selected), 0.0
         vcov = dict.fromkeys(VCOV_VARIANTS, (plain_robust_vcov(out_X, resid, n_selected), None))
     else:
         first = probit.fit(sel_y, frame.selection_X, frame.selection_labels)
@@ -295,10 +293,10 @@ def fit_two_step(frame) -> HeckmanFit:
                              else probit.sandwich_vcov(first, sel_y, frame.selection_X))
         coef, resid = stage.coef[0], stage.residuals[0]
         labels_w.append(IMR_LABEL)
-        imr_coef, sigma2, rho = float(coef[-1]), float(stage.sigma2[0]), float(stage.rho[0])
+        sigma2, rho = float(stage.sigma2[0]), float(stage.rho[0])
 
     return HeckmanFit(
-        first_stage=first, outcome_coef=coef, imr_coef=imr_coef, outcome_labels=labels_w,
+        first_stage=first, outcome_coef=coef, outcome_labels=labels_w,
         n_total=sel_y.shape[0], n_selected=n_selected, residuals=resid, sigma2=sigma2, rho=rho,
         vcov=vcov, degenerate=first is None,
     )

@@ -311,7 +311,8 @@ class ModelFrame:
     Outcome rows are the selection rows with the indicator equal to 1,
     restricted (via outcome_keep) to those complete on the outcome-stage
     variables; for a fully observed snapshot the mask is all-True and the
-    stated row identity holds exactly.
+    stated row identity holds exactly.  A frame holds values only: the rows'
+    country codes stay in the panel.
     """
 
     selection_y: np.ndarray
@@ -321,10 +322,6 @@ class ModelFrame:
     outcome_X: np.ndarray
     outcome_labels: list
     outcome_keep: np.ndarray
-    # country codes of the selection and outcome rows; empty for frames
-    # not assembled from a panel
-    row_labels: list = field(default_factory=list)
-    outcome_row_labels: list = field(default_factory=list)
 
 
 def build_model_frame(panel: Panel, spec) -> ModelFrame:
@@ -375,7 +372,5 @@ def build_model_frame(panel: Panel, spec) -> ModelFrame:
         outcome_y=outcome_y,
         outcome_X=outcome_X,
         outcome_labels=outcome_labels,
-        row_labels=panel.iso3[idx].tolist(),
-        outcome_row_labels=panel.iso3[out_rows].tolist(),
         outcome_keep=keep_out,
     )

@@ -52,6 +52,7 @@ class ProbitFit:
     vcov is the observed-information inverse at the optimum, where score_norm
     < SCORE_TOL; use sandwich_vcov for the robust variant.  iterations counts
     the accepted Newton steps, halvings the line-search candidates not accepted.
+    The fit's row count is len(g).
     """
 
     coef: np.ndarray
@@ -59,7 +60,6 @@ class ProbitFit:
     loglik: float
     iterations: int
     score_norm: float
-    n: int
     labels: list[str] = field(default_factory=list)
     loglik_path: list[float] = field(default_factory=list, repr=False)
     halvings: int = 0
@@ -225,7 +225,7 @@ def _finish(Y, done, labels):
     V = 0.5 * (V + V.swapaxes(-1, -2))
     lam, W = np.array([p.lam for p, *_ in done]), np.array([p.w for p, *_ in done])
     return [ProbitFit(coef=p.coef, vcov=v, loglik=p.ll, iterations=iterations,
-                      score_norm=p.score_norm, n=Y.shape[1], labels=labels, loglik_path=path,
+                      score_norm=p.score_norm, labels=labels, loglik_path=path,
                       halvings=halvings, g=g, w=w)
             for (p, iterations, path, halvings), v, g, w
             in zip(done, V, np.where(Y == 1.0, lam, -lam), W)]
@@ -313,8 +313,8 @@ def sandwich_vcov(fit: ProbitFit, y, X) -> np.ndarray:
     """Robust covariance H^{-1} (sum_i s_i s_i') H^{-1}, H the negative
     Hessian and s_i = g_i x_i the per-observation score rows."""
     y, X, _ = _prepare(y, X, fit.labels)
-    if X.shape[0] != fit.n:
-        raise ValueError(f"fit has {fit.n} rows; y and X have {X.shape[0]}")
+    if X.shape[0] != len(fit.g):
+        raise ValueError(f"fit has {len(fit.g)} rows; y and X have {X.shape[0]}")
     S = X * fit.g[:, None]
     try:
         Hinv = np.linalg.inv((X * fit.w[:, None]).T @ X)

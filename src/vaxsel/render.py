@@ -1,11 +1,10 @@
 """Rendering: the text of the output files, written atomically.
 
-Tables, figure CSVs and SVGs and the recovery report are formatted here, and
-every markdown table, the replication diff's among them, goes through
-markdown_table.  Numbers are rounded for print only here, except in the notes
-of figures 2 and 3, which replicate formats where it computes them.  Table
-cells round to 3 decimals, ties away from zero (cell_text); CSV tables and
-figure data keep shortest-roundtrip precision.  SVGs are written by hand, one
+Tables, figure CSVs with their notes, SVGs, the replication diff and the
+recovery report are formatted here, and every markdown table goes through
+markdown_table.  Numbers are rounded for print only here.  Table cells round
+to 3 decimals, ties away from zero (cell_text); CSV tables and figure data
+keep shortest-roundtrip precision.  SVGs are written by hand, one
 writer per element kind, so the output tree is byte-identical across runs: no
 timestamps, no generator metadata, fixed coordinate formatting.
 """
@@ -19,7 +18,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
-    from vaxsel.replicate import FigureData, TableResult
+    from vaxsel.replicate import DiffRow, FigureData, TableResult
     from vaxsel.synth import RecoveryReport
 
 
@@ -109,6 +108,24 @@ def render_table_csv(table: TableResult) -> str:
     return "\n".join(lines) + "\n"
 
 
+def render_replication_diff(rows: list[DiffRow]) -> str:
+    """Markdown report: each anchor's reference cell beside its computed cells,
+    printed as the tables print them, or the reason in parentheses."""
+    verdict = {True: "yes", False: "no", None: "n/a"}
+    body = [[r.table, r.model, r.stage, r.variable, cell_text(r.reference),
+             *(f"({c})" if isinstance(c, str) else cell_text(c) for c in (r.robust, r.corrected)),
+             verdict[r.sign_match], verdict[r.stars_match]] for r in rows]
+    lines = ["# Replication diff", "",
+             "Reference estimates beside computed values for every anchor cell.",
+             "Acceptance is pattern-level (sign and significance stars); exact",
+             "coefficient equality is not expected because the underlying data",
+             "snapshot cannot be reconstructed bit-for-bit.", "",
+             *markdown_table(["table", "model", "stage", "variable", "reference",
+                              "computed (robust)", "computed (corrected)", "sign match",
+                              "stars match"], body), ""]
+    return "\n".join(lines) + "\n"
+
+
 # ---------------------------------------------------------------- recovery report
 
 
@@ -137,11 +154,18 @@ def render_recovery_markdown(report: RecoveryReport) -> str:
 # ---------------------------------------------------------------- figures
 
 
+_SLOPE = " slope {slope:.6f} (se {se:.6f}), two-sided p {p:.3g}"
+# the note line under a figure CSV's rows, filled in from the figure's meta
+_FIGURE_NOTES = {"fig2": "probit" + _SLOPE, "fig3": "ols" + _SLOPE,
+                 "figA1": "pairwise-complete observations; blank where a column is constant"}
+
+
 def render_figure_csv(fig: FigureData) -> str:
     lines = [",".join(map(csv_quote, fig.columns))]
     lines += [",".join("" if v is None else repr(v) if isinstance(v, float)
                        else csv_quote(str(v)) for v in row) for row in fig.rows]
-    lines += [f"# {note}" for note in fig.notes]
+    if fig.figure_id in _FIGURE_NOTES:
+        lines.append("# " + _FIGURE_NOTES[fig.figure_id].format(**fig.meta))
     return "\n".join(lines) + "\n"
 
 

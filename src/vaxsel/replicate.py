@@ -2,18 +2,19 @@
 
 Everything here is a pure function of the loaded panel: re-running any
 suite on an unchanged snapshot yields identical numbers, and table cells
-carry full-precision floats.  Rounding for print happens in render, except
-in the one-line notes of figures 2 and 3, formatted here with their numbers.
+carry full-precision floats and figures carry their fitted numbers in meta;
+render turns all of them into text.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from vaxsel import heckman, probit, render
+from vaxsel import heckman, probit
 from vaxsel.panel import Panel, PanelError, build_model_frame, quantile
 from vaxsel.specs import (ANCHOR_CELLS, REPLICATION_TABLES, TABLE_ROW_ORDER, apply_outlier_filter,
                           builtin_specs)
@@ -61,7 +62,6 @@ class FigureData:
     figure_id: str
     columns: list
     rows: list
-    notes: list = field(default_factory=list)
     meta: dict = field(default_factory=dict)
 
 
@@ -208,7 +208,6 @@ def correlation_matrix(panel: Panel, codes=None) -> FigureData:
         figure_id="figA1",
         columns=["var_row", "var_col", "corr"],
         rows=[(a, b, corr[a, b]) for a in codes for b in codes],
-        notes=["pairwise-complete observations; blank where a column is constant"],
         meta={"codes": codes},
     )
 
@@ -252,18 +251,13 @@ def conditional_start_curve(panel: Panel, n_points: int = 100) -> FigureData:
     upper = normal_cdf(index + heckman.Z_95 * se_index)
     if not (np.all(upper >= prob) and np.all(prob >= lower)):
         raise AssertionError("confidence band must bracket the point estimate")
-    slope = float(fit.coef[0])
-    slope_se = float(np.sqrt(fit.vcov[0, 0]))
+    slope, se = float(fit.coef[0]), float(np.sqrt(fit.vcov[0, 0]))
     return FigureData(
         figure_id="fig2",
         columns=["log_gdp", "prob", "lower", "upper"],
         rows=[(float(g), float(p), float(l), float(u))
               for g, p, l, u in zip(grid, prob, lower, upper)],
-        notes=[
-            f"probit slope {slope:.6f} (se {slope_se:.6f}), "
-            f"two-sided p {two_sided_p(slope / slope_se):.3g}"
-        ],
-        meta={"slope": slope, "slope_se": slope_se, "n": int(ok.sum())},
+        meta={"slope": slope, "se": se, "p": two_sided_p(slope / se)},
     )
 
 
@@ -290,7 +284,6 @@ def goveff_scatter_fit(panel: Panel) -> FigureData:
         figure_id="fig3",
         columns=["iso3", "gov_eff", "log_vac_php"],
         rows=rows,
-        notes=[f"ols slope {coef[0]:.6f} (se {se:.6f}), two-sided p {pval:.3g}"],
         meta={"slope": float(coef[0]), "intercept": float(coef[1]), "se": se, "p": pval},
     )
 
@@ -304,45 +297,33 @@ def all_figures(panel: Panel, grid_points: int = 100):
     ]
 
 
-def replication_diff(tables) -> str:
-    """Markdown report: reference estimate beside the computed cell for
-    every anchor, under both second-stage covariance variants, read from
-    the fits of replication_tables' tables.  Every cell is printed as the
-    tables print it, by render.cell_text.
-    """
+# One anchor of the diff report: where it lives, its reference Cell, the robust and
+# corrected Cells or, where the table has none, the reason, and the verdicts; sign_match is
+# None where the reference has no stars, as the sign of a noise-level estimate says nothing
+DiffRow = namedtuple("DiffRow", "table model stage variable reference robust corrected "
+                                "sign_match stars_match")
+
+
+def replication_diff(tables) -> list:
+    """One DiffRow per anchor under both second-stage covariance variants, read
+    from the fits of replication_tables' tables."""
     tables = {
         (name, variant): tabulate(table, variant)
         for name, table in tables.items()
         for variant in heckman.VCOV_VARIANTS
     }
-
-    lines = [
-        "# Replication diff",
-        "",
-        "Reference estimates beside computed values for every anchor cell.",
-        "Acceptance is pattern-level (sign and significance stars); exact",
-        "coefficient equality is not expected because the underlying data",
-        "snapshot cannot be reconstructed bit-for-bit.",
-        "",
-    ]
     rows = []
     for a in ANCHOR_CELLS:
         col = f"{a.model}:{a.stage}"
         robust = tables[(a.table, heckman.PLAIN_ROBUST)].cell(a.variable, col)
         corrected = tables[(a.table, heckman.HECKMAN_CORRECTED)].cell(a.variable, col)
-        where = [a.table, a.model, a.stage, a.variable,
-                 render.cell_text(Cell(a.ref_coef, a.ref_se, a.ref_stars))]
-        if robust is None:
-            rows.append(where + ["(model failed)", "(model failed)", "no", "no"])
+        anchor = (a.table, a.model, a.stage, a.variable, Cell(a.ref_coef, a.ref_se, a.ref_stars))
+        if robust is None:  # both variants tabulate the same fits, so neither cell exists
+            failed = col in tables[(a.table, heckman.PLAIN_ROBUST)].column_errors
+            reason = "model failed" if failed else "no selection stage"
+            rows.append(DiffRow(*anchor, reason, reason, False, False))
             continue
-        # both variants tabulate the same fits, so both cells exist
         same_sign = math.copysign(1, robust.value) == math.copysign(1, a.ref_coef)
-        # the sign of a noise-level estimate is not informative
-        sign_match = "n/a" if a.ref_stars == "" else ("yes" if same_sign else "no")
-        rows.append(where + [render.cell_text(robust), render.cell_text(corrected), sign_match,
-                             "yes" if robust.stars == a.ref_stars else "no"])
-    lines += render.markdown_table(["table", "model", "stage", "variable", "reference",
-                                    "computed (robust)", "computed (corrected)", "sign match",
-                                    "stars match"], rows)
-    lines.append("")
-    return "\n".join(lines) + "\n"
+        rows.append(DiffRow(*anchor, robust, corrected, same_sign if a.ref_stars else None,
+                            robust.stars == a.ref_stars))
+    return rows

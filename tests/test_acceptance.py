@@ -185,7 +185,8 @@ def test_criterion_5_table2_pattern(snapshot):
         assert c.value > 0 and c.stars == "***", (m, c)
     assert cell("gov_eff", "model5", "outcome").stars == ""
 
-    diff = replicate.replication_diff(replicate.replication_tables(snapshot))
+    diff = render.render_replication_diff(
+        replicate.replication_diff(replicate.replication_tables(snapshot)))
     assert "0.718*** (0.217)" in diff
     for a in ANCHOR_CELLS:
         assert f"| {a.table} | {a.model} | {a.stage} | {a.variable} |" in diff

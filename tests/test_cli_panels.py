@@ -104,15 +104,15 @@ def mutate(rows, mutation):
             r[COLUMN[a]] = repr(b)
 
 
-def run_on(rows, argv):
-    """main(argv) on rows written as the data file: exit code, error lines, output CSVs;
-    whatever it wrote to stderr holds no traceback."""
+def run_on(rows, argv, pattern="*.csv"):
+    """main(argv) on rows written as the data file: exit code, error lines, the output
+    files that match pattern; whatever it wrote to stderr holds no traceback."""
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(io.StringIO()) as err:
         data, out = Path(tmp) / "panel.csv", Path(tmp) / "out"
         with open(data, "w", encoding="utf-8", newline="") as f:
             csv.writer(f, lineterminator="\n").writerows(rows)
         code = main([*argv, "--data", str(data), "--out", str(out)])
-        texts = {str(p.relative_to(out)): p.read_text() for p in out.rglob("*.csv")}
+        texts = {str(p.relative_to(out)): p.read_text() for p in out.rglob(pattern)}
     assert "Traceback" not in err.getvalue()
     return code, [line for line in err.getvalue().splitlines() if line.startswith("error:")], texts
 
@@ -230,6 +230,19 @@ def test_a_scatter_line_with_too_few_values_names_the_column():
     code, errors, _ = run_on(blanked("gov_eff"), ["figures"])
     assert (code, errors) == (1, ["error: figure 3: fewer than three started countries with a "
                                   "gov_eff value"])
+
+
+def test_the_diff_report_tells_a_degenerate_model_from_a_failed_one():
+    # every selection sample holds only starters: all 13 fits have no selection stage,
+    # and the report said "(model failed)" for each of their selection anchors
+    rows = blanked("cases", lambda r: r[COLUMN["started"]] == "0")
+    code, errors, texts = run_on(rows, ["replicate"], "*.md")
+    assert (code, errors) == (0, [])
+    assert "Note: model1: every row is selected" in texts["tables/table2.md"]
+    report = texts["report/replication_diff.md"]
+    assert "(model failed)" not in report
+    assert report.count("| selection | ") == 17
+    assert report.count("| (no selection stage) | (no selection stage) | no | no |") == 17
 
 
 def test_describe_renders_a_large_finite_mean():

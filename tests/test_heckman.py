@@ -170,7 +170,6 @@ class TestFitTwoStep:
         fit1 = heckman.fit_two_step(frame_from(np.arange(n)))
         fit2 = heckman.fit_two_step(frame_from(np.random.default_rng(1).permutation(n)))
         assert_allclose(fit2.outcome_coef, fit1.outcome_coef, atol=1e-12)
-        assert fit2.imr_coef == pytest.approx(fit1.imr_coef, abs=1e-12)
         assert fit2.sigma2 == pytest.approx(fit1.sigma2, abs=1e-12)
         assert_allclose(fit2.first_stage.coef, fit1.first_stage.coef, atol=1e-12)
 
@@ -191,7 +190,7 @@ class TestFitTwoStep:
         )
         fit = heckman.fit_two_step(frame)
         assert fit.degenerate
-        assert fit.imr_coef == 0.0
+        assert fit.outcome_labels == ["x", "const"]  # no Mills column
         ols_coef, _ = heckman.ols(y, X)
         assert_allclose(fit.outcome_coef, ols_coef, atol=1e-8)
 
@@ -633,7 +632,7 @@ class TestSecondStages:
         for rep in range(6):
             fit = heckman.fit_two_step(synth.generate(config, rep).frame)
             if rep == 0:
-                assert fit.imr_coef == pytest.approx(0.0494, abs=1e-4)
+                assert fit.outcome_coef[-1] == pytest.approx(0.0494, abs=1e-4)
             n = args["rows"][rep]
             assert np.array_equal(fit.outcome_coef, stages.coef[rep])
             assert np.array_equal(fit.residuals, stages.residuals[rep, :n])

@@ -1,7 +1,9 @@
 """The import graph has one direction: stdnorm <- probit <- heckman <- replicate/synth
 <- cli, with panel and specs as the data layer and render as a leaf.  Each check
-imports one module in a fresh interpreter and reads what it loaded."""
+imports one module in a fresh interpreter and reads what it loaded; where another
+module loads the same one anyway, the check reads the source instead."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -40,3 +42,13 @@ def test_import_loads_only_the_layers_below(module):
     if own is not None:
         assert sorted(m for m in loaded if m.split(".")[0] == "vaxsel") == sorted(own)
     assert sorted(banned & loaded) == []
+
+
+def test_replicate_leaves_all_text_to_render():
+    # panel loads render for csv_quote, so a fresh interpreter shows render either way
+    tree = ast.parse((SRC / "vaxsel" / "replicate.py").read_text(encoding="utf-8"))
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names}
+    imported |= {f"{node.module}.{alias.name}" for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert sorted(m for m in imported if m.startswith("vaxsel.render")) == []

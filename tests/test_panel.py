@@ -466,10 +466,13 @@ class TestBuildModelFrame:
 
     def test_outcome_rows_are_selected_rows(self, snapshot):
         frame = build_model_frame(snapshot, builtin_specs()[1])
-        selected = [
-            lbl for lbl, v in zip(frame.row_labels, frame.selection_y) if v == 1.0
-        ]
-        assert frame.outcome_row_labels == selected
+        # row i of the outcome design is the i-th selected row: the column the two
+        # stages share, whose values are distinct, holds the same values, row for row
+        assert frame.outcome_keep.all()
+        rows = frame.selection_X[frame.selection_y == 1.0]
+        cases = rows[:, frame.selection_labels.index("cases")]
+        assert len(set(cases.tolist())) == cases.size == frame.outcome_y.size == 56
+        assert np.array_equal(cases, frame.outcome_X[:, frame.outcome_labels.index("cases")])
 
     def test_absent_variable_is_error(self, snapshot):
         spec = ModelSpec("bad", ("cases", "mystery"), ("cases", "days"))
@@ -495,7 +498,11 @@ class TestBuildModelFrame:
         spec = builtin_specs()[1]
         f1 = build_model_frame(snapshot, spec)
         f2 = build_model_frame(shuffled, spec)
-        assert sorted(f1.row_labels) == sorted(f2.row_labels)
+        # the same rows in another order, in both stages
+        for y, X in (("selection_y", "selection_X"), ("outcome_y", "outcome_X")):
+            rows = [sorted(np.column_stack([getattr(f, y), getattr(f, X)]).tolist())
+                    for f in (f1, f2)]
+            assert rows[0] == rows[1]
         fit1 = heckman.fit_two_step(f1)
         fit2 = heckman.fit_two_step(f2)
         np.testing.assert_allclose(fit2.outcome_coef, fit1.outcome_coef, atol=1e-10)

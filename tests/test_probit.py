@@ -390,8 +390,8 @@ def _mixed_batch():
 class TestFitMany:
     """fit_many drives fit's Newton loop for a batch of samples."""
 
-    FIELDS = ("coef", "vcov", "loglik", "iterations", "score_norm", "n", "labels",
-              "loglik_path", "halvings", "g", "w")
+    FIELDS = ("coef", "vcov", "loglik", "iterations", "score_norm", "labels", "loglik_path",
+              "halvings", "g", "w")
 
     @classmethod
     def assert_matches_fit(cls, batch, many):

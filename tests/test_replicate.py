@@ -25,6 +25,10 @@ def tables(snapshot):
     return replicate.replication_tables(snapshot)
 
 
+def diff_text(tables):
+    return render.render_replication_diff(replicate.replication_diff(tables))
+
+
 def with_column(panel, vdef, values, raw):
     """panel with one more variable."""
     return Panel(
@@ -323,7 +327,7 @@ class TestFigures:
         uppers = np.array([r[3] for r in fig.rows])
         assert np.all(np.diff(probs) > 0)  # positive slope
         assert np.all(lowers <= probs) and np.all(probs <= uppers)
-        t = fig.meta["slope"] / fig.meta["slope_se"]
+        t = fig.meta["slope"] / fig.meta["se"]
         assert fig.meta["slope"] > 0 and t > 2.575829
 
     def test_scatter_fit(self, snapshot):
@@ -354,7 +358,7 @@ class TestFigures:
 
 class TestDiffReport:
     def test_contains_every_anchor(self, tables):
-        text = replicate.replication_diff(tables)
+        text = diff_text(tables)
         assert "0.718*** (0.217)" in text
         assert "0.400*** (0.127)" in text
         for a in ANCHOR_CELLS:
@@ -362,7 +366,7 @@ class TestDiffReport:
 
     def test_deterministic(self, snapshot, tables):
         again = replicate.replication_tables(snapshot)
-        assert replicate.replication_diff(again) == replicate.replication_diff(tables)
+        assert diff_text(again) == diff_text(tables)
 
     def test_fits_each_cell_once(self, snapshot, monkeypatch):
         calls = []
@@ -376,12 +380,12 @@ class TestDiffReport:
         tables = replicate.replication_tables(snapshot)
         assert len(calls) == 13
         # the report reads the tables' fits and refits none of them
-        replicate.replication_diff(tables)
+        diff_text(tables)
         assert len(calls) == 13
 
     def test_tables_fitted_under_either_variant_give_the_same_report(self, snapshot, tables):
         corrected = replicate.replication_tables(snapshot, heckman.HECKMAN_CORRECTED)
-        assert replicate.replication_diff(corrected) == replicate.replication_diff(tables)
+        assert diff_text(corrected) == diff_text(tables)
 
     def test_cells_round_as_the_tables_round(self, snapshot, monkeypatch):
         # 0.0625 is a tie: f"{v:.3f}" rounds it to even, 0.062, and the tables print 0.063
@@ -395,7 +399,7 @@ class TestDiffReport:
 
         monkeypatch.setattr(replicate, "tabulate", tied)
         tables = replicate.replication_tables(snapshot)
-        report = replicate.replication_diff(tables)
+        report = diff_text(tables)
         table = render.render_table_markdown(tables["table2"])
         assert "0.063*** (0.063) |" in table and "0.062" not in table + report
         assert report.count(" (0.063) |") == 2 * len(ANCHOR_CELLS)
@@ -453,6 +457,39 @@ class TestRender:
         assert (tags["fig2"]["polygon"], tags["fig2"]["polyline"]) == (1, 1)
         assert tags["fig3"]["circle"] == len(figs["fig3"].rows)
         assert tags["figA1"]["rect"] == 1 + len(figs["figA1"].meta["codes"]) ** 2
+
+    def test_figure_notes_are_written_from_meta(self):
+        def notes(figure_id, meta):
+            text = render.render_figure_csv(replicate.FigureData(figure_id, ["a"], [(1.5,)], meta))
+            return [line for line in text.splitlines() if line.startswith("#")]
+
+        assert notes("fig1", {}) == []
+        assert notes("fig2", {"slope": 0.25, "se": 0.0625, "p": 6.334248366623996e-05}) == [
+            "# probit slope 0.250000 (se 0.062500), two-sided p 6.33e-05"]
+        assert notes("fig3", {"slope": 2.0, "intercept": 1.0, "se": 0.0, "p": 0.0}) == [
+            "# ols slope 2.000000 (se 0.000000), two-sided p 0"]
+        assert notes("figA1", {"codes": ["a"]}) == [
+            "# pairwise-complete observations; blank where a column is constant"]
+
+    def test_diff_rows_print_as_the_tables_print(self):
+        at = ("table2", "model1", "selection", "cases")
+        ref = replicate.Cell(0.525, 0.130, "***")
+        tie = replicate.Cell(0.0625, 0.0625, "")
+        rows = [replicate.DiffRow(*at, ref, tie, replicate.Cell(-0.5, 0.1, "***"), True, False),
+                replicate.DiffRow(*at, replicate.Cell(0.335, 0.525, ""), tie, tie, None, True),
+                replicate.DiffRow(*at, ref, "model failed", "model failed", False, False),
+                replicate.DiffRow(*at, ref, "no selection stage", "no selection stage",
+                                  False, False)]
+        text = render.render_replication_diff(rows)
+        where = "| table2 | model1 | selection | cases |"
+        assert text.startswith("# Replication diff\n\n")
+        # 0.0625 is a tie: the tables print 0.063, where f"{v:.3f}" gives 0.062
+        assert text.endswith(
+            f"{where} 0.525*** (0.130) | 0.063 (0.063) | -0.500*** (0.100) | yes | no |\n"
+            f"{where} 0.335 (0.525) | 0.063 (0.063) | 0.063 (0.063) | n/a | yes |\n"
+            f"{where} 0.525*** (0.130) | (model failed) | (model failed) | no | no |\n"
+            f"{where} 0.525*** (0.130) | (no selection stage) | (no selection stage) | no | no |"
+            "\n\n")
 
     def test_unknown_figure_id(self):
         with pytest.raises(ValueError):
