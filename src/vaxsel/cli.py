@@ -35,7 +35,10 @@ def _progress(message):
 
 
 def _grid_points(text):
-    points = int(text)
+    try:
+        points = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"grid needs an integer, got {text!r}") from None
     if points < 2:
         raise argparse.ArgumentTypeError(f"grid needs at least 2 points, got {points}")
     return points

@@ -24,10 +24,10 @@ variants for the second stage:
 Both are functions of the same first stage and point estimates, so one fit
 serves both: fit_two_step computes both variants and stores them on the fit.
 
-The second stage works on a stack of samples, their selected rows packed to
+The second stage works on stacks only, each sample's selected rows packed to
 the front of zero rows: second_stages solves each sample on its own rows and
 returns each failure as an exception object, and outcome_vcovs computes the
-covariances of the stack at once.  fit_two_step is the one-sample case.
+covariances of the stack at once.  fit_two_step passes a stack of one.
 """
 
 from __future__ import annotations
@@ -208,11 +208,10 @@ def second_stages(y, X, mills, delta, rows, labels, first_stages) -> SecondStage
 
 
 def outcome_vcovs(stages: SecondStages, variant: str, Z=None):
-    """The (R, k, k) outcome covariances of stages under variant (zero where a sample
-    failed) and per sample None or its error, a singular W'W's LinAlgError included:
-    stacked, or one sample at a time when the stack meets a singular matrix.  Z is
-    the selection designs packed like the outcome rows, read by heckman_corrected.
-    fit_two_step calls it on a stack of one."""
+    """The (R, k, k) outcome covariances of the stack stages under variant (zero where a
+    sample failed) and per sample None or its error, from one call through
+    probit.stackwise, so a singular W'W's LinAlgError fails only its own sample.  Z is
+    the selection designs packed like the outcome rows, read by heckman_corrected."""
     check_vcov_variant(variant)
     errors = list(stages.errors)
     ok = [r for r, err in enumerate(errors) if err is None]
@@ -226,14 +225,11 @@ def outcome_vcovs(stages: SecondStages, variant: str, Z=None):
         V1 = np.array([stages.first_stages[r].vcov for r in ok])
         vcov, args = heckman_corrected_vcov, (stages.design[ok], stages.delta[ok], Z[ok], V1, rho2,
                                               stages.sigma2[ok])
-    try:
-        V[ok] = vcov(*args)
-    except np.linalg.LinAlgError:
-        for i, r in enumerate(ok):
-            try:
-                V[r] = vcov(*(a[i:i + 1] for a in args))[0]
-            except np.linalg.LinAlgError as exc:
-                errors[r] = exc
+    for r, v in zip(ok, probit.stackwise(vcov, *args)):
+        if isinstance(v, np.linalg.LinAlgError):
+            errors[r] = v
+        else:
+            V[r] = v
     return V, errors
 
 
@@ -247,7 +243,7 @@ def fit_two_step(frame) -> HeckmanFit:
 
     The first stage's g and w on the selected rows are lambda and delta.  Both
     covariance variants are computed here, the outcome half by outcome_vcovs on
-    the one-sample stack, and stored as HeckmanFit.vcov.
+    a stack of one, and stored as HeckmanFit.vcov.
 
     Raises
     ------

@@ -109,43 +109,55 @@ def _prepare(y, X, labels=None):
 _Point = namedtuple("_Point", "coef ll lam grad w score_norm info step")
 
 
+def stackwise(call, *stacks):
+    """call(*stacks) for a linear-algebra call on stacks along their leading axis; when
+    numpy raises LinAlgError, a list holding per sample the [0] of call on its stacks of
+    one (a[i:i+1]), or the LinAlgError that call raised."""
+    try:
+        return call(*stacks)
+    except np.linalg.LinAlgError:
+        results = []
+        for i in range(len(stacks[0])):
+            try:
+                results.append(call(*(a[i:i + 1] for a in stacks))[0])
+            except np.linalg.LinAlgError as exc:
+                results.append(exc)
+        return results
+
+
 def _signed(ones, X):
     """The sign-folded design: X with every y = 0 row negated (ones marks the
-    y = 1 rows), so that its row i times c is the signed index s_i = +-x_i'c."""
+    y = 1 rows), so that its row i times c is the signed index s_i = +-x_i'c;
+    ones (1, n) makes a stack of one of X (n, k)."""
     # a product by +-1 is exact, and needs no temporary copy of X
     return np.asarray(X, dtype=float) * np.where(ones, 1.0, -1.0)[..., None]
 
 
 def _terms(coef, Xs):
-    """One pass over the signed index s = Xs c of one sample's sign-folded
-    design Xs (_signed), or of a stack along the leading axes of coef and Xs,
-    as a _Point: log L = sum_i log Phi(s_i) (a float, or a list per sample),
-    lambda(s_i), the score Xs'lambda, the Hessian weights w_i = delta(s_i),
-    the max-abs score, the information (Xs w)'Xs (the negative Hessian) and
-    the Newton step solving it for the score, from one stacked solve; the
-    step is None if any system is singular.  Negation is exact and rounding
-    is sign-symmetric, so each product and sum has the bits it would have
-    on the unsigned design with the signs applied to s and lambda."""
+    """One pass over the signed index s = Xs c of R sign-folded designs Xs (R, n, k)
+    (_signed) at coef (R, k), as a _Point: lists of log L = sum_i log Phi(s_i) and of
+    the max-abs score; stacks of lambda(s_i), the score Xs'lambda, the Hessian weights
+    w_i = delta(s_i), the information (Xs w)'Xs (the negative Hessian) and the Newton
+    step solving it for the score, through stackwise.  Negation is exact and rounding
+    is sign-symmetric, so each product and sum has the bits it would have on the
+    unsigned design with the signs applied to s and lambda."""
     s = np.matmul(Xs, np.asarray(coef)[..., None])[..., 0]
     log_cdf, lam, w = normal_tail_terms(s)
     grad = np.matmul(lam[..., None, :], Xs)[..., 0, :]
     info = np.matmul((Xs * w[..., None]).swapaxes(-1, -2), Xs)
-    try:
-        step = np.linalg.solve(info, grad[..., None])[..., 0]
-    except np.linalg.LinAlgError:
-        step = None
+    step = stackwise(lambda a, b: np.linalg.solve(a, b[..., None])[..., 0], info, grad)
     return _Point(coef, log_cdf.sum(axis=-1).tolist(), lam, grad, w,
                   np.abs(grad).max(axis=-1).tolist(), info, step)
 
 
 def loglik(coef, y, X):
     """Probit log-likelihood sum_i [y_i log Phi(x_i'c) + (1-y_i) log Phi(-x_i'c)]."""
-    return _terms(coef, _signed(np.asarray(y) == 1.0, X)).ll
+    return _terms(np.atleast_2d(coef), _signed(np.asarray(y)[None] == 1.0, X)).ll[0]
 
 
 def score(coef, y, X):
     """Analytic gradient: sum_i g_i x_i with g_i = +-lambda(+-x_i'c)."""
-    return _terms(coef, _signed(np.asarray(y) == 1.0, X)).grad
+    return _terms(np.atleast_2d(coef), _signed(np.asarray(y)[None] == 1.0, X)).grad[0]
 
 
 def hessian(coef, y, X):
@@ -153,15 +165,15 @@ def hessian(coef, y, X):
 
     Negative semidefinite everywhere because delta lies in (0, 1).
     """
-    return -_terms(coef, _signed(np.asarray(y) == 1.0, X)).info
+    return -_terms(np.atleast_2d(coef), _signed(np.asarray(y)[None] == 1.0, X)).info[0]
 
 
 def _newton(k, labels, collinear, single_class):
-    """fit's Newton loop for a k-column design with collinear_columns collinear, y having one
-    class if single_class, as a generator: it yields each coefficient vector to be sent its
-    _Point (_terms), and itself accepts (a finite log L only, so finite coefficients), halves
-    and stops, on Python floats.  It returns the optimum's _Point, iterations, log L path and
-    halvings, which _finish makes a ProbitFit."""
+    """One sample's Newton loop, for a k-column design with collinear_columns collinear, y
+    having one class if single_class, as a generator: it yields each coefficient vector to be
+    sent its _Point from _fit_stack's round, and itself accepts (a finite log L only, so finite
+    coefficients), halves and stops, on Python floats.  It returns the optimum's _Point,
+    iterations, log L path and halvings, which _finish makes a ProbitFit."""
     if collinear:
         raise RankDeficientError(collinear)
     if single_class:
@@ -178,11 +190,8 @@ def _newton(k, labels, collinear, single_class):
         if iterations == MAX_ITER:
             raise ProbitError(f"probit on {labels} did not converge: iteration cap {MAX_ITER} "
                               f"reached (score norm {sn:.2e})")
-        if step is None:  # the stacked solve that evaluated it met a singular system
-            try:
-                step = np.linalg.solve(point.info, point.grad)
-            except np.linalg.LinAlgError as exc:
-                raise ProbitError(f"singular Hessian at iteration {iterations + 1}") from exc
+        if isinstance(step, np.linalg.LinAlgError):
+            raise ProbitError(f"singular Hessian at iteration {iterations + 1}") from step
 
         full = yield coef + step
         for halved in range(MAX_STEP_HALVINGS):
@@ -216,24 +225,28 @@ def _newton(k, labels, collinear, single_class):
 
 
 def _finish(Y, done, labels):
-    """The ProbitFits of the (m, n) samples Y whose _newton loops returned done (fit's batch
-    is of one): vcov from one stacked inv, symmetrised, and g = +-lambda."""
-    try:
-        V = np.linalg.inv(np.array([p.info for p, *_ in done]))
-    except np.linalg.LinAlgError as exc:
-        raise ProbitError("observed information is singular at the optimum") from exc
-    V = 0.5 * (V + V.swapaxes(-1, -2))
+    """Per sample of the (m, n) samples Y whose _newton loops returned done, its ProbitFit
+    (vcov from one stacked inv through stackwise, g = +-lambda) or, where its observed
+    information is singular, a ProbitError caused by the LinAlgError."""
+    # symmetrised inside the call, so as one stacked operation unless a sample is singular
+    V = stackwise(lambda a: 0.5 * ((v := np.linalg.inv(a)) + v.swapaxes(-1, -2)),
+                  np.array([p.info for p, *_ in done]))
     lam, W = np.array([p.lam for p, *_ in done]), np.array([p.w for p, *_ in done])
-    return [ProbitFit(coef=p.coef, vcov=v, loglik=p.ll, iterations=iterations,
-                      score_norm=p.score_norm, labels=labels, loglik_path=path,
-                      halvings=halvings, g=g, w=w)
-            for (p, iterations, path, halvings), v, g, w
-            in zip(done, V, np.where(Y == 1.0, lam, -lam), W)]
+    fits = []
+    for (p, iterations, path, halvings), v, g, w in zip(done, V, np.where(Y == 1.0, lam, -lam), W):
+        if isinstance(v, np.linalg.LinAlgError):
+            fits.append(ProbitError("observed information is singular at the optimum"))
+            fits[-1].__cause__ = v
+        else:
+            fits.append(ProbitFit(coef=p.coef, vcov=v, loglik=p.ll, iterations=iterations,
+                                  score_norm=p.score_norm, labels=labels, loglik_path=path,
+                                  halvings=halvings, g=g, w=w))
+    return fits
 
 
 def fit(y, X, labels=None) -> ProbitFit:
-    """Fit a probit by Newton iteration from a zero start to a max-abs score below SCORE_TOL,
-    through _newton, _terms and, on a batch of one, the _finish that fit_many uses.
+    """Fit a probit by Newton iteration from a zero start to a max-abs score below SCORE_TOL:
+    y and X are checked here, then fitted as a stack of one by _fit_stack, fit_many's driver.
 
     Parameters
     ----------
@@ -246,31 +259,32 @@ def fit(y, X, labels=None) -> ProbitFit:
     ValueError : NaN or infinite entries in X, non-binary or single-class y.
     RankDeficientError : collinear design.
     SeparationError : coefficients past +-50 with the score above SCORE_TOL (separation).
-    ProbitError : score >= SCORE_TOL after MAX_ITER steps, a failed line search, or an
-        observed information singular at the optimum.
+    ProbitError : score >= SCORE_TOL after MAX_ITER steps, a failed line search, a singular
+        Hessian on the way, or an observed information singular at the optimum.
     """
     y, X, labels = _prepare(y, X, labels)
-    newton = _newton(X.shape[1], labels, collinear_columns(X, labels), y.min() == y.max())
-    Xs, coef = _signed(y == 1.0, X), next(newton)
-    while True:
-        try:
-            coef = newton.send(_terms(coef, Xs))
-        except StopIteration as done:
-            return _finish(y[None], [done.value], labels)[0]
+    result = _fit_stack(y[None], X[None], labels)[0]
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 def fit_many(Y, X, labels=None) -> list:
-    """fit for R samples at once, Y of shape (R, n) and X of shape (R, n, k): one stacked
-    rank QR and single-class test, one _newton generator per sample, one stacked _terms call
-    (with its one stacked solve) per round on the pending coefficient vectors, so the
-    generators do no linear algebra, and one _finish for the samples that converge.
-    Returns per sample its ProbitFit, bit-identical to fit's, or the
-    estimation error its fit raised; malformed Y or X raises ValueError."""
+    """Fit R probits at once, Y of shape (R, n) and X of shape (R, n, k), as fit does one.
+    Returns per sample its ProbitFit or the estimation error its fit raised; malformed Y
+    or X raises ValueError."""
     Y, X = np.asarray(Y, dtype=float), np.asarray(X, dtype=float)
     if Y.ndim != 2 or X.ndim != 3 or X.shape[:2] != Y.shape:
         raise ValueError(f"Y must be (R, n) and X (R, n, k); got {Y.shape} and {X.shape}")
     # binary y and finite X, checked over the whole batch
-    labels = _prepare(Y.ravel(), X.reshape(-1, X.shape[-1]), labels)[2]
+    return _fit_stack(Y, X, _prepare(Y.ravel(), X.reshape(-1, X.shape[-1]), labels)[2])
+
+
+def _fit_stack(Y, X, labels):
+    """The Newton driver of fit and fit_many, on checked stacks Y (R, n) and X (R, n, k):
+    one stacked rank QR and single-class test, one _newton generator per sample, one
+    stacked _terms call per round on the pending coefficient vectors, so the generators
+    do no linear algebra, and one _finish for the samples that converge."""
     newtons = [_newton(X.shape[2], labels, c, s)
                for c, s in zip(collinear_columns(X, labels), (Y.min(1) == Y.max(1)).tolist())]
     results, pending, Xs = [None] * len(Y), {}, _signed(Y == 1.0, X)
@@ -290,20 +304,11 @@ def fit_many(Y, X, labels=None) -> list:
         # gathering rows copies the block; while every sample is pending it is not needed
         coefs = [pending.pop(r) for r in reps]
         p = _terms(np.array(coefs), Xs if len(reps) == len(Y) else Xs[reps])
-        steps = [None] * len(reps) if p.step is None else p.step
-        for r, *point in zip(reps, coefs, *p[1:-1], steps):
+        for r, *point in zip(reps, coefs, *p[1:]):
             advance(r, _Point(*point))
     # _finish copies what the fits keep of the rounds' blocks
     done = [r for r, result in enumerate(results) if isinstance(result, tuple)]
-    try:
-        fits = _finish(Y[done], [results[r] for r in done], labels) if done else []
-    except ProbitError:  # a singular information: one _finish per sample
-        fits = []
-        for r in done:
-            try:
-                fits += _finish(Y[[r]], [results[r]], labels)
-            except ProbitError as exc:
-                fits.append(exc)
+    fits = _finish(Y[done], [results[r] for r in done], labels) if done else []
     for r, result in zip(done, fits):
         results[r] = result
     return results

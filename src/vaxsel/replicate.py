@@ -191,16 +191,9 @@ def correlation_matrix(panel: Panel, codes=None) -> FigureData:
             xa, xb = cols[a][ok], cols[b][ok]
             corr[a, b] = corr[b, a] = None
             if ok.sum() >= 2 and xa.std() != 0.0 and xb.std() != 0.0:
-                # np.corrcoef(xa, xb) step for step; c[1, 0] is np.corrcoef(xb, xa)[0, 1]
-                X = np.array([xa, xb])
-                X -= X.mean(axis=1)[:, None]
-                c = np.dot(X, X.T)
-                c *= np.true_divide(1, xa.size - 1)
-                s = np.sqrt(np.diag(c))
-                c /= s[:, None]
-                c /= s[None, :]
-                np.clip(c, -1, 1, out=c)
+                c = np.corrcoef(xa, xb)  # c[1, 0] is np.corrcoef(xb, xa)[0, 1]
                 if not np.isfinite(c).all():
+                    s = np.sqrt(np.diag(np.cov(xa, xb)))
                     bad = next((v for v, sd in zip((a, b), s) if not 0.0 < sd < math.inf), a)
                     raise ValueError(f"correlation figure: variance of {bad} out of float range")
                 corr[a, b], corr[b, a] = float(c[0, 1]), float(c[1, 0])

@@ -458,6 +458,17 @@ def test_grid_below_two_is_a_usage_error(tmp_path, capsys, command, grid):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["replicate", "figures"])
+@pytest.mark.parametrize("grid", ["abc", "2.5", ""])
+def test_a_non_integer_grid_is_a_usage_error_naming_the_option(tmp_path, capsys, command, grid):
+    # it read "invalid _grid_points value: 'abc'", the parser's private function name
+    assert main([command, "--grid", grid, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"argument --grid: grid needs an integer, got {grid!r}" in err
+    assert "_grid_points" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_inputs_not_mutated(tmp_path):
     data = packaged("snapshot.csv")
     before = data.read_bytes()

@@ -388,7 +388,7 @@ def _mixed_batch():
 
 
 class TestFitMany:
-    """fit_many drives fit's Newton loop for a batch of samples."""
+    """fit_many fits a batch of samples through the Newton driver fit uses on one."""
 
     FIELDS = ("coef", "vcov", "loglik", "iterations", "score_norm", "labels", "loglik_path",
               "halvings", "g", "w")
@@ -449,7 +449,7 @@ class TestFitMany:
         solve = np.linalg.solve
 
         def singular_stack(a, b):
-            if np.ndim(a) == 3:
+            if np.ndim(a) == 3 and len(a) > 1:
                 raise np.linalg.LinAlgError("Singular matrix")
             return solve(a, b)
 
@@ -574,6 +574,39 @@ class TestFitMany:
             probit.fit_many([y, y], [X, bad])
 
 
+class TestStackwise:
+    """stackwise on stacks holding a real singular matrix: the stacked call, or each
+    sample's own call when the stack raises."""
+
+    @staticmethod
+    def solve(a, b):
+        return np.linalg.solve(a, b[..., None])[..., 0]
+
+    @pytest.mark.parametrize("call, operands", [("inv", 1), ("solve", 2)])
+    def test_a_singular_sample_gets_its_error_and_the_others_their_alone_bits(self, call,
+                                                                               operands):
+        rng = np.random.default_rng(11)
+        stacks = (rng.normal(size=(4, 3, 3)), rng.normal(size=(4, 3)))[:operands]
+        stacks[0][2] = 0.0
+        call = np.linalg.inv if call == "inv" else self.solve
+        with pytest.raises(np.linalg.LinAlgError):
+            call(*stacks)
+        got = probit.stackwise(call, *stacks)
+        assert type(got) is list and len(got) == 4
+        assert type(got[2]) is np.linalg.LinAlgError
+        for i in (0, 1, 3):
+            assert np.array_equal(got[i], call(*(a[i:i + 1] for a in stacks))[0])
+
+    def test_a_regular_stack_returns_the_stacked_calls_array(self):
+        stack, returned = np.random.default_rng(12).normal(size=(4, 3, 3)), []
+
+        def inv(a):
+            returned.append(np.linalg.inv(a))
+            return returned[-1]
+
+        assert probit.stackwise(inv, stack) is returned[0] and len(returned) == 1
+
+
 def _pinned_digest(n):
     config = synth.DgpConfig(selection_coef=SIM_SELECTION_COEF, outcome_coef=SIM_OUTCOME_COEF,
                              rho=0.5, sigma_u=1.0, n=n, seed=7)
@@ -640,7 +673,9 @@ class TestSignedDesign:
         assert np.array_equal(np.where(ones, point.lam, -point.lam), g, equal_nan=True)
         for got, expected in ((point.grad, grad), (point.w, w), (point.info, info)):
             assert np.array_equal(got, expected, equal_nan=True)
-        assert (point.step is None) == (step is None)
+        # where the oracle's stacked solve meets a singular system its step is None, and
+        # _terms' step is stackwise's list
+        assert (type(point.step) is list) == (step is None)
         if step is not None:
             assert np.array_equal(point.step, step, equal_nan=True)
 
@@ -662,10 +697,9 @@ class TestSignedDesign:
         single = probit.fit(Y[3], X[3])
         assert len(passes) > 2 * single.iterations
         for coef, Xs, point in passes:
-            # the samples of the pass, found by their signed designs: one, or a round's block
-            rows = [next(r for r in range(len(Y)) if np.array_equal(x, signed[r]))
-                    for x in Xs.reshape(-1, *Xs.shape[-2:])]
-            rows = rows if Xs.ndim == 3 else rows[0]
+            # the samples of the pass, found by their signed designs: a round's block, or fit's
+            # stack of one
+            rows = [next(r for r in range(len(Y)) if np.array_equal(x, signed[r])) for x in Xs]
             self.assert_same(point, ones[rows], unsigned_terms.terms(coef, ones[rows], X[rows]))
         for y, x, fit in zip(ones, X, [*fits, single]):
             _, g, _, w, _, _ = unsigned_terms.terms(fit.coef, y, x)
@@ -684,6 +718,7 @@ class TestSignedDesign:
             assert np.isposinf(idx[:2]).any() and np.isneginf(idx[:2]).any()
             self.assert_same(probit._terms(coef, probit._signed(ones, X)), ones,
                              unsigned_terms.terms(coef, ones, X))
-            for r in range(3):
-                self.assert_same(probit._terms(coef[r], probit._signed(ones[r], X[r])), ones[r],
-                                 unsigned_terms.terms(coef[r], ones[r], X[r]))
+            for r in range(3):  # each sample as a stack of one
+                one = slice(r, r + 1)
+                self.assert_same(probit._terms(coef[one], probit._signed(ones[one], X[one])),
+                                 ones[one], unsigned_terms.terms(coef[one], ones[one], X[one]))
