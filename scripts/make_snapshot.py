@@ -511,47 +511,17 @@ def verify(pan, verbose=True):
         errors = sorted(set(result.column_errors.values()))
         check(f"{table} every model estimated", not errors, "; ".join(errors))
 
-    def expect(table, model, stage, var, rule, min_t=None, soft=False):
-        """One cell of a replicate table: rule '+' asks for a positive estimate,
-        '***' and '**+' for a positive one at 1% and at 5% or better, and 'ns'
-        for |t| < 1.4, a margin below the 10% threshold so the pattern is
-        draw-robust, with no sign (a noise-level estimate has none); min_t
-        adds a margin on the t statistic."""
-        label = f"{table} {model} {stage} {var} {rule}" + (f" t>{min_t}" if min_t else "")
-        cell = tables[table].cell(var, f"{model}:{stage}")
+    # the anchor pattern, each cell held to its rule in specs.ANCHOR_CELLS
+    for a in specs.ANCHOR_CELLS:
+        label = f"{a.table} {a.model} {a.stage} {a.variable} {a.rule}" + (
+            f" t>{a.min_t}" if a.min_t else "")
+        cell = tables[a.table].cell(a.variable, f"{a.model}:{a.stage}")
         if cell is None:
-            return check(label, False, "(not estimated)", soft)
+            check(label, False, "(not estimated)", a.soft)
+            continue
         coef, se, stars = cell.value, cell.spread, cell.stars
-        t = coef / se
-        ok = {
-            "+": coef > 0,
-            "***": coef > 0 and stars == "***",
-            "**+": coef > 0 and stars in ("**", "***"),
-            "ns": abs(t) < 1.4,
-        }[rule] and (min_t is None or t > min_t)
-        check(label, ok, f"coef={coef:.3f} se={se:.3f} t={t:.2f} [{stars}]", soft)
-
-    for m, rule in zip(models, ("***", "***", "***", "***", "+")):
-        expect("table2", m, "selection", "cases", rule)
-    for m, rule in (("model2", "***"), ("model3", "***"), ("model4", "**+"), ("model5", "**+")):
-        expect("table2", m, "selection", "soft_power_30", rule)
-    expect("table2", "model4", "selection", "gdp", "***")
-    expect("table2", "model5", "selection", "gdp_pc_ppp", "***")
-    for m in models:
-        expect("table2", m, "outcome", "days", "***", min_t=2.9)
-    expect("table2", "model2", "outcome", "gov_eff", "***")
-    expect("table2", "model4", "outcome", "gov_eff", "***")
-    expect("table2", "model5", "outcome", "gov_eff", "ns")
-    expect("table2", "model5", "outcome", "gdp_pc_ppp", "ns", soft=True)
-
-    for m in ("model2", "model4"):
-        expect("table3", m, "outcome", "gov_eff", "***", min_t=2.75)
-    for m, rule in (("model2", "***"), ("model3", "+"), ("model4", "+")):
-        expect("table3", m, "selection", "soft_power_30", rule)
-    expect("table4", "model2", "outcome", "gov_eff", "***")
-    expect("table4", "model4", "outcome", "gov_eff", "**+")
-    for m in ("model2", "model3", "model4"):
-        expect("table4", m, "selection", "soft_power_30", "+")
+        check(label, a.met_by(coef, se, stars),
+              f"coef={coef:.3f} se={se:.3f} t={coef / se:.2f} [{stars}]", a.soft)
 
     # figure-level claims; box rows: group, min, q1, median, q3, max
     box = {row[0]: row[1:] for row in replicate.gdp_boxplot_stats(pan).rows}

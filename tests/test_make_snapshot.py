@@ -8,7 +8,9 @@ from pathlib import Path
 
 import pytest
 
+from vaxsel import replicate, specs
 from vaxsel.panel import save_panel
+from tests.test_acceptance import unmet_anchors
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "make_snapshot.py"
 
@@ -40,3 +42,16 @@ def test_verify_passes_the_snapshot_and_fails_negated_gov_eff(make_snapshot, sna
         "corr(gov_eff, gdp_pc_ppp) = 0.83",
         "table2 model2 outcome gov_eff ***",
     } <= failed
+
+
+def test_verify_and_the_acceptance_tests_read_the_one_anchor_pattern(
+        make_snapshot, snapshot, monkeypatch):
+    # the shipped snapshot has t = 1.28 at this cell, so a "***" rule fails it
+    at = ("table2", "model5", "outcome", "gov_eff")
+    anchors = [replace(a, rule="***") if (a.table, a.model, a.stage, a.variable) == at else a
+               for a in specs.ANCHOR_CELLS]
+    monkeypatch.setattr(specs, "ANCHOR_CELLS", tuple(anchors))
+    failures, _ = make_snapshot.verify(snapshot, verbose=False)
+    assert [label for label, _, _ in failures] == ["table2 model5 outcome gov_eff ***"]
+    unmet = unmet_anchors(replicate.replication_tables(snapshot), ("table2",))
+    assert [(a.table, a.model, a.stage, a.variable) for a, _ in unmet] == [at]

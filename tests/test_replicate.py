@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from vaxsel import heckman, render, replicate
 from vaxsel.panel import Panel, VariableDef, filter_percentile
-from vaxsel.specs import (ANCHOR_CELLS, OUTLIER_FILTERS, REPLICATION_TABLES, ModelSpec,
-                          apply_outlier_filter, builtin_specs)
+from vaxsel.specs import (ANCHOR_CELLS, OUTLIER_FILTERS, REPLICATION_TABLES, AnchorCell,
+                          ModelSpec, apply_outlier_filter, builtin_specs)
 from tests.conftest import examples
 
 
@@ -59,12 +59,30 @@ class TestSpecs:
             ModelSpec("bad", ("gov_eff",), ("cases",))
 
     def test_every_anchor_is_a_cell_of_a_registry_table(self):
-        names = [s.name for s in builtin_specs()]
+        specs = {s.name: s for s in builtin_specs()}
         for a in ANCHOR_CELLS:
             assert a.table in REPLICATION_TABLES, a
             _, outlier_filter, n_models = REPLICATION_TABLES[a.table]
             assert outlier_filter in OUTLIER_FILTERS
-            assert a.model in names[:n_models], a
+            assert a.model in list(specs)[:n_models], a
+            # a mistyped variable would read "(no selection stage)" in the diff report
+            assert a.variable in getattr(specs[a.model], f"{a.stage}_vars"), a
+            assert a.rule in ("***", "**+", "+", "ns"), a
+            assert a.min_t is None or a.min_t > 0, a
+        assert len({(a.table, a.model, a.stage, a.variable) for a in ANCHOR_CELLS}) == len(
+            ANCHOR_CELLS)
+
+    # (rule, min_t, coef and t with se 1, stars, whether the rule is met)
+    @pytest.mark.parametrize("rule, min_t, t, stars, met", [
+        ("***", None, 2.5, "**", False), ("**+", None, 2.5, "**", True),
+        ("+", None, -5.0, "***", False),
+        ("ns", None, 1.39, "", True), ("ns", None, -1.39, "", True),
+        ("ns", None, 1.41, "", False), ("ns", None, -1.41, "", False),
+        ("***", 2.9, 3.0, "***", True), ("***", 2.9, 2.8, "***", False),
+    ])
+    def test_anchor_rule_at_its_boundary(self, rule, min_t, t, stars, met):
+        anchor = AnchorCell("table2", "model1", "outcome", "days", 0.0, 1.0, "", rule, min_t)
+        assert anchor.met_by(t, 1.0, stars) == met
 
 
 class TestDescriptiveTable:
@@ -93,39 +111,12 @@ class TestDescriptiveTable:
 
 
 class TestRunModelSuite:
-    def test_anchor_pattern_table2(self, table2):
-        t = table2
-        for m in ("model1", "model2", "model3", "model4"):
-            cell = t.cell("cases", f"{m}:selection")
-            assert cell.value > 0 and cell.stars == "***"
-        for m in ("model2", "model3"):
-            cell = t.cell("soft_power_30", f"{m}:selection")
-            assert cell.value > 0 and cell.stars == "***"
-        assert t.cell("gdp", "model4:selection").value > 0
-        assert t.cell("gdp", "model4:selection").stars == "***"
-        assert t.cell("gdp_pc_ppp", "model5:selection").value > 0
-        assert t.cell("gdp_pc_ppp", "model5:selection").stars == "***"
-        for m in ("model1", "model2", "model3", "model4", "model5"):
-            cell = t.cell("days", f"{m}:outcome")
-            assert cell.value > 0 and cell.stars == "***"
-        for m in ("model2", "model4"):
-            cell = t.cell("gov_eff", f"{m}:outcome")
-            assert cell.value > 0 and cell.stars == "***"
-        assert t.cell("gov_eff", "model5:outcome").stars == ""
-
-    def test_sign_pattern_models_2_to_4(self, table2):
-        for m in ("model2", "model3", "model4"):
-            if table2.cell("soft_power_30", f"{m}:selection"):
-                assert table2.cell("soft_power_30", f"{m}:selection").value > 0
-            assert table2.cell("cases", f"{m}:selection").value > 0
-            assert table2.cell("days", f"{m}:outcome").value > 0
-            if table2.cell("gov_eff", f"{m}:outcome"):
-                assert table2.cell("gov_eff", f"{m}:outcome").value > 0
-
-    def test_observations_row(self, table2):
+    def test_observations_row(self, table2, tables):
         assert table2.observations["model1:selection"] == 165
         assert table2.observations["model2:selection"] == 187
         assert table2.observations["model5:selection"] == 148
+        assert tables["table3"].observations["model1:selection"] == 131
+        assert tables["table4"].observations["model1:selection"] == 162
 
     def test_cells_equal_fit_fields_exactly(self, snapshot, table2):
         fit = table2.fits["model2"]
@@ -214,19 +205,6 @@ class TestOutlierSuites:
         assert t4.n_records == filter_percentile(snapshot, "vac_php", 0.0, 0.95).n_records
         with pytest.raises(ValueError, match="unknown filter"):
             apply_outlier_filter(snapshot, "table5")
-
-    def test_robustness_patterns(self, tables):
-        t3, t4 = tables["table3"], tables["table4"]
-        assert t3.observations["model1:selection"] == 131
-        assert t4.observations["model1:selection"] == 162
-        for t, m4_req in ((t3, ("***",)), (t4, ("**", "***"))):
-            for m in ("model2", "model4"):
-                cell = t.cell("gov_eff", f"{m}:outcome")
-                assert cell.value > 0
-            assert t.cell("gov_eff", "model2:outcome").stars == "***"
-            assert t.cell("gov_eff", "model4:outcome").stars in m4_req
-            for m in ("model2", "model3", "model4"):
-                assert t.cell("soft_power_30", f"{m}:selection").value > 0
 
 
 @st.composite
@@ -359,10 +337,9 @@ class TestFigures:
 class TestDiffReport:
     def test_contains_every_anchor(self, tables):
         text = diff_text(tables)
-        assert "0.718*** (0.217)" in text
-        assert "0.400*** (0.127)" in text
         for a in ANCHOR_CELLS:
-            assert f"| {a.table} | {a.model} | {a.stage} | {a.variable} |" in text
+            reference = f"{render.round3(a.ref_coef)}{a.ref_stars} ({render.round3(a.ref_se)})"
+            assert f"| {a.table} | {a.model} | {a.stage} | {a.variable} | {reference} |" in text
 
     def test_deterministic(self, snapshot, tables):
         again = replicate.replication_tables(snapshot)
