@@ -15,7 +15,7 @@ its descriptive table and its figure data.
 Usage:
     python scripts/make_snapshot.py [--seed N] [--check-only] [--quiet]
 
-Reads the variable schema from src/vaxsel/data/schema.yaml, the one source
+Reads the variable schema from src/vaxsel/data/schema.csv, the one source
 of the variable list (this script never writes it), and writes
 src/vaxsel/data/snapshot.csv through vaxsel.panel.save_panel, so that a
 re-save of the loaded panel gives the same bytes.
@@ -561,7 +561,7 @@ def main():
     ap.add_argument("--quiet", action="store_true")
     args = ap.parse_args()
 
-    pan = candidate_panel(args.seed, panel.load_schema(DATA_DIR / "schema.yaml"))
+    pan = candidate_panel(args.seed, panel.load_schema(DATA_DIR / "schema.csv"))
     print(f"seed {args.seed}: verifying calibration anchors")
     failures, soft = verify(pan, verbose=not args.quiet)
     for label, _, detail in soft:

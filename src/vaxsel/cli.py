@@ -48,15 +48,13 @@ def _add_data_args(p):
     p.add_argument("--data", default=None,
                    help="panel CSV (default: built-in snapshot)")
     p.add_argument("--schema", default=None,
-                   help="variable schema YAML (default: built-in schema)")
+                   help="variable schema CSV (default: built-in schema)")
     p.add_argument("--out", required=True, help="output directory")
 
 
 def _load(args):
-    schema_path = args.schema if args.schema else _packaged("schema.yaml")
-    data_path = args.data if args.data else _packaged("snapshot.csv")
-    schema = load_schema(schema_path)
-    return load_panel(data_path, schema)
+    schema = load_schema(args.schema or _packaged("schema.csv"))
+    return load_panel(args.data or _packaged("snapshot.csv"), schema)
 
 
 def _selected_specs(model):

@@ -1,12 +1,13 @@
 """Country panel: schema, ingestion, transforms and design-matrix assembly.
 
 The panel is a single flat CSV snapshot, one row per country, raw values
-only, empty cell for missing.  Variable handling is driven by a schema
-(code, transform, source_label); log transforms are applied at load time
-and the raw value is kept alongside for audit.  In memory the panel is
-held by column, as every reader reads it one variable at a time.  Every
-transformation that turns a value into a missing one is recorded on the
-panel's audit list.
+only, empty cell for missing.  Variable handling is driven by a schema,
+itself a CSV with the header code,transform,source_label and one row per
+variable; both files go through one reader.  Log transforms are applied at
+load time and the raw value is kept alongside for audit; binary variables
+take 0 or 1 only.  In memory the panel is held by column, as every reader
+reads it one variable at a time.  Every transformation that turns a value
+into a missing one is recorded on the panel's audit list.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
-import yaml
 
 from vaxsel.render import csv_quote
 
@@ -26,8 +26,6 @@ CODE_STARTED = "started"
 CODE_VAC = "vac_php"
 CODE_DAYS = "days"
 DUMMY_CODES = ("west", "china", "russia")
-# libyaml's loader builds the same objects about ten times faster than the pure one
-YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 TRANSFORMS = ("log", "none", "binary")
 
@@ -125,35 +123,45 @@ def _read_only(values, dtype, n, what):
     return array
 
 
-def load_schema(path) -> list:
-    """Read the variable schema (YAML list of code/transform/source_label)."""
+def _read_csv(path, what) -> list:
+    """The rows of a CSV file, header first; what ("data", "schema") names the file in errors."""
+    path = Path(path)
+    if not path.exists():
+        raise PanelError(f"{what} file not found: {path}")
     try:
-        raw = Path(path).read_text(encoding="utf-8")
+        # decoded without newline translation, so a quoted CR LF keeps its CR; the BOM of
+        # a "CSV UTF-8" export is dropped after decoding, so a bad byte's offset counts it
+        text = path.read_bytes().decode("utf-8").removeprefix("\ufeff")
+        rows = list(csv.reader(io.StringIO(text, newline="")))
     except UnicodeDecodeError as exc:
-        raise SchemaError(f"schema file {path} is not UTF-8 text (byte {exc.start})") from exc
-    try:
-        entries = yaml.load(raw, Loader=YAML_LOADER)
-    except yaml.YAMLError as exc:
-        mark = getattr(exc, "problem_mark", None)
-        where = f" (line {mark.line + 1}, column {mark.column + 1})" if mark else ""
-        raise SchemaError(f"schema file {path} is not valid YAML{where}") from exc
-    if not isinstance(entries, list) or not entries:
-        raise SchemaError(f"schema file {path} must hold a non-empty list of variables")
-    defs = []
-    seen = set()
-    for e in entries:
-        try:
-            d = VariableDef(
-                code=str(e["code"]),
-                transform=str(e["transform"]),
-                source_label=str(e.get("source_label", "")),
-            )
-        except (KeyError, TypeError) as exc:
-            raise SchemaError(f"malformed schema entry {e!r}") from exc
-        if d.code in seen:
-            raise SchemaError(f"duplicate variable code {d.code!r}")
-        seen.add(d.code)
-        defs.append(d)
+        raise ParseError(f"{what} file {path} is not UTF-8 text (byte {exc.start})") from exc
+    except csv.Error as exc:
+        raise ParseError(f"{what} file {path} is not readable as CSV: {exc}") from exc
+    if "\0" in text:  # numpy string arrays drop trailing NULs: "A\0" would read as "A"
+        raise ParseError(f"{what} file {path} contains a NUL character")
+    if not rows:
+        raise ParseError(f"{path} is empty (no header row)")
+    return rows
+
+
+def load_schema(path) -> list:
+    """Read the variable schema: a CSV of code,transform,source_label, one row per variable."""
+    rows = _read_csv(path, "schema")
+    header = [h.strip() for h in rows[0]]
+    if header != ["code", "transform", "source_label"]:
+        raise SchemaError(f"schema header must be code,transform,source_label; got {header}")
+    defs, seen = [], set()
+    for i, row in enumerate(rows[1:], start=2):
+        if len(row) != 3:
+            raise SchemaError(f"schema row {i}: expected 3 cells, got {len(row)}")
+        code, transform, label = (cell.strip() for cell in row)
+        if not code or code in seen:
+            problem = f"duplicate variable code {code!r}" if code else "empty variable code"
+            raise SchemaError(f"schema row {i}: {problem}")
+        seen.add(code)
+        defs.append(VariableDef(code, transform, label))
+    if not defs:
+        raise SchemaError(f"schema file {path} has no variables")
     return defs
 
 
@@ -184,23 +192,7 @@ def load_panel(path, schema) -> Panel:
     any order.  Cells are raw values; log transforms are applied here and
     failures land on the audit list, not in exceptions.
     """
-    path = Path(path)
-    if not path.exists():
-        raise PanelError(f"data file not found: {path}")
-    try:
-        # decoded without newline translation, so a quoted CR LF keeps its CR; the BOM of
-        # a "CSV UTF-8" export is dropped after decoding, so a bad byte's offset counts it
-        text = path.read_bytes().decode("utf-8").removeprefix("\ufeff")
-        rows = list(csv.reader(io.StringIO(text, newline="")))
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"data file {path} is not UTF-8 text (byte {exc.start})") from exc
-    except csv.Error as exc:
-        raise ParseError(f"data file {path} is not readable as CSV: {exc}") from exc
-    if "\0" in text:  # numpy string arrays drop trailing NULs: "A\0" would read as "A"
-        raise ParseError(f"data file {path} contains a NUL character")
-    if not rows:
-        raise ParseError(f"{path} is empty (no header row)")
-
+    rows = _read_csv(path, "data")
     header = [h.strip() for h in rows[0]]
     if header[:2] != ["iso3", "name"]:
         raise SchemaError(f"header must start with iso3,name; got {header[:2]}")

@@ -190,11 +190,14 @@ def correlation_matrix(panel: Panel, codes=None) -> FigureData:
             ok = ~np.isnan(cols[a]) & ~np.isnan(cols[b])
             xa, xb = cols[a][ok], cols[b][ok]
             corr[a, b] = corr[b, a] = None
-            if ok.sum() >= 2 and xa.std() != 0.0 and xb.std() != 0.0:
-                c = np.corrcoef(xa, xb)  # c[1, 0] is np.corrcoef(xb, xa)[0, 1]
+            if ok.sum() < 2:
+                continue
+            c = np.cov(xa, xb)  # np.corrcoef's steps follow; c[1, 0] is its (xb, xa) value
+            sd = np.sqrt(np.diag(c))
+            if (sd != 0.0).all():
+                c = np.clip(c / sd[:, None] / sd[None, :], -1, 1)
                 if not np.isfinite(c).all():
-                    s = np.sqrt(np.diag(np.cov(xa, xb)))
-                    bad = next((v for v, sd in zip((a, b), s) if not 0.0 < sd < math.inf), a)
+                    bad = next((v for v, s in zip((a, b), sd) if not 0.0 < s < math.inf), a)
                     raise ValueError(f"correlation figure: variance of {bad} out of float range")
                 corr[a, b], corr[b, a] = float(c[0, 1]), float(c[1, 0])
     return FigureData(

@@ -30,7 +30,7 @@ def packaged(name):
 
 @pytest.fixture(scope="session")
 def schema():
-    return load_schema(packaged("schema.yaml"))
+    return load_schema(packaged("schema.csv"))
 
 
 @pytest.fixture(scope="session")

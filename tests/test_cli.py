@@ -346,15 +346,16 @@ def test_duplicate_header_column_exits_1(tmp_path, capsys):
     assert errors == ["error: columns named more than once in header: ['cases']"]
 
 
-def test_malformed_schema_yaml_exits_1(tmp_path, capsys):
-    schema = tmp_path / "bad.yaml"
-    schema.write_text("a: [1, 2\n", encoding="utf-8")
+def test_malformed_schema_exits_1(tmp_path, capsys):
+    schema = tmp_path / "bad.csv"
+    schema.write_text("code,transform\ncases,log\n", encoding="utf-8")
     code = main(["describe", "--schema", str(schema), "--out", str(tmp_path / "out")])
     assert code == 1
     err = capsys.readouterr().err
     assert "Traceback" not in err
     errors = [line for line in err.splitlines() if line.startswith("error:")]
-    assert errors == [f"error: schema file {schema} is not valid YAML (line 2, column 1)"]
+    assert errors == ["error: schema header must be code,transform,source_label; "
+                      "got ['code', 'transform']"]
 
 
 # every estimation error class the CLI catches; `vaxsel figures` fits the

@@ -22,7 +22,7 @@ from tests.conftest import examples, packaged
 with open(packaged("snapshot.csv"), encoding="utf-8", newline="") as _f:
     SNAPSHOT = list(csv.reader(_f))
 COLUMN = {code: j for j, code in enumerate(SNAPSHOT[0])}
-TRANSFORM = {d.code: d.transform for d in load_schema(packaged("schema.yaml"))}
+TRANSFORM = {d.code: d.transform for d in load_schema(packaged("schema.csv"))}
 NONE_CODES = sorted(c for c, t in TRANSFORM.items() if t == "none")
 LOG_CODES = sorted(c for c, t in TRANSFORM.items() if t == "log")
 # started=0 rows may not carry these

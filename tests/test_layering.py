@@ -18,11 +18,12 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 LAYERS = {
     "vaxsel": ({"vaxsel"}, {"numpy", "scipy", "yaml"}),
     "vaxsel.render": ({"vaxsel", "vaxsel.render"}, {"numpy", "scipy", "yaml"}),
-    "vaxsel.panel": (None, {"scipy"}),
+    "vaxsel.panel": (None, {"scipy", "yaml"}),
     "vaxsel.specs": (None, {"scipy"}),
     "vaxsel.stdnorm": (None, {"yaml"}),
     "vaxsel.probit": (None, {"yaml"}),
     "vaxsel.heckman": (None, {"yaml"}),
+    "vaxsel.cli": (None, {"yaml"}),
 }
 
 
@@ -52,3 +53,13 @@ def test_replicate_leaves_all_text_to_render():
     imported |= {f"{node.module}.{alias.name}" for node in ast.walk(tree)
                  if isinstance(node, ast.ImportFrom) for alias in node.names}
     assert sorted(m for m in imported if m.startswith("vaxsel.render")) == []
+
+
+def test_replicate_runs_where_yaml_cannot_be_imported(tmp_path):
+    # a None entry in sys.modules makes `import yaml` raise ImportError
+    script = ("import sys; sys.modules['yaml'] = None; from vaxsel.cli import main; "
+              f"sys.exit(main(['replicate', '--out', {str(tmp_path)!r}]))")
+    proc = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=str(SRC)),
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr.count("error:")) == (0, 0), proc.stderr
+    assert (tmp_path / "report" / "replication_diff.md").exists()

@@ -4,7 +4,6 @@ import math
 
 import numpy as np
 import pytest
-import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -165,25 +164,68 @@ class TestLoadPanel:
             assert str(p) in str(err.value)
 
     def test_non_utf8_schema_names_path(self, tmp_path):
-        p = tmp_path / "schema.yaml"
-        p.write_bytes("- {code: pa\xeds, transform: none}\n".encode("latin-1"))
+        p = tmp_path / "schema.csv"
+        p.write_bytes("code,transform,source_label\npa\xeds,none,\n".encode("latin-1"))
+        with pytest.raises(ParseError) as err:
+            load_schema(p)
+        assert str(err.value) == f"schema file {p} is not UTF-8 text (byte 30)"
+
+
+SCHEMA_HEADER = "code,transform,source_label"
+
+
+def write_schema(tmp_path, rows, header=SCHEMA_HEADER):
+    p = tmp_path / "schema.csv"
+    p.write_text("\n".join([header] + rows) + "\n", encoding="utf-8")
+    return p
+
+
+class TestLoadSchema:
+    def test_shipped_schema_lists_the_snapshot_columns_in_order(self):
+        defs = load_schema(packaged("schema.csv"))
+        header = packaged("snapshot.csv").read_text(encoding="utf-8").split("\n", 1)[0]
+        assert [d.code for d in defs] == header.split(",")[2:]
+        # a label holding commas is one quoted cell
+        gdp = next(d for d in defs if d.code == "gdp")
+        assert (gdp.transform, gdp.source_label) == (
+            "log", "GDP at purchaser's prices, current USD (World Bank WDI)")
+
+    def test_cells_are_stripped_and_the_label_may_be_empty(self, tmp_path):
+        p = write_schema(tmp_path, [" cases , log ,", "started,binary,Started"],
+                         header=" code , transform,source_label ")
+        assert load_schema(p) == [VariableDef("cases", "log", ""),
+                                  VariableDef("started", "binary", "Started")]
+
+    @pytest.mark.parametrize("header, rows, message", [
+        ("code,transform", ["cases,log"],
+         "schema header must be code,transform,source_label; got ['code', 'transform']"),
+        (SCHEMA_HEADER, ["cases,log,Cases", "gdp,log"], "schema row 3: expected 3 cells, got 2"),
+        (SCHEMA_HEADER, ["cases,log,Cases", "", "gdp,log,GDP"],
+         "schema row 3: expected 3 cells, got 0"),
+        (SCHEMA_HEADER, ["cases,log,Cases", "cases,none,Again"],
+         "schema row 3: duplicate variable code 'cases'"),
+        (SCHEMA_HEADER, [" ,log,Nothing"], "schema row 2: empty variable code"),
+        (SCHEMA_HEADER, ["cases,sqrt,Cases"], "unknown transform 'sqrt' for 'cases'"),
+    ])
+    def test_malformed_schema_is_a_schema_error(self, tmp_path, header, rows, message):
+        with pytest.raises(SchemaError) as err:
+            load_schema(write_schema(tmp_path, rows, header=header))
+        assert str(err.value) == message
+
+    def test_header_only_schema_has_no_variables(self, tmp_path):
+        p = write_schema(tmp_path, [])
         with pytest.raises(SchemaError) as err:
             load_schema(p)
-        assert str(err.value) == f"schema file {p} is not UTF-8 text (byte 11)"
+        assert str(err.value) == f"schema file {p} has no variables"
 
-    def test_libyaml_and_pure_loaders_agree(self, monkeypatch, tmp_path):
-        # equal definitions from the shipped schema, the same mark on bad YAML
-        bad = tmp_path / "bad.yaml"
-        bad.write_text("- {code: a, transform: log\n- b\n", encoding="utf-8")
-        results = []
-        for loader in (yaml.SafeLoader, getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
-            monkeypatch.setattr(panel, "YAML_LOADER", loader)
-            with pytest.raises(SchemaError) as err:
-                load_schema(bad)
-            results.append((load_schema(packaged("schema.yaml")), str(err.value)))
-        assert results[0] == results[1]
-        assert results[0][1].endswith("is not valid YAML (line 3, column 1)")
-        assert [d.code for d in results[0][0]][:2] == ["cases", "gov_response"]
+    def test_missing_or_nul_holding_schema_is_a_panel_error(self, tmp_path):
+        with pytest.raises(panel.PanelError) as err:
+            load_schema(tmp_path / "nope.csv")
+        assert str(err.value) == f"schema file not found: {tmp_path / 'nope.csv'}"
+        p = write_schema(tmp_path, ["ca\0es,log,Cases"])
+        with pytest.raises(ParseError) as err:
+            load_schema(p)
+        assert str(err.value) == f"schema file {p} contains a NUL character"
 
 
 # cells a numeric column may hold, and junk cells
