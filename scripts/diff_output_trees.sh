@@ -9,10 +9,13 @@
 # the stdout of each tree's scripts/selection_bias_demo.py --n 500
 # --reps 50 into that tree, runs replicate --data on a perturbed copy of
 # the shipped snapshot (blank cells, zero and negative values in log
-# columns: missing values and audit lines the snapshot does not have) and
-# on a copy with every soft_power_30 cell blank (models 2-5 fail, so the
-# tables and the diff report print their failed-model text), and compares
-# the two trees with diff -r.
+# columns: missing values and audit lines the snapshot does not have), on a
+# copy with every soft_power_30 cell blank (models 2-5 fail, so the tables
+# and the diff report print their failed-model text) and on a copy with the
+# cases cell of every non-starter blank (every selection sample holds only
+# starters, so each fit takes fit_two_step's all-selected least-squares
+# branch and the diff report prints its "(no selection stage)" rows), and
+# compares the two trees with diff -r.
 # Exits 0 when every file is byte-identical and 1 when any differs.  Both
 # runs use the same machine, so the check holds on any CPU.
 set -euo pipefail
@@ -44,16 +47,21 @@ figures --grid 7'
 # the shipped snapshot with holes, the same on every run: every 7th row
 # loses its gov_eff and pop_65, and log columns get zero and negative values
 # (vac_php only where a value is present, as only starters may have one);
-# and the snapshot with every soft_power_30 cell blank
-perturb() {  # perturb SNAPSHOT PERTURBED NO_SOFT_POWER
-    python3 - "$1" "$2" "$3" <<'PY'
+# the snapshot with every soft_power_30 cell blank; and the snapshot with
+# the cases cell of every non-starter blank
+perturb() {  # perturb SNAPSHOT PERTURBED NO_SOFT_POWER ALL_SELECTED
+    python3 - "$1" "$2" "$3" "$4" <<'PY'
 import csv, sys
 with open(sys.argv[1], encoding="utf-8", newline="") as f:
     rows = list(csv.reader(f))
 col = {code: j for j, code in enumerate(rows[0])}
-blank = [[*r[:col["soft_power_30"]], "", *r[col["soft_power_30"] + 1:]] for r in rows[1:]]
-with open(sys.argv[3], "w", encoding="utf-8", newline="") as f:
-    csv.writer(f, lineterminator="\n").writerows([rows[0], *blank])
+def blanked(path, code, where=lambda row: True):
+    out = [[*r[:col[code]], "" if where(r) else r[col[code]], *r[col[code] + 1:]]
+           for r in rows[1:]]
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        csv.writer(f, lineterminator="\n").writerows([rows[0], *out])
+blanked(sys.argv[3], "soft_power_30")
+blanked(sys.argv[4], "cases", lambda r: r[col["started"]] == "0")
 for i, row in enumerate(rows[1:]):
     if i % 7 == 0:
         row[col["gov_eff"]] = row[col["pop_65"]] = ""
@@ -79,12 +87,15 @@ run_all() {  # run_all SOURCE_TREE OUTPUT_ROOT
         --out "$2/replicate_perturbed"
     PYTHONPATH="$1/src" python3 -m vaxsel.cli replicate --data "$work/no_soft_power.csv" \
         --out "$2/replicate_no_soft_power"
+    PYTHONPATH="$1/src" python3 -m vaxsel.cli replicate --data "$work/all_selected.csv" \
+        --out "$2/replicate_all_selected"
     # the demo puts its own tree's src on the path
     python3 "$1/scripts/selection_bias_demo.py" --n 500 --reps 50 > "$2/selection_bias_demo.txt"
 }
 
 rm -rf "$work/base" "$work/head"
-perturb "$here/src/vaxsel/data/snapshot.csv" "$work/perturbed.csv" "$work/no_soft_power.csv"
+perturb "$here/src/vaxsel/data/snapshot.csv" "$work/perturbed.csv" "$work/no_soft_power.csv" \
+    "$work/all_selected.csv"
 run_all "$base" "$work/base"
 run_all "$here" "$work/head"
 if diff -r "$work/base" "$work/head"; then

@@ -505,7 +505,7 @@ def verify(pan, verbose=True):
     models = [s.name for s in specs.builtin_specs()]
     for m in models:
         fit = tables["table2"].fits.get(m)
-        n_out = fit.n_selected if fit else None
+        n_out = len(fit.residuals) if fit else None
         check(f"table2 {m} outcome rows = 56", n_out == 56, str(n_out))
     for table, result in tables.items():
         errors = sorted(set(result.column_errors.values()))

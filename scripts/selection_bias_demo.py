@@ -4,7 +4,8 @@
 Draws replications from the latent-offer process at several error
 correlations and compares naive least squares on the selected rows with
 the two-step estimates: the naive slope drifts with rho while the
-corrected slope stays on the truth.  Each replication is drawn and fitted
+corrected slope stays on the truth.  The process is the simulate
+subcommand's default one (cli.SIM_SELECTION_COEF and SIM_OUTCOME_COEF).  Each replication is drawn and fitted
 on its own, through the one-sample cases of the stacked Monte Carlo code:
 synth.generate draws one replication's sample, and fit_two_step runs the second
 stage on a stack of one sample.
@@ -23,15 +24,15 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from vaxsel import heckman, synth  # noqa: E402
+from vaxsel import cli, heckman, synth  # noqa: E402
 
-TRUE_SLOPE = 1.0
+TRUE_SLOPE = cli.SIM_OUTCOME_COEF[0]
 
 
 def run(rho, n, reps, seed):
     config = synth.DgpConfig(
-        selection_coef=(1.0, -0.5, 1.0, 0.0),
-        outcome_coef=(TRUE_SLOPE, 0.5, 1.0),
+        selection_coef=cli.SIM_SELECTION_COEF,
+        outcome_coef=cli.SIM_OUTCOME_COEF,
         rho=rho,
         sigma_u=1.0,
         n=n,

@@ -74,30 +74,29 @@ class HeckmanFit:
 
     outcome_coef covers the outcome design columns plus, as its last
     entry, the Mills-ratio coefficient (an estimate of rho * sigma_u).  In
-    the degenerate all-selected case the Mills column is skipped and
-    outcome_coef has no extra entry.  vcov maps each variant to its (outcome,
-    selection) covariances; a degenerate fit has its robust outcome one and
-    None under both.
+    the degenerate all-selected case first_stage is None, the Mills column is
+    skipped and outcome_coef has no extra entry.  vcov maps each variant to its
+    (outcome, selection) covariances; a degenerate fit has its robust outcome
+    one and None under both.  The selected rows number len(residuals).
     """
 
     first_stage: probit.ProbitFit
     outcome_coef: np.ndarray
     outcome_labels: list[str]
     n_total: int
-    n_selected: int
     residuals: np.ndarray
     sigma2: float
     rho: float
     vcov: dict
-    degenerate: bool = False
 
 
 def ols(y, X, labels=None):
-    """Least squares through lstsq's SVD, whose singular values are the rank test.
+    """Least squares through lstsq's SVD, whose rank is the rank test.
 
     Returns (coef, resid).  Raises ValueError on non-finite data or fewer than
-    k + 1 rows, then probit.RankDeficientError when s_min <= max(n, k) * eps *
-    s_max, naming the columns collinear_columns finds (all if it finds none).
+    k + 1 rows, then probit.RankDeficientError when lstsq's rank is below k
+    (with rcond=None it counts the singular values above max(n, k) * eps *
+    s_max), naming the columns collinear_columns finds (all if it finds none).
     """
     y = np.asarray(y, dtype=float).ravel()
     X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -109,8 +108,8 @@ def ols(y, X, labels=None):
     n, k = X.shape
     if n < k + 1:
         raise ValueError(f"need at least {k + 1} rows to fit {k} coefficients")
-    coef, _, _, s = np.linalg.lstsq(X, y, rcond=None)
-    if s[-1] <= max(n, k) * np.finfo(float).eps * s[0]:
+    coef, _, rank, _ = np.linalg.lstsq(X, y, rcond=None)
+    if rank < k:
         raise probit.RankDeficientError(probit.collinear_columns(X, labels) or labels)
     return coef, y - X @ coef
 
@@ -293,6 +292,5 @@ def fit_two_step(frame) -> HeckmanFit:
 
     return HeckmanFit(
         first_stage=first, outcome_coef=coef, outcome_labels=labels_w,
-        n_total=sel_y.shape[0], n_selected=n_selected, residuals=resid, sigma2=sigma2, rho=rho,
-        vcov=vcov, degenerate=first is None,
+        n_total=sel_y.shape[0], residuals=resid, sigma2=sigma2, rho=rho, vcov=vcov,
     )

@@ -143,8 +143,8 @@ def render_recovery_markdown(report: RecoveryReport) -> str:
              f"{p.rmse:.4f}", f"{p.coverage:.3f}"] for p in report.parameters]
     lines = ["# Parameter recovery", "",
              f"- n = {c.n}, rho = {c.rho}, sigma_u = {c.sigma_u}, seed = {c.seed}",
-             f"- replications: {report.reps_used} used, {report.reps_failed} failed "
-             f"(of {report.reps_requested})",
+             f"- replications: {report.reps_requested - report.reps_failed} used, "
+             f"{report.reps_failed} failed (of {report.reps_requested})",
              f"- interval coverage from the {report.vcov_variant} covariance at 95%", "",
              *markdown_table(["parameter", "truth", "mean estimate", "mean bias", "rmse",
                               "coverage"], rows)]

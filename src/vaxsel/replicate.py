@@ -120,12 +120,11 @@ def tabulate(table: TableResult, vcov_variant: str) -> TableResult:
     )
     out.notes += [f"{name}: every row is selected, so there is no selection stage or Mills "
                   f"column; second-stage covariance: {heckman.PLAIN_ROBUST}"
-                  for name, fit in table.fits.items() if fit.degenerate]
+                  for name, fit in table.fits.items() if fit.first_stage is None]
     for name, fit in table.fits.items():
         outcome_vcov, selection_vcov = fit.vcov[vcov_variant]
         stages = [("outcome", fit.outcome_labels, fit.outcome_coef, outcome_vcov)]
-        if not fit.degenerate:
-            first = fit.first_stage
+        if (first := fit.first_stage) is not None:
             stages.append(("selection", first.labels, first.coef, selection_vcov))
         for stage, labels, coefs, vcov in stages:
             for label, coef, se in zip(labels, coefs.tolist(), np.sqrt(np.diag(vcov)).tolist()):

@@ -109,7 +109,6 @@ class DgpConfig:
 @dataclass
 class SyntheticSample:
     frame: ModelFrame
-    truth: DgpConfig
     latent: np.ndarray
     # selection-stage error, retained so the acceptance rule
     # V = 1{index + e > 0} can be checked exhaustively on any draw
@@ -161,7 +160,7 @@ def generate(config: DgpConfig, rep: int | None = None) -> SyntheticSample:
         outcome_labels=labels_out,
         outcome_keep=np.ones(int(selected.sum()), dtype=bool),
     )
-    return SyntheticSample(frame=frame, truth=config, latent=latent, selection_error=e)
+    return SyntheticSample(frame=frame, latent=latent, selection_error=e)
 
 
 @dataclass
@@ -179,13 +178,15 @@ class RecoveryReport:
     """A Monte Carlo run's numbers; render.render_recovery_csv/_markdown write its text."""
     config: DgpConfig
     reps_requested: int
-    reps_used: int
-    reps_failed: int
     vcov_variant: str
     parameters: list = field(default_factory=list)
     # failed replications by estimation error class name, most frequent first
-    # (ties in replication order)
+    # (ties in replication order); the rest of reps_requested were used
     failures: dict = field(default_factory=dict)
+
+    @property
+    def reps_failed(self) -> int:
+        return sum(self.failures.values())
 
     def parameter(self, name) -> ParameterRecovery:
         for p in self.parameters:
@@ -284,20 +285,18 @@ def _fit_chunks_in_parallel(config, vcov_variant, truth, chunks) -> list:
     back through its own pipe, while the calling process fits chunks 0::W and
     then reads the pipes in order.  When this returns or raises, every pipe is
     closed and every worker reaped; on a raise, workers still running are
-    killed first.  Without os.fork the chunks run serially."""
+    killed first.  With one worker, or without os.fork, the chunks run
+    serially and nothing is forked."""
     workers = min(len(chunks), _usable_cpus()) if hasattr(os, "fork") else 1
-    if workers == 1:
-        return _fit_chunks(config, vcov_variant, truth, chunks)
-
-    # a forked worker would write out a copy of anything still buffered
-    sys.stdout.flush()
-    sys.stderr.flush()
     outcomes, reads, pids = [None] * len(chunks), [], []
     try:
         for w in range(1, workers):
             read, write = os.pipe()
             reads.append(read)
             try:
+                # a forked worker would write out a copy of anything still buffered
+                sys.stdout.flush()
+                sys.stderr.flush()
                 pid = os.fork()
                 if pid == 0:
                     _fit_chunks_in_worker(write, config, vcov_variant, truth, chunks[w::workers])
@@ -368,8 +367,6 @@ def monte_carlo(
     return RecoveryReport(
         config=config,
         reps_requested=reps,
-        reps_used=int(est.shape[0]),
-        reps_failed=failures.total(),
         vcov_variant=vcov_variant,
         parameters=params,
         failures=dict(failures.most_common()),

@@ -93,6 +93,26 @@ class TestOls:
             heckman.ols(np.ones(k + 1), X, labels=labels)
         assert err.value.columns == labels
 
+    def test_rank_is_lstsqs_rank_under_the_singular_value_rule(self):
+        # the last column is the first times (1 + 10^-e r), r a fixed normal draw, for
+        # e = 6..17, then an exact copy: ols fails exactly where s_min <= max(n, k) *
+        # eps * s_max on lstsq's own singular values, the rule lstsq's rank applies
+        # with rcond=None (here from e = 14 on)
+        x, z, r, y = np.random.default_rng(23).standard_normal((4, 40))
+        verdicts = []
+        for factor in [1.0 + 10.0 ** -e * r for e in range(6, 18)] + [1.0]:
+            X = np.column_stack([x, z, factor * x])
+            s = np.linalg.lstsq(X, y, rcond=None)[3]
+            deficient = s[-1] <= max(X.shape) * np.finfo(float).eps * s[0]
+            try:
+                heckman.ols(y, X)
+                raised = False
+            except RankDeficientError:
+                raised = True
+            assert raised == deficient, factor
+            verdicts.append(raised)
+        assert False in verdicts and True in verdicts
+
     def test_too_few_rows(self):
         X = np.column_stack([np.ones(3), np.arange(3.0), np.arange(3.0) ** 2])
         with pytest.raises(ValueError):
@@ -189,7 +209,7 @@ class TestFitTwoStep:
             outcome_keep=np.ones(n, dtype=bool),
         )
         fit = heckman.fit_two_step(frame)
-        assert fit.degenerate
+        assert fit.first_stage is None
         assert fit.outcome_labels == ["x", "const"]  # no Mills column
         ols_coef, _ = heckman.ols(y, X)
         assert_allclose(fit.outcome_coef, ols_coef, atol=1e-8)
@@ -430,7 +450,7 @@ class TestHeckmanCorrectedVcov:
         fit = heckman.fit_two_step(frame)
         rss = float(fit.residuals @ fit.residuals)
         W, delta, Z = corrected_parts(frame, fit)
-        sigma2 = rss / fit.n_selected
+        sigma2 = rss / len(fit.residuals)
         v = heckman.heckman_corrected_vcov(W, delta, Z, fit.first_stage.vcov, 0.0, sigma2)
         unadjusted = sigma2 * np.linalg.inv(W.T @ W)
         assert_allclose(v, unadjusted, atol=1e-10)
@@ -485,7 +505,7 @@ class TestCovariancesOnDemand:
         W, delta, Z = corrected_parts(frame, fit)
         first = fit.first_stage
         if variant == heckman.PLAIN_ROBUST:
-            return (heckman.plain_robust_vcov(W, fit.residuals, fit.n_selected),
+            return (heckman.plain_robust_vcov(W, fit.residuals, len(fit.residuals)),
                     probit.sandwich_vcov(first, frame.selection_y, frame.selection_X))
         return (heckman.heckman_corrected_vcov(W, delta, Z, first.vcov, fit.rho**2, fit.sigma2),
                 first.vcov)

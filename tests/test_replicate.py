@@ -129,13 +129,13 @@ class TestRunModelSuite:
         for name, fit in table2.fits.items():
             outcome_vcov, selection_vcov = fit.vcov[heckman.PLAIN_ROBUST]
             halves = [("outcome", fit.outcome_labels, outcome_vcov)]
-            if not fit.degenerate:
+            if fit.first_stage is not None:
                 halves.append(("selection", fit.first_stage.labels, selection_vcov))
             for stage, labels, vcov in halves:
                 for j, label in enumerate(labels):
                     spread = table2.cell(label, f"{name}:{stage}").spread
                     assert spread == float(np.sqrt(vcov[j, j]))
-        assert len(table2.fits) == 5 and not any(f.degenerate for f in table2.fits.values())
+        assert len(table2.fits) == 5 and all(f.first_stage for f in table2.fits.values())
 
     def test_bad_spec_reported_in_cell_others_run(self, snapshot):
         specs = [

@@ -3,6 +3,7 @@
 import dataclasses
 from collections import Counter
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -129,8 +130,8 @@ class TestGenerate:
         assert u[sel].mean() == pytest.approx(expected, abs=0.03)
 
     def test_selection_indicator_matches_latent_rule(self):
-        sample = synth.generate(BASE)
-        cfg = sample.truth
+        cfg = BASE
+        sample = synth.generate(cfg)
         # the indicator is exactly 1 where the selection index plus its
         # error is positive, and the outcome is observed exactly there
         index = sample.frame.selection_X @ np.array(cfg.selection_coef)
@@ -213,8 +214,7 @@ class TestMonteCarlo:
 
     def test_failed_reps_are_counted(self):
         report = synth.monte_carlo(BASE, 50)
-        assert report.reps_used + report.reps_failed == 50
-        assert report.reps_failed == 0
+        assert report.reps_failed == 0 and report.failures == {}
 
     def test_programming_error_propagates(self, monkeypatch):
         def broken(*args, **kwargs):
@@ -251,8 +251,9 @@ class TestMonteCarlo:
 
         monkeypatch.setattr(heckman, name, every_fifth_singular)
         report = synth.monte_carlo(cfg, 50, variant)
-        assert len(calls) == clean.reps_used
-        assert report.reps_failed == clean.reps_failed + clean.reps_used // 5
+        used = clean.reps_requested - clean.reps_failed
+        assert len(calls) == used
+        assert report.reps_failed == clean.reps_failed + used // 5
 
     def test_plain_robust_run_computes_no_selection_sandwich(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -271,7 +272,8 @@ class TestMonteCarlo:
         monkeypatch.setattr(heckman.probit, "MAX_ITER", 6)
         report = synth.monte_carlo(cfg, 50, heckman.PLAIN_ROBUST)
         assert report.failures == {"ProbitError": 3}
-        assert report.reps_used == 47
+        used_line = "- replications: 47 used, 3 failed (of 50)\n"
+        assert used_line in render.render_recovery_markdown(report)
 
     def test_all_selected_replications_count_as_failed(self):
         # a selection intercept of 4 selects every row of some samples; their
@@ -279,7 +281,6 @@ class TestMonteCarlo:
         cfg = synth.DgpConfig((1.0, -0.5, 1.0, 4.0), (1.0, 0.5, 1.0), 0.5, 1.0, 60, 3)
         report = synth.monte_carlo(cfg, 50)
         assert report.reps_failed > 0
-        assert report.reps_used + report.reps_failed == 50
 
     def test_every_rep_all_selected_names_the_count(self):
         cfg = synth.DgpConfig((1.0, -0.5, 1.0, 12.0), (1.0, 0.5, 1.0), 0.5, 1.0, 60, 3)
@@ -363,12 +364,40 @@ class TestWorkerProcesses:
             assert len(forks) == cpus - 1
             assert list(report.failures.items()) == list(expected.items())
             assert report.reps_failed == len(names)
+            assert report.reps_failed == sum(report.failures.values())
+            # the line benchmark/gate.py parses: used and failed add up to the request
+            used, failed, requested = map(int, re.search(
+                r"replications: (\d+) used, (\d+) failed \(of (\d+)\)",
+                render.render_recovery_markdown(report)).groups())
+            assert (failed, used + failed, requested) == (len(names), 53, 53)
 
     def test_one_chunk_forks_nothing(self, monkeypatch, forks):
         # 50 reps at n=189 fit in one chunk of MC_CHUNK_ROWS rows
         monkeypatch.setattr(synth, "_usable_cpus", lambda: 3)
         synth.monte_carlo(dataclasses.replace(BASE, n=189), 50)
         assert forks == []
+
+    def test_standard_streams_are_flushed_before_each_fork_only(self, monkeypatch, forks):
+        # 50 reps in 7 chunks of 8: one CPU flushes nothing, three fork twice
+        cfg = dataclasses.replace(BASE, n=200)
+        monkeypatch.setattr(synth, "MC_CHUNK_ROWS", 8 * cfg.n)
+        flushes = []
+
+        class Stream:  # records each flush with the number of forks made before it
+            def __init__(self, name):
+                self.name = name
+
+            def flush(self):
+                flushes.append((self.name, len(forks)))
+
+        for name in ("stdout", "stderr"):
+            monkeypatch.setattr(sys, name, Stream(name))
+        for cpus, expected in ((1, []), (3, [("stdout", 0), ("stderr", 0),
+                                             ("stdout", 1), ("stderr", 1)])):
+            monkeypatch.setattr(synth, "_usable_cpus", lambda cpus=cpus: cpus)
+            flushes.clear()
+            synth.monte_carlo(cfg, 50)
+            assert flushes == expected
 
     @pytest.fixture
     def leaves_nothing(self):
@@ -468,7 +497,7 @@ class TestStackedChunk:
             assert np.array_equal(stages.coef[rep], fit.outcome_coef)
             # sums over each sample's own rows, not its zero padding, keep every bit
             assert stages.sigma2[rep] == fit.sigma2 and stages.rho[rep] == fit.rho
-            assert np.array_equal(stages.residuals[rep, :fit.n_selected], fit.residuals)
+            assert np.array_equal(stages.residuals[rep, :stages.rows[rep]], fit.residuals)
             np.testing.assert_allclose(np.sqrt(np.diag(V[rep])), se, rtol=1e-13, atol=0)
             estimate, covered = outcomes[rep]
             assert np.array_equal(estimate, fit.outcome_coef)
@@ -537,4 +566,4 @@ class TestStackedChunk:
         monkeypatch.setattr(synth, "_usable_cpus", lambda: 1)
         report = synth.monte_carlo(dataclasses.replace(BASE, n=189), 50)
         assert len(fills) == 50
-        assert report.reps_used == 50
+        assert report.failures == {}
