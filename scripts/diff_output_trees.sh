@@ -15,8 +15,12 @@
 # cases cell of every non-starter blank (every selection sample holds only
 # starters, so each fit takes fit_two_step's all-selected least-squares
 # branch and the diff report prints its "(no selection stage)" rows), and
-# compares the two trees with diff -r.
-# Exits 0 when every file is byte-identical and 1 when any differs.  Both
+# compares the two trees with diff -r.  It also runs the reference commands
+# with this checkout's src through vaxsel.cli.main, one after another in a
+# single Python process as benchmark/run.py calls it, and compares that tree
+# with BASE's per-process one, so any state one in-process call leaves to the
+# next shows as a difference.
+# Exits 0 when every file is byte-identical and 1 when any differs.  All
 # runs use the same machine, so the check holds on any CPU.
 set -euo pipefail
 
@@ -93,13 +97,30 @@ run_all() {  # run_all SOURCE_TREE OUTPUT_ROOT
     python3 "$1/scripts/selection_bias_demo.py" --n 500 --reps 50 > "$2/selection_bias_demo.txt"
 }
 
-rm -rf "$work/base" "$work/head"
+in_process() {  # in_process SOURCE_TREE OUTPUT_ROOT
+    ARGVS="$ARGVS" PYTHONPATH="$1/src" python3 - "$2" <<'PY'
+import os, sys
+from vaxsel import cli
+for argv in os.environ["ARGVS"].splitlines():
+    code = cli.main([*argv.split(), "--out", os.path.join(sys.argv[1], argv.replace(" ", "_"))])
+    if code:
+        sys.exit(f"vaxsel {argv}: exit status {code}")
+PY
+}
+
+rm -rf "$work/base" "$work/head" "$work/in_process"
 perturb "$here/src/vaxsel/data/snapshot.csv" "$work/perturbed.csv" "$work/no_soft_power.csv" \
     "$work/all_selected.csv"
 run_all "$base" "$work/base"
 run_all "$here" "$work/head"
-if diff -r "$work/base" "$work/head"; then
-    echo "output trees are byte-identical: $(find "$work/head" -type f | wc -l) files"
-else
+in_process "$here" "$work/in_process"
+status=0
+diff -r "$work/base" "$work/head" || status=1
+while read -r argv; do
+    diff -r "$work/base/${argv// /_}" "$work/in_process/${argv// /_}" || status=1
+done <<< "$ARGVS"
+if [ "$status" -ne 0 ]; then
     exit 1
 fi
+echo "output trees are byte-identical: $(find "$work/head" -type f | wc -l) files per process," \
+    "$(find "$work/in_process" -type f | wc -l) in one process"

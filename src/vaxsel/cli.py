@@ -9,6 +9,7 @@ estimation or out-of-memory errors, 2 on usage errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import re
 import sys
 from importlib import resources
@@ -148,6 +149,7 @@ def cmd_simulate(args):
     return 0
 
 
+@functools.cache  # built once per process and shared by every main call: never change it
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="vaxsel",
@@ -204,9 +206,8 @@ def build_parser():
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:

@@ -79,9 +79,10 @@ def collinear_columns(X, labels):
     if n < k:
         low = np.ones(X.shape[:-2] + (k,), dtype=bool)
     else:
-        diag = np.abs(np.linalg.qr(X, mode="r").diagonal(0, -2, -1))
+        # the raw factor's diagonal is R's: mode "r" would only copy R out of it
+        diag = np.abs(np.linalg.qr(X, mode="raw")[0].diagonal(0, -2, -1))
         low = diag <= max(n, k) * np.finfo(float).eps * diag.max(-1, keepdims=True, initial=0.0)
-    found = [[labels[j] for j in np.flatnonzero(row)] for row in low.reshape(-1, k)]
+    found = [[label for label, c in zip(labels, row) if c] for row in low.reshape(-1, k).tolist()]
     return found if X.ndim == 3 else found[0]
 
 
@@ -287,11 +288,11 @@ def _fit_stack(Y, X, labels):
     do no linear algebra, and one _finish for the samples that converge."""
     newtons = [_newton(X.shape[2], labels, c, s)
                for c, s in zip(collinear_columns(X, labels), (Y.min(1) == Y.max(1)).tolist())]
-    results, pending, Xs = [None] * len(Y), {}, _signed(Y == 1.0, X)
+    results, pending, Xs = [None] * len(Y), [], _signed(Y == 1.0, X)
 
     def advance(r, point):
         try:
-            pending[r] = newtons[r].send(point)
+            pending.append((r, newtons[r].send(point)))
         except StopIteration as done:
             results[r] = done.value
         except ESTIMATION_ERRORS as exc:
@@ -299,13 +300,13 @@ def _fit_stack(Y, X, labels):
 
     for r in range(len(Y)):
         advance(r, None)
-    while pending:
-        reps = sorted(pending)
+    while pending:  # (sample, coefficients) in sample order
+        reps, coefs = zip(*pending)
+        pending.clear()
         # gathering rows copies the block; while every sample is pending it is not needed
-        coefs = [pending.pop(r) for r in reps]
-        p = _terms(np.array(coefs), Xs if len(reps) == len(Y) else Xs[reps])
-        for r, *point in zip(reps, coefs, *p[1:]):
-            advance(r, _Point(*point))
+        p = _terms(np.array(coefs), Xs if len(reps) == len(Y) else Xs[list(reps)])
+        for r, point in zip(reps, zip(coefs, *p[1:])):
+            advance(r, _Point._make(point))
     # _finish copies what the fits keep of the rounds' blocks
     done = [r for r, result in enumerate(results) if isinstance(result, tuple)]
     fits = _finish(Y[done], [results[r] for r in done], labels) if done else []

@@ -22,21 +22,24 @@ if TYPE_CHECKING:
     from vaxsel.synth import RecoveryReport
 
 
+# round3's quantize arguments: 312 digits hold a double's 309 integer digits and 3 decimals
+_ROUND3 = Decimal("0.001"), ROUND_HALF_UP, Context(312)
+
+
 def round3(x: float) -> str:
-    """Three decimals, ties rounded away from zero, for any finite double: 312
-    digits hold its 309 integer digits and 3 decimals."""
-    return str(Decimal(repr(float(x))).quantize(Decimal("0.001"), ROUND_HALF_UP, Context(312)))
+    """Three decimals, ties rounded away from zero, for any finite double."""
+    return str(Decimal(repr(float(x))).quantize(*_ROUND3))
 
 
 def write_text_atomic(path, text: str) -> None:
-    """Write via a sibling temp file and rename, so readers never see a
-    partial file and a failed run leaves no truncated output."""
+    """Write text's UTF-8 bytes via a sibling temp file and rename, so readers
+    never see a partial file and a failed run leaves no truncated output."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".tmp_", suffix=path.suffix)
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(text.encode("utf-8"))
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

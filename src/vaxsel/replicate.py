@@ -101,6 +101,20 @@ def descriptive_table(panel: Panel) -> TableResult:
     return out
 
 
+def _stages(fit, vcov_variant):
+    """Stage -> (labels, coefficients, covariance) of fit under vcov_variant."""
+    first, (outcome_vcov, selection_vcov) = fit.first_stage, fit.vcov[vcov_variant]
+    return {"outcome": (fit.outcome_labels, fit.outcome_coef, outcome_vcov),
+            **({} if first is None else {"selection": (first.labels, first.coef, selection_vcov)})}
+
+
+def _cell(name, stage, label, coef, se):
+    """The table cell of one estimate of fit name; ValueError when it is not finite."""
+    if not (math.isfinite(coef) and math.isfinite(se)):
+        raise ValueError(f"{name}: {stage} estimate of {label} is not finite")
+    return Cell(coef, se, heckman.significance_stars(coef, se))
+
+
 def tabulate(table: TableResult, vcov_variant: str) -> TableResult:
     """The fits of a run_model_suite table as paired columns under
     vcov_variant, read from each fit's stored covariances, not refitted.  A
@@ -122,16 +136,9 @@ def tabulate(table: TableResult, vcov_variant: str) -> TableResult:
                   f"column; second-stage covariance: {heckman.PLAIN_ROBUST}"
                   for name, fit in table.fits.items() if fit.first_stage is None]
     for name, fit in table.fits.items():
-        outcome_vcov, selection_vcov = fit.vcov[vcov_variant]
-        stages = [("outcome", fit.outcome_labels, fit.outcome_coef, outcome_vcov)]
-        if (first := fit.first_stage) is not None:
-            stages.append(("selection", first.labels, first.coef, selection_vcov))
-        for stage, labels, coefs, vcov in stages:
+        for stage, (labels, coefs, vcov) in _stages(fit, vcov_variant).items():
             for label, coef, se in zip(labels, coefs.tolist(), np.sqrt(np.diag(vcov)).tolist()):
-                if not (math.isfinite(coef) and math.isfinite(se)):
-                    raise ValueError(f"{name}: {stage} estimate of {label} is not finite")
-                out.cells[(label, f"{name}:{stage}")] = Cell(
-                    coef, se, heckman.significance_stars(coef, se))
+                out.cells[(label, f"{name}:{stage}")] = _cell(name, stage, label, coef, se)
         out.observations[f"{name}:outcome"] = out.observations[f"{name}:selection"] = fit.n_total
     used = {r for (r, _) in out.cells}
     out.row_labels = [r for r in out.row_labels if r in used]
@@ -300,24 +307,21 @@ DiffRow = namedtuple("DiffRow", "table model stage variable reference robust cor
 
 
 def replication_diff(tables) -> list:
-    """One DiffRow per anchor under both second-stage covariance variants, read
-    from the fits of replication_tables' tables."""
-    tables = {
-        (name, variant): tabulate(table, variant)
-        for name, table in tables.items()
-        for variant in heckman.VCOV_VARIANTS
-    }
+    """One DiffRow per anchor under both second-stage covariance variants, its cells
+    read from the fits of replication_tables' tables as tabulate reads them."""
     rows = []
     for a in ANCHOR_CELLS:
-        col = f"{a.model}:{a.stage}"
-        robust = tables[(a.table, heckman.PLAIN_ROBUST)].cell(a.variable, col)
-        corrected = tables[(a.table, heckman.HECKMAN_CORRECTED)].cell(a.variable, col)
+        fit = tables[a.table].fits.get(a.model)
         anchor = (a.table, a.model, a.stage, a.variable, Cell(a.ref_coef, a.ref_se, a.ref_stars))
-        if robust is None:  # both variants tabulate the same fits, so neither cell exists
-            failed = col in tables[(a.table, heckman.PLAIN_ROBUST)].column_errors
+        stages = [_stages(fit, v).get(a.stage) for v in heckman.VCOV_VARIANTS] if fit else [None]
+        if stages[0] is None or a.variable not in stages[0][0]:  # then under neither variant
+            failed = f"{a.model}:{a.stage}" in tables[a.table].column_errors
             reason = "model failed" if failed else "no selection stage"
             rows.append(DiffRow(*anchor, reason, reason, False, False))
             continue
+        j = stages[0][0].index(a.variable)
+        robust, corrected = (_cell(a.model, a.stage, a.variable, coefs[j].item(),
+                                   np.sqrt(vcov[j, j]).item()) for _, coefs, vcov in stages)
         same_sign = math.copysign(1, robust.value) == math.copysign(1, a.ref_coef)
         rows.append(DiffRow(*anchor, robust, corrected, same_sign if a.ref_stars else None,
                             robust.stars == a.ref_stars))

@@ -1,5 +1,6 @@
 """Command-line behaviour: exit codes, determinism, input immutability."""
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -75,6 +76,28 @@ def test_output_tree_matches_reference_digests(tmp_path, run):
     out = tmp_path / "out"
     assert main(run["command"].split()[1:] + ["--out", str(out)]) == 0
     assert tree_digest(out) == run["files"]
+
+
+def test_in_process_calls_share_one_parser_and_keep_every_byte(tmp_path, monkeypatch):
+    # the benchmark calls main over and over in one interpreter: no call may leave state
+    # that moves a byte of a later call's output, and the parser is built only once
+    built, init = [], argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        if kwargs.get("prog") == "vaxsel":  # not a subcommand's parser
+            built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    build_parser.cache_clear()
+    replicate = json.loads(REPLICATE_REFERENCE.read_text(encoding="utf-8"))
+    pinned = {run["command"]: run["files"] for run in [*OUTPUT_REFERENCE["runs"], replicate]}
+    commands = ["vaxsel replicate", "vaxsel replicate", "vaxsel replicate --vcov heckman",
+                "vaxsel simulate --n 189 --vcov robust --reps 50 --seed 7"]
+    for i, command in enumerate(commands):
+        assert main(command.split()[1:] + ["--out", str(tmp_path / str(i))]) == 0
+        assert tree_digest(tmp_path / str(i)) == pinned[command], command
+    assert len(built) == 1
 
 
 @pytest.mark.parametrize("command", ["describe", "replicate"])

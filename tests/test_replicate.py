@@ -1,6 +1,10 @@
 """Replication-layer tests: tables, figures, diff report, rendering."""
 
+import csv
+import math
+import os
 from collections import Counter
+from decimal import ROUND_HALF_UP, Context, Decimal
 from xml.etree import ElementTree
 
 import numpy as np
@@ -9,10 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vaxsel import heckman, render, replicate
-from vaxsel.panel import Panel, VariableDef, filter_percentile
+from vaxsel.panel import Panel, VariableDef, filter_percentile, load_panel
 from vaxsel.specs import (ANCHOR_CELLS, OUTLIER_FILTERS, REPLICATION_TABLES, AnchorCell,
                           ModelSpec, apply_outlier_filter, builtin_specs)
 from tests.conftest import examples
+from tests.test_cli_panels import COLUMN, blanked
 
 
 @pytest.fixture(scope="module")
@@ -359,21 +364,78 @@ class TestDiffReport:
         assert diff_text(corrected) == diff_text(tables)
 
     def test_cells_round_as_the_tables_round(self, snapshot, monkeypatch):
-        # 0.0625 is a tie: f"{v:.3f}" rounds it to even, 0.062, and the tables print 0.063
-        tabulate = replicate.tabulate
+        # 0.0625 is a tie: f"{v:.3f}" rounds it to even, 0.062, and the tables print 0.063;
+        # the tables and the report make every cell through _cell
+        cell = replicate._cell
 
-        def tied(table, variant):
-            out = tabulate(table, variant)
-            for cell in out.cells.values():
-                cell.value = cell.spread = 0.0625
+        def tied(*estimate):
+            out = cell(*estimate)
+            out.value = out.spread = 0.0625
             return out
 
-        monkeypatch.setattr(replicate, "tabulate", tied)
+        monkeypatch.setattr(replicate, "_cell", tied)
         tables = replicate.replication_tables(snapshot)
         report = diff_text(tables)
         table = render.render_table_markdown(tables["table2"])
         assert "0.063*** (0.063) |" in table and "0.062" not in table + report
         assert report.count(" (0.063) |") == 2 * len(ANCHOR_CELLS)
+
+
+def tabulated_diff(tables):
+    """The replication diff as read from both variants' tabulate tables of every table,
+    the way replication_diff read it before it read the fits itself; the reference."""
+    tabled = {(name, variant): replicate.tabulate(table, variant)
+              for name, table in tables.items() for variant in heckman.VCOV_VARIANTS}
+    rows = []
+    for a in ANCHOR_CELLS:
+        col = f"{a.model}:{a.stage}"
+        robust = tabled[(a.table, heckman.PLAIN_ROBUST)].cell(a.variable, col)
+        corrected = tabled[(a.table, heckman.HECKMAN_CORRECTED)].cell(a.variable, col)
+        anchor = (a.table, a.model, a.stage, a.variable,
+                  replicate.Cell(a.ref_coef, a.ref_se, a.ref_stars))
+        if robust is None:
+            failed = col in tabled[(a.table, heckman.PLAIN_ROBUST)].column_errors
+            reason = "model failed" if failed else "no selection stage"
+            rows.append(replicate.DiffRow(*anchor, reason, reason, False, False))
+            continue
+        same_sign = math.copysign(1, robust.value) == math.copysign(1, a.ref_coef)
+        rows.append(replicate.DiffRow(*anchor, robust, corrected,
+                                      same_sign if a.ref_stars else None,
+                                      robust.stars == a.ref_stars))
+    return rows
+
+
+@pytest.fixture(scope="module")
+def diff_panels(snapshot, schema, tmp_path_factory):
+    """The snapshot; the snapshot with every soft_power_30 cell blank, where models 2-5
+    fail; and the one with every non-starter's cases cell blank, where no fit has a
+    selection stage."""
+    panels = {"snapshot": snapshot}
+    for name, rows in (("no_soft_power", blanked("soft_power_30")),
+                       ("all_selected", blanked("cases", lambda r: r[COLUMN["started"]] == "0"))):
+        path = tmp_path_factory.mktemp(name) / "panel.csv"
+        with open(path, "w", encoding="utf-8", newline="") as f:
+            csv.writer(f, lineterminator="\n").writerows(rows)
+        panels[name] = load_panel(path, schema)
+    return panels
+
+
+@pytest.mark.parametrize("variant", heckman.VCOV_VARIANTS)
+@pytest.mark.parametrize("panel, reasons", [("snapshot", set()),
+                                            ("no_soft_power", {"model failed"}),
+                                            ("all_selected", {"no selection stage"})])
+def test_the_diff_reads_the_tabulated_cells_without_tabulating(diff_panels, monkeypatch, variant,
+                                                                panel, reasons):
+    tables = replicate.replication_tables(diff_panels[panel], variant)
+    calls = []
+    monkeypatch.setattr(replicate, "tabulate", lambda *args: calls.append(args))
+    rows = replicate.replication_diff(tables)
+    monkeypatch.undo()
+    assert calls == []
+    want = tabulated_diff(tables)
+    # repr also tells a numpy scalar from the float the tables hold
+    assert rows == want and repr(rows) == repr(want)
+    assert {r.robust for r in rows if isinstance(r.robust, str)} == reasons
 
 
 def test_tabulate_rejects_a_non_finite_spread_naming_the_variable(snapshot):
@@ -400,6 +462,34 @@ class TestRender:
         assert render.round3(1e25) == "1" + "0" * 25 + ".000"
         assert render.round3(-1.7976931348623157e308) == "-17976931348623157" + "0" * 292 + ".000"
         assert render.round3(5e-324) == "0.000"
+
+    @staticmethod
+    def decimal_round3(x):
+        """round3 as it was written before its quantize arguments were built once."""
+        return str(Decimal(repr(float(x))).quantize(Decimal("0.001"), ROUND_HALF_UP,
+                                                      Context(312)))
+
+    @pytest.mark.parametrize("x", [0.0005, -0.0005, 2.0005, -2.0015, -0.0, 5e-324, 1e308,
+                                   -1e308])
+    def test_round3_matches_the_decimal_expression(self, x):
+        assert render.round3(x) == self.decimal_round3(x)
+
+    @settings(max_examples=examples(500), deadline=None)
+    @given(x=st.floats(allow_nan=False, allow_infinity=False))
+    def test_round3_matches_the_decimal_expression_on_any_finite_double(self, x):
+        assert render.round3(x) == self.decimal_round3(x)
+
+    def test_atomic_write_writes_the_utf8_bytes_as_given(self, tmp_path):
+        text = "naïve – 日本\r\nsecond line\nthird\r"
+        render.write_text_atomic(tmp_path / "sub" / "out.md", text)
+        assert (tmp_path / "sub" / "out.md").read_bytes() == text.encode("utf-8")
+
+    def test_a_failed_atomic_write_leaves_no_temp_file(self, tmp_path):
+        path = tmp_path / "out.md"
+        render.write_text_atomic(path, "old\n")
+        with pytest.raises(UnicodeEncodeError):
+            render.write_text_atomic(path, "new \ud800\n")  # a lone surrogate
+        assert os.listdir(tmp_path) == ["out.md"] and path.read_bytes() == b"old\n"
 
     def test_markdown_contains_stars_and_parens(self, table2):
         text = render.render_table_markdown(table2)
