@@ -14,12 +14,15 @@
 # and the diff report print their failed-model text) and on a copy with the
 # cases cell of every non-starter blank (every selection sample holds only
 # starters, so each fit takes fit_two_step's all-selected least-squares
-# branch and the diff report prints its "(no selection stage)" rows), and
-# compares the two trees with diff -r.  It also runs the reference commands
-# with this checkout's src through vaxsel.cli.main, one after another in a
-# single Python process as benchmark/run.py calls it, and compares that tree
-# with BASE's per-process one, so any state one in-process call leaves to the
-# next shows as a difference.
+# branch and the diff report prints its "(no selection stage)" rows), reruns
+# replicate into its already-written tree and requires the same bytes as the
+# fresh run (each file is then renamed over an existing one, and a stage left
+# behind shows as "Only in"), and compares the two trees with diff -r.  It
+# also runs the reference commands with this checkout's src through
+# vaxsel.cli.main, one after another in a single Python process as
+# benchmark/run.py calls it, and compares that tree with BASE's per-process
+# one, so any state one in-process call leaves to the next shows as a
+# difference.
 # Exits 0 when every file is byte-identical and 1 when any differs.  All
 # runs use the same machine, so the check holds on any CPU.
 set -euo pipefail
@@ -93,6 +96,9 @@ run_all() {  # run_all SOURCE_TREE OUTPUT_ROOT
         --out "$2/replicate_no_soft_power"
     PYTHONPATH="$1/src" python3 -m vaxsel.cli replicate --data "$work/all_selected.csv" \
         --out "$2/replicate_all_selected"
+    cp -R "$2/replicate" "$2.fresh_replicate"
+    PYTHONPATH="$1/src" python3 -m vaxsel.cli replicate --out "$2/replicate"
+    diff -r "$2.fresh_replicate" "$2/replicate"
     # the demo puts its own tree's src on the path
     python3 "$1/scripts/selection_bias_demo.py" --n 500 --reps 50 > "$2/selection_bias_demo.txt"
 }
@@ -108,7 +114,8 @@ for argv in os.environ["ARGVS"].splitlines():
 PY
 }
 
-rm -rf "$work/base" "$work/head" "$work/in_process"
+rm -rf "$work/base" "$work/head" "$work/in_process" "$work/base.fresh_replicate" \
+    "$work/head.fresh_replicate"
 perturb "$here/src/vaxsel/data/snapshot.csv" "$work/perturbed.csv" "$work/no_soft_power.csv" \
     "$work/all_selected.csv"
 run_all "$base" "$work/base"

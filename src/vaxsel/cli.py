@@ -1,17 +1,24 @@
 """Command-line front end: reproducible runs from CSV snapshot to outputs.
 
-Five subcommands: describe, fit, replicate, simulate, figures.  Results
-are written to files (atomically: temp file then rename); progress and
+Five subcommands: describe, fit, replicate, simulate, figures.  Each
+command computes its whole output tree as {relative path: text}, and main
+alone writes it: every file into a stage directory inside --out, then each
+renamed into place.  So a failed run changes no file under --out (one that
+fails before writing creates no --out), files the run does not write are
+kept, and file modes follow the umask.  Progress and
 diagnostics go to stderr; exit status is 0 on success, 1 on data,
-estimation or out-of-memory errors, 2 on usage errors.
+estimation, file-system or out-of-memory errors, 2 on usage errors.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import os
 import re
+import shutil
 import sys
+import tempfile
 from importlib import resources
 from pathlib import Path
 
@@ -65,67 +72,50 @@ def _selected_specs(model):
     return [specs[int(model) - 1]]
 
 
-def _write_table(out_dir, stem, table):
-    render.write_text_atomic(out_dir / "tables" / f"{stem}.md",
-                             render.render_table_markdown(table))
-    render.write_text_atomic(out_dir / "tables" / f"{stem}.csv",
-                             render.render_table_csv(table))
-
-
-def _write_figures(out_dir, figures):
+def _output_files(tables, figures=()):
+    """{relative path: text} of tables ({stem: TableResult}) and figures."""
+    files = {}
+    for stem, table in tables.items():
+        files[f"tables/{stem}.md"] = render.render_table_markdown(table)
+        files[f"tables/{stem}.csv"] = render.render_table_csv(table)
     for fig in figures:
-        render.write_text_atomic(out_dir / "figures" / f"{fig.figure_id}.csv",
-                                 render.render_figure_csv(fig))
-        render.write_text_atomic(out_dir / "figures" / f"{fig.figure_id}.svg",
-                                 render.render_figure_svg(fig))
+        files[f"figures/{fig.figure_id}.csv"] = render.render_figure_csv(fig)
+        files[f"figures/{fig.figure_id}.svg"] = render.render_figure_svg(fig)
+    return files
+
+
+# each cmd_* returns its files and the end of its last progress line
 
 
 def cmd_describe(args):
-    panel = _load(args)
-    out = Path(args.out)
-    _write_table(out, "table1", replicate.descriptive_table(panel))
-    _progress(f"describe: wrote table1 under {out}")
-    return 0
+    return _output_files({"table1": replicate.descriptive_table(_load(args))}), "wrote table1"
 
 
 def cmd_fit(args):
     panel = apply_outlier_filter(_load(args), args.filter)
-    specs = _selected_specs(args.model)
-    table = replicate.run_model_suite(panel, specs, VCOV_BY_FLAG[args.vcov])
-    out = Path(args.out)
-    _write_table(out, f"fit_{args.model}", table)
-    _progress(f"fit: wrote fit_{args.model} under {out}")
-    return 0
+    table = replicate.run_model_suite(panel, _selected_specs(args.model), VCOV_BY_FLAG[args.vcov])
+    return _output_files({f"fit_{args.model}": table}), f"wrote fit_{args.model}"
 
 
 def cmd_replicate(args):
     panel = _load(args)
-    out = Path(args.out)
-    vcov = VCOV_BY_FLAG[args.vcov]
-
     _progress("replicate: descriptive table")
-    _write_table(out, "table1", replicate.descriptive_table(panel))
+    table1 = replicate.descriptive_table(panel)
     _progress("replicate: estimation and robustness suites")
-    tables = replicate.replication_tables(panel, vcov)
-    for stem, table in tables.items():
-        _write_table(out, stem, table)
+    tables = replicate.replication_tables(panel, VCOV_BY_FLAG[args.vcov])
     _progress("replicate: figures")
-    _write_figures(out, replicate.all_figures(panel, grid_points=args.grid))
+    figures = replicate.all_figures(panel, grid_points=args.grid)
     _progress("replicate: diff report")
-    render.write_text_atomic(out / "report" / "replication_diff.md",
-                             render.render_replication_diff(replicate.replication_diff(tables)))
-    render.write_text_atomic(out / "report" / "audit.log",
-                             "".join(line + "\n" for line in panel.audit))
-    _progress(f"replicate: output tree complete under {out}")
-    return 0
+    files = _output_files({"table1": table1, **tables}, figures)
+    files["report/replication_diff.md"] = render.render_replication_diff(
+        replicate.replication_diff(tables))
+    files["report/audit.log"] = "".join(line + "\n" for line in panel.audit)
+    return files, "output tree complete"
 
 
 def cmd_figures(args):
-    panel = _load(args)
-    out = Path(args.out)
-    _write_figures(out, replicate.all_figures(panel, grid_points=args.grid))
-    _progress(f"figures: wrote figure data and svg under {out}")
-    return 0
+    figures = replicate.all_figures(_load(args), grid_points=args.grid)
+    return _output_files({}, figures), "wrote figure data and svg"
 
 
 def cmd_simulate(args):
@@ -142,11 +132,9 @@ def cmd_simulate(args):
     if report.reps_failed:
         tally = ", ".join(f"{name} {count}" for name, count in report.failures.items())
         _progress(f"simulate: {report.reps_failed} replications failed ({tally})")
-    out = Path(args.out)
-    render.write_text_atomic(out / "recovery.csv", render.render_recovery_csv(report))
-    render.write_text_atomic(out / "recovery.md", render.render_recovery_markdown(report))
-    _progress(f"simulate: wrote recovery report under {out}")
-    return 0
+    files = {"recovery.csv": render.render_recovery_csv(report),
+             "recovery.md": render.render_recovery_markdown(report)}
+    return files, "wrote recovery report"
 
 
 @functools.cache  # built once per process and shared by every main call: never change it
@@ -210,11 +198,24 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
+    out = Path(args.out)
     try:
-        return args.func(args)
+        files, done = args.func(args)
+        out.mkdir(parents=True, exist_ok=True)
+        stage = Path(tempfile.mkdtemp(dir=out, prefix=".stage-"))
+        try:  # a failed write leaves the old tree: nothing is renamed until every file is staged
+            for name, text in files.items():
+                render.write_text_atomic(stage / name, text)
+            for name in files:
+                (out / name).parent.mkdir(parents=True, exist_ok=True)
+                os.replace(stage / name, out / name)
+        finally:
+            shutil.rmtree(stage, ignore_errors=True)
     except (*heckman.ESTIMATION_ERRORS, PanelError, synth.WorkerError, OSError, MemoryError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
+    _progress(f"{args.command}: {done} under {out}")
+    return 0
 
 
 if __name__ == "__main__":

@@ -1,4 +1,4 @@
-"""Rendering: the text of the output files, written atomically.
+"""Rendering: the text of the output files, and the writer of one new file.
 
 Tables, figure CSVs with their notes, SVGs, the replication diff and the
 recovery report are formatted here, and every markdown table goes through
@@ -11,8 +11,6 @@ timestamps, no generator metadata, fixed coordinate formatting.
 
 from __future__ import annotations
 
-import os
-import tempfile
 from decimal import ROUND_HALF_UP, Context, Decimal
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -32,19 +30,13 @@ def round3(x: float) -> str:
 
 
 def write_text_atomic(path, text: str) -> None:
-    """Write text's UTF-8 bytes via a sibling temp file and rename, so readers
-    never see a partial file and a failed run leaves no truncated output."""
+    """Write text's UTF-8 bytes to path as a new file, making its directory; the
+    file's mode follows the umask.  cli.main writes each output file this way into
+    its stage and renames it into place only once every file is written."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".tmp_", suffix=path.suffix)
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(text.encode("utf-8"))
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    with open(path, "xb") as handle:
+        handle.write(text.encode("utf-8"))
 
 
 _CSV_SPECIAL = frozenset(',"\n\r')

@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import errno
 import hashlib
 import io
 import json
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vaxsel import heckman, probit, synth
+from vaxsel import heckman, probit, render, synth
 from vaxsel.cli import build_parser, main
 from vaxsel.panel import save_panel
 from vaxsel.probit import ProbitError
@@ -32,6 +33,11 @@ def tree_digest(root: Path) -> dict:
         if p.is_file():
             out[str(p.relative_to(root))] = hashlib.sha256(p.read_bytes()).hexdigest()
     return out
+
+
+def tree_state(root: Path) -> dict:
+    """Every path under root, hidden ones too, with its bytes, or None for a directory."""
+    return {p: p.read_bytes() if p.is_file() else None for p in root.rglob("*")}
 
 
 def test_replicate_happy_path(tmp_path):
@@ -467,6 +473,41 @@ def test_unwritable_out_exits_1(tmp_path, capsys):
     assert "Traceback" not in err
     errors = [line for line in err.splitlines() if line.startswith("error:")]
     assert len(errors) == 1 and str(blocker) in errors[0]
+
+
+def test_output_files_take_their_mode_from_the_umask(tmp_path):
+    # each file was made by mkstemp, mode 0600 whatever the umask
+    previous = os.umask(0o022)
+    try:
+        assert main(["replicate", "--out", str(tmp_path / "out")]) == 0
+    finally:
+        os.umask(previous)
+    modes = {str(p): p.stat().st_mode & 0o777 for p in tmp_path.rglob("*") if p.is_file()}
+    assert len(modes) == 18 and set(modes.values()) == {0o644}, modes
+
+
+@pytest.mark.parametrize("k", [1, 9, 18])
+def test_a_write_failing_partway_leaves_the_earlier_tree(tmp_path, monkeypatch, capsys, k):
+    # over a tree of another run, whose tables differ, so any file renamed early shows
+    out = tmp_path / "out"
+    assert main(["replicate", "--vcov", "heckman", "--out", str(out)]) == 0
+    before = tree_state(out)
+    calls = []
+    write = render.write_text_atomic
+
+    def full_disk(path, text):
+        calls.append(path)
+        if len(calls) == k:
+            raise OSError(errno.ENOSPC, "No space left on device", str(path))
+        write(path, text)
+
+    monkeypatch.setattr(render, "write_text_atomic", full_disk)
+    capsys.readouterr()
+    assert main(["replicate", "--out", str(out)]) == 1
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and "No space left on device" in errors[0], errors
+    assert len(calls) == k
+    assert tree_state(out) == before
 
 
 def test_usage_error_exits_2(capsys):

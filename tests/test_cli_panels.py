@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from vaxsel.cli import main
 from vaxsel.panel import load_schema
 from tests.conftest import examples, packaged
+from tests.test_cli import tree_digest
 
 with open(packaged("snapshot.csv"), encoding="utf-8", newline="") as _f:
     SNAPSHOT = list(csv.reader(_f))
@@ -106,13 +107,15 @@ def mutate(rows, mutation):
 
 def run_on(rows, argv, pattern="*.csv"):
     """main(argv) on rows written as the data file: exit code, error lines, the output
-    files that match pattern; whatever it wrote to stderr holds no traceback."""
+    files that match pattern (None when it made no --out); whatever it wrote to stderr
+    holds no traceback."""
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(io.StringIO()) as err:
         data, out = Path(tmp) / "panel.csv", Path(tmp) / "out"
         with open(data, "w", encoding="utf-8", newline="") as f:
             csv.writer(f, lineterminator="\n").writerows(rows)
         code = main([*argv, "--data", str(data), "--out", str(out)])
         texts = {str(p.relative_to(out)): p.read_text() for p in out.rglob(pattern)}
+        texts = texts if out.exists() else None
     assert "Traceback" not in err.getvalue()
     return code, [line for line in err.getvalue().splitlines() if line.startswith("error:")], texts
 
@@ -121,6 +124,7 @@ def check_run(argv, rows):
     code, errors, texts = run_on(rows, argv)
     if code == 1:
         assert len(errors) == 1 and not PLACEHOLDER.search(errors[0]), errors
+        assert texts is None, (argv, "a failed run made its --out")
         return
     assert code == 0 and errors == [] and texts
     for name, text in texts.items():
@@ -230,6 +234,22 @@ def test_a_scatter_line_with_too_few_values_names_the_column():
     code, errors, _ = run_on(blanked("gov_eff"), ["figures"])
     assert (code, errors) == (1, ["error: figure 3: fewer than three started countries with a "
                                   "gov_eff value"])
+
+
+def test_a_failed_replicate_leaves_the_earlier_tree_as_it_was(tmp_path):
+    # it failed at figure 3 and left its 8 table files beside the earlier run's figures,
+    # audit log and diff report, which described tables no longer there
+    out, data = tmp_path / "out", tmp_path / "panel.csv"
+    with open(data, "w", encoding="utf-8", newline="") as f:
+        csv.writer(f, lineterminator="\n").writerows(blanked("gov_eff"))
+    with contextlib.redirect_stderr(io.StringIO()):
+        assert main(["replicate", "--out", str(out)]) == 0
+    before = tree_digest(out)
+    with contextlib.redirect_stderr(io.StringIO()) as err:
+        assert main(["replicate", "--data", str(data), "--out", str(out)]) == 1
+    assert [line for line in err.getvalue().splitlines() if line.startswith("error:")] == [
+        "error: figure 3: fewer than three started countries with a gov_eff value"]
+    assert tree_digest(out) == before
 
 
 def test_the_diff_report_tells_a_degenerate_model_from_a_failed_one():

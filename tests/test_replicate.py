@@ -2,7 +2,6 @@
 
 import csv
 import math
-import os
 from collections import Counter
 from decimal import ROUND_HALF_UP, Context, Decimal
 from xml.etree import ElementTree
@@ -13,10 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vaxsel import heckman, render, replicate
+from vaxsel.cli import main
 from vaxsel.panel import Panel, VariableDef, filter_percentile, load_panel
 from vaxsel.specs import (ANCHOR_CELLS, OUTLIER_FILTERS, REPLICATION_TABLES, AnchorCell,
                           ModelSpec, apply_outlier_filter, builtin_specs)
 from tests.conftest import examples
+from tests.test_cli import tree_state
 from tests.test_cli_panels import COLUMN, blanked
 
 
@@ -484,12 +485,14 @@ class TestRender:
         render.write_text_atomic(tmp_path / "sub" / "out.md", text)
         assert (tmp_path / "sub" / "out.md").read_bytes() == text.encode("utf-8")
 
-    def test_a_failed_atomic_write_leaves_no_temp_file(self, tmp_path):
-        path = tmp_path / "out.md"
-        render.write_text_atomic(path, "old\n")
-        with pytest.raises(UnicodeEncodeError):
-            render.write_text_atomic(path, "new \ud800\n")  # a lone surrogate
-        assert os.listdir(tmp_path) == ["out.md"] and path.read_bytes() == b"old\n"
+    def test_a_failed_atomic_write_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        assert main(["describe", "--out", str(out)]) == 0
+        before = tree_state(out)
+        # a lone surrogate, which UTF-8 cannot encode
+        monkeypatch.setattr(render, "render_table_csv", lambda table: "new \ud800\n")
+        assert main(["describe", "--out", str(out)]) == 1  # UnicodeEncodeError is a ValueError
+        assert tree_state(out) == before
 
     def test_markdown_contains_stars_and_parens(self, table2):
         text = render.render_table_markdown(table2)
