@@ -3,16 +3,17 @@
 Five subcommands: describe, fit, replicate, simulate, figures.  Each
 command computes its whole output tree as {relative path: text}, and main
 alone writes it: every file into a stage directory inside --out, then each
-renamed into place.  So a failed run changes no file under --out (one that
-fails before writing creates no --out), files the run does not write are
-kept, and file modes follow the umask.  Progress and
-diagnostics go to stderr; exit status is 0 on success, 1 on data,
-estimation, file-system or out-of-memory errors, 2 on usage errors.
+renamed into place.  So a failed run changes no file under --out, a run that
+publishes nothing leaves no directory it made, files the run does not write
+are kept, and file modes follow the umask.  Progress and diagnostics go to
+stderr; exit status is 0 on success, 1 on data, estimation, file-system or
+out-of-memory errors, 2 on usage errors.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import os
 import re
@@ -198,20 +199,28 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
-    out = Path(args.out)
+    out, made = Path(args.out), []
     try:
         files, done = args.func(args)
+        made = [d for d in (out, *out.parents) if not d.exists()]  # deepest first
         out.mkdir(parents=True, exist_ok=True)
         stage = Path(tempfile.mkdtemp(dir=out, prefix=".stage-"))
         try:  # a failed write leaves the old tree: nothing is renamed until every file is staged
             for name, text in files.items():
-                render.write_text_atomic(stage / name, text)
+                try:
+                    render.write_text_atomic(stage / name, text)
+                except OSError as exc:  # named by its output path, not the stage's
+                    exc.filename = exc.filename and str(out / name)
+                    raise
             for name in files:
                 (out / name).parent.mkdir(parents=True, exist_ok=True)
                 os.replace(stage / name, out / name)
         finally:
             shutil.rmtree(stage, ignore_errors=True)
     except (*heckman.ESTIMATION_ERRORS, PanelError, synth.WorkerError, OSError, MemoryError) as exc:
+        for d in made:  # rmdir removes only the directories this run left empty
+            with contextlib.suppress(OSError):
+                d.rmdir()
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
     _progress(f"{args.command}: {done} under {out}")

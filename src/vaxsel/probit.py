@@ -6,7 +6,9 @@ step-halving converges for any full-rank design unless the data are
 past +-50 while the score is above SCORE_TOL raises SeparationError, and
 any other stop short of SCORE_TOL raises ProbitError.  A quasi-separated
 design can instead reach a finite coefficient, where the maximum-likelihood
-estimate does not exist; that fit is returned.
+estimate does not exist; that fit is returned.  Each sample's fate is decided
+in _fit_stack: rank and class before any Newton loop, the optimum's covariance
+after it; _newton is the line search alone.
 """
 
 from __future__ import annotations
@@ -169,17 +171,11 @@ def hessian(coef, y, X):
     return -_terms(np.atleast_2d(coef), _signed(np.asarray(y)[None] == 1.0, X)).info[0]
 
 
-def _newton(k, labels, collinear, single_class):
-    """One sample's Newton loop, for a k-column design with collinear_columns collinear, y
-    having one class if single_class, as a generator: it yields each coefficient vector to be
-    sent its _Point from _fit_stack's round, and itself accepts (a finite log L only, so finite
-    coefficients), halves and stops, on Python floats.  It returns the optimum's _Point,
-    iterations, log L path and halvings, which _finish makes a ProbitFit."""
-    if collinear:
-        raise RankDeficientError(collinear)
-    if single_class:
-        raise ValueError("y contains a single class; probit is not estimable")
-
+def _newton(k, labels):
+    """One fittable sample's line search from a zero start (_fit_stack decides which are), as a
+    generator: it yields each coefficient vector to be sent its _Point from _fit_stack's round,
+    and accepts (a finite log L only), halves, refines and stops, on Python floats.  It returns
+    the optimum's _Point, iterations, log L path and halvings, which _fit_stack finishes."""
     point = yield np.zeros(k)
     path = [point.ll]
     halvings = 0
@@ -217,32 +213,10 @@ def _newton(k, labels, collinear, single_class):
         path.append(cand.ll)
         if (max(map(abs, cand.coef.tolist())) > SEPARATION_COEF_BOUND
                 and cand.score_norm > SCORE_TOL):
-            raise SeparationError(
-                "coefficients diverging beyond +-50 with nonzero score; "
-                "the classes appear perfectly separated"
-            )
+            raise SeparationError("coefficients diverging beyond +-50 with nonzero score; "
+                                  "the classes appear perfectly separated")
         point = cand
     return point, iterations, path, halvings
-
-
-def _finish(Y, done, labels):
-    """Per sample of the (m, n) samples Y whose _newton loops returned done, its ProbitFit
-    (vcov from one stacked inv through stackwise, g = +-lambda) or, where its observed
-    information is singular, a ProbitError caused by the LinAlgError."""
-    # symmetrised inside the call, so as one stacked operation unless a sample is singular
-    V = stackwise(lambda a: 0.5 * ((v := np.linalg.inv(a)) + v.swapaxes(-1, -2)),
-                  np.array([p.info for p, *_ in done]))
-    lam, W = np.array([p.lam for p, *_ in done]), np.array([p.w for p, *_ in done])
-    fits = []
-    for (p, iterations, path, halvings), v, g, w in zip(done, V, np.where(Y == 1.0, lam, -lam), W):
-        if isinstance(v, np.linalg.LinAlgError):
-            fits.append(ProbitError("observed information is singular at the optimum"))
-            fits[-1].__cause__ = v
-        else:
-            fits.append(ProbitFit(coef=p.coef, vcov=v, loglik=p.ll, iterations=iterations,
-                                  score_norm=p.score_norm, labels=labels, loglik_path=path,
-                                  halvings=halvings, g=g, w=w))
-    return fits
 
 
 def fit(y, X, labels=None) -> ProbitFit:
@@ -282,13 +256,18 @@ def fit_many(Y, X, labels=None) -> list:
 
 
 def _fit_stack(Y, X, labels):
-    """The Newton driver of fit and fit_many, on checked stacks Y (R, n) and X (R, n, k):
-    one stacked rank QR and single-class test, one _newton generator per sample, one
-    stacked _terms call per round on the pending coefficient vectors, so the generators
-    do no linear algebra, and one _finish for the samples that converge."""
-    newtons = [_newton(X.shape[2], labels, c, s)
+    """The Newton driver of fit and fit_many, on checked stacks Y (R, n) and X (R, n, k), and
+    the one place a sample's fate is decided.  Before any Newton loop starts, one stacked rank
+    QR and one class test record RankDeficientError or the single-class ValueError, and only
+    the other samples get a _newton generator; each round makes one stacked _terms call on the
+    pending coefficient vectors, so the generators do no linear algebra.  The samples that
+    converge are finished here, from one stacked, symmetrised inv through stackwise (g =
+    +-lambda), or get a ProbitError where their observed information is singular."""
+    results = [RankDeficientError(c) if c else
+               ValueError("y contains a single class; probit is not estimable") if s else None
                for c, s in zip(collinear_columns(X, labels), (Y.min(1) == Y.max(1)).tolist())]
-    results, pending, Xs = [None] * len(Y), [], _signed(Y == 1.0, X)
+    newtons = {r: _newton(X.shape[2], labels) for r, res in enumerate(results) if res is None}
+    pending, Xs = [], _signed(Y == 1.0, X)
 
     def advance(r, point):
         try:
@@ -298,7 +277,7 @@ def _fit_stack(Y, X, labels):
         except ESTIMATION_ERRORS as exc:
             results[r] = exc
 
-    for r in range(len(Y)):
+    for r in newtons:
         advance(r, None)
     while pending:  # (sample, coefficients) in sample order
         reps, coefs = zip(*pending)
@@ -307,11 +286,22 @@ def _fit_stack(Y, X, labels):
         p = _terms(np.array(coefs), Xs if len(reps) == len(Y) else Xs[list(reps)])
         for r, point in zip(reps, zip(coefs, *p[1:])):
             advance(r, _Point._make(point))
-    # _finish copies what the fits keep of the rounds' blocks
     done = [r for r, result in enumerate(results) if isinstance(result, tuple)]
-    fits = _finish(Y[done], [results[r] for r in done], labels) if done else []
-    for r, result in zip(done, fits):
-        results[r] = result
+    if not done:
+        return results
+    # one stacked operation unless a sample is singular; these copy what the fits keep
+    V = stackwise(lambda a: 0.5 * ((v := np.linalg.inv(a)) + v.swapaxes(-1, -2)),
+                  np.array([results[r][0].info for r in done]))
+    lam, W = np.array([results[r][0].lam for r in done]), np.array([results[r][0].w for r in done])
+    for r, v, g, w in zip(done, V, np.where(Y[done] == 1.0, lam, -lam), W):
+        p, iterations, path, halvings = results[r]
+        if isinstance(v, np.linalg.LinAlgError):
+            results[r] = ProbitError("observed information is singular at the optimum")
+            results[r].__cause__ = v
+        else:
+            results[r] = ProbitFit(coef=p.coef, vcov=v, loglik=p.ll, iterations=iterations,
+                                   score_norm=p.score_norm, labels=labels, loglik_path=path,
+                                   halvings=halvings, g=g, w=w)
     return results
 
 

@@ -510,6 +510,21 @@ def test_a_write_failing_partway_leaves_the_earlier_tree(tmp_path, monkeypatch, 
     assert tree_state(out) == before
 
 
+def test_a_write_failing_into_a_fresh_out_leaves_no_directory(tmp_path, monkeypatch, capsys):
+    # both E and E/sub are made by the run; tmp_path was there before it
+    out = tmp_path / "E" / "sub"
+
+    def full_disk(path, text):
+        raise OSError(errno.ENOSPC, "No space left on device", str(path))
+
+    monkeypatch.setattr(render, "write_text_atomic", full_disk)
+    assert main(["describe", "--out", str(out)]) == 1
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+    assert errors == [f"error: [Errno {errno.ENOSPC}] No space left on device: "
+                      f"'{out / 'tables' / 'table1.md'}'"]
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_usage_error_exits_2(capsys):
     assert main(["replicate"]) == 2  # --out is required
     assert main(["frobnicate"]) == 2

@@ -414,6 +414,22 @@ class TestFitMany:
         many = probit.fit_many([y for y, _ in batch], [X for _, X in batch], labels=["a", "b"])
         self.assert_matches_fit(batch, many)
 
+    def test_only_the_fittable_samples_get_a_newton_loop(self, monkeypatch):
+        # the rank-deficient and single-class samples are decided before any loop starts
+        batch = _mixed_batch()
+        newton, loops = probit._newton, []
+
+        def counted(*args):
+            loops.append(args)
+            return newton(*args)
+
+        monkeypatch.setattr(probit, "_newton", counted)
+        many = probit.fit_many([y for y, _ in batch], [X for _, X in batch], labels=["a", "b"])
+        assert loops == [(2, ["a", "b"])] * 3
+        assert [type(r) for r in many] == [probit.ProbitFit, probit.ProbitFit,
+                                           probit.SeparationError, probit.RankDeficientError,
+                                           ValueError]
+
     def test_one_solve_per_round_and_one_qr_per_batch(self, monkeypatch):
         batch = _mixed_batch()
         events = []
