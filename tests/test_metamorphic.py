@@ -44,7 +44,7 @@ def fitted(snapshot):
 
 
 def take_rows(frame, rows):
-    """frame on its selection rows rows (an index array, repeats allowed), with the
+    """frame on the selection rows indexed by rows (repeats allowed), with the
     outcome rows that belong to them in the same order."""
     selected = frame.selection_y == 1.0
     outcome_row = np.full(selected.size, -1)  # -1 where a selection row has no outcome row
