@@ -49,7 +49,7 @@ simulate --n 189 --vcov robust --reps 50 --seed 101
 simulate --reps 50 --seed 101
 simulate --reps 200
 describe
-figures --grid 7'
+figures'
 
 # the shipped snapshot with holes, the same on every run: every 7th row
 # loses its gov_eff and pop_65, and log columns get zero and negative values

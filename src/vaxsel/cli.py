@@ -43,16 +43,6 @@ def _progress(message):
     print(message, file=sys.stderr)
 
 
-def _grid_points(text):
-    try:
-        points = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"grid needs an integer, got {text!r}") from None
-    if points < 2:
-        raise argparse.ArgumentTypeError(f"grid needs at least 2 points, got {points}")
-    return points
-
-
 def _add_data_args(p):
     p.add_argument("--data", default=None,
                    help="panel CSV (default: built-in snapshot)")
@@ -105,7 +95,7 @@ def cmd_replicate(args):
     _progress("replicate: estimation and robustness suites")
     tables = replicate.replication_tables(panel, VCOV_BY_FLAG[args.vcov])
     _progress("replicate: figures")
-    figures = replicate.all_figures(panel, grid_points=args.grid)
+    figures = replicate.all_figures(panel)
     _progress("replicate: diff report")
     files = _output_files({"table1": table1, **tables}, figures)
     files["report/replication_diff.md"] = render.render_replication_diff(
@@ -115,7 +105,7 @@ def cmd_replicate(args):
 
 
 def cmd_figures(args):
-    figures = replicate.all_figures(_load(args), grid_points=args.grid)
+    figures = replicate.all_figures(_load(args))
     return _output_files({}, figures), "wrote figure data and svg"
 
 
@@ -164,14 +154,10 @@ def build_parser():
     _add_data_args(p)
     p.add_argument("--vcov", default="robust", choices=["robust", "heckman"],
                    help="second-stage covariance (default: robust)")
-    p.add_argument("--grid", type=_grid_points, default=100,
-                   help="grid resolution for the start-probability curve (default: 100)")
     p.set_defaults(func=cmd_replicate)
 
     p = sub.add_parser("figures", help="figure data and svg renderings only")
     _add_data_args(p)
-    p.add_argument("--grid", type=_grid_points, default=100,
-                   help="grid resolution for the start-probability curve (default: 100)")
     p.set_defaults(func=cmd_figures)
 
     p = sub.add_parser("simulate", help="Monte Carlo parameter-recovery report")

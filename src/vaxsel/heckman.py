@@ -194,7 +194,7 @@ def second_stages(y, X, mills, delta, rows, labels, first_stages) -> SecondStage
                     f"Mills column is collinear with the outcome design (condition {cond:.2e}); "
                     "add an exclusion restriction to the selection equation"
                 )
-        except ESTIMATION_ERRORS as exc:
+        except (np.linalg.LinAlgError, probit.ProbitError, CollinearMillsError) as exc:
             return exc
         e = resid[r, :n] = yr - Wr @ coef[r]
         sigma2[r] = e @ e / n + float(coef[r, -1])**2 * delta[r, :n].sum() / n

@@ -274,7 +274,7 @@ def _fit_stack(Y, X, labels):
             pending.append((r, newtons[r].send(point)))
         except StopIteration as done:
             results[r] = done.value
-        except ESTIMATION_ERRORS as exc:
+        except ProbitError as exc:  # all _newton raises; anything else is a bug
             results[r] = exc
 
     for r in newtons:

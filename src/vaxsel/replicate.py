@@ -231,8 +231,8 @@ def gdp_boxplot_stats(panel: Panel) -> FigureData:
     )
 
 
-def conditional_start_curve(panel: Panel, n_points: int = 100) -> FigureData:
-    """Start probability against log GDP with a 95% delta-method band.
+def conditional_start_curve(panel: Panel) -> FigureData:
+    """Start probability at 100 points of log GDP, with a 95% delta-method band.
 
     Univariate probit of the start indicator on log GDP; the band is the
     index confidence interval mapped through the normal cdf, so it always
@@ -241,7 +241,7 @@ def conditional_start_curve(panel: Panel, n_points: int = 100) -> FigureData:
     gdp = panel.column("gdp")
     st = panel.column("started")
     ok = ~np.isnan(gdp)
-    grid = np.linspace(float(gdp[ok].min()), float(gdp[ok].max()), n_points)
+    grid = np.linspace(float(gdp[ok].min()), float(gdp[ok].max()), 100)
 
     X = np.column_stack([gdp[ok], np.ones(int(ok.sum()))])
     fit = probit.fit(st[ok], X, labels=["gdp", "const"])
@@ -290,10 +290,10 @@ def goveff_scatter_fit(panel: Panel) -> FigureData:
     )
 
 
-def all_figures(panel: Panel, grid_points: int = 100):
+def all_figures(panel: Panel):
     return [
         gdp_boxplot_stats(panel),
-        conditional_start_curve(panel, n_points=grid_points),
+        conditional_start_curve(panel),
         goveff_scatter_fit(panel),
         correlation_matrix(panel),
     ]

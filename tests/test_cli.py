@@ -531,21 +531,10 @@ def test_usage_error_exits_2(capsys):
 
 
 @pytest.mark.parametrize("command", ["replicate", "figures"])
-@pytest.mark.parametrize("grid", ["1", "0", "-3"])
-def test_grid_below_two_is_a_usage_error(tmp_path, capsys, command, grid):
-    assert main([command, "--grid", grid, "--out", str(tmp_path / "out")]) == 2
-    assert "--grid: grid needs at least 2 points" in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
-
-
-@pytest.mark.parametrize("command", ["replicate", "figures"])
-@pytest.mark.parametrize("grid", ["abc", "2.5", ""])
-def test_a_non_integer_grid_is_a_usage_error_naming_the_option(tmp_path, capsys, command, grid):
-    # it read "invalid _grid_points value: 'abc'", the parser's private function name
-    assert main([command, "--grid", grid, "--out", str(tmp_path / "out")]) == 2
-    err = capsys.readouterr().err
-    assert f"argument --grid: grid needs an integer, got {grid!r}" in err
-    assert "_grid_points" not in err
+def test_grid_is_not_an_option(tmp_path, capsys, command):
+    # figure 2's curve has one resolution, 100 points
+    assert main([command, "--grid", "7", "--out", str(tmp_path / "out")]) == 2
+    assert "error: unrecognized arguments: --grid 7" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -558,7 +547,7 @@ def test_inputs_not_mutated(tmp_path):
 
 def test_figures_only(tmp_path):
     out = tmp_path / "out"
-    assert main(["figures", "--grid", "25", "--out", str(out)]) == 0
+    assert main(["figures", "--out", str(out)]) == 0
     lines = (out / "figures" / "fig2.csv").read_text().splitlines()
     points = [l for l in lines[1:] if l and not l.startswith("#")]
-    assert len(points) == 25
+    assert len(points) == 100

@@ -144,21 +144,21 @@ def mutated(drawn):
 @given(drawn=panels)
 def test_describe_fit_and_figures_give_finite_numbers_or_one_error_line(drawn):
     rows = mutated(drawn)
-    for argv in (["describe"], ["fit", "--vcov", "heckman"], ["figures", "--grid", "7"]):
+    for argv in (["describe"], ["fit", "--vcov", "heckman"], ["figures"]):
         check_run(argv, rows)
 
 
 @settings(max_examples=examples(5), deadline=None)
 @given(drawn=panels)
 def test_replicate_gives_finite_numbers_or_one_error_line(drawn):
-    check_run(["replicate", "--grid", "7"], mutated(drawn))
+    check_run(["replicate"], mutated(drawn))
 
 
 @settings(max_examples=examples(8), deadline=None)
 @given(drawn=row_panels)
 def test_binary_flips_and_row_changes_give_finite_numbers_or_one_error_line(drawn):
     rows = mutated(drawn)
-    for argv in (["fit", "--vcov", "heckman"], ["figures", "--grid", "7"]):
+    for argv in (["fit", "--vcov", "heckman"], ["figures"]):
         check_run(argv, rows)
 
 
@@ -297,7 +297,7 @@ def test_figure_csvs_quote_a_comma_in_a_country_code():
     # fig3.csv wrote US,A bare: a 4-field row among the 3-field ones, and the run exited 0
     rows = [list(r) for r in SNAPSHOT]
     next(r for r in rows[1:] if r[0] == "USA")[0] = "US,A"
-    code, errors, texts = run_on(rows, ["figures", "--grid", "7"])
+    code, errors, texts = run_on(rows, ["figures"])
     assert (code, errors) == (0, [])
     body = [r for r in csv.reader(io.StringIO(texts["figures/fig3.csv"]))
             if not r[0].startswith("#")]

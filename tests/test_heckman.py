@@ -118,6 +118,10 @@ class TestOls:
         with pytest.raises(ValueError):
             heckman.ols(np.arange(3.0), X)
 
+    def test_row_counts_must_match(self):
+        with pytest.raises(ValueError, match="^y and X row counts differ$"):
+            heckman.ols(np.arange(5.0), np.ones((4, 1)))
+
     @pytest.mark.parametrize("labels", [["const"], ["const", "x", "extra"]])
     def test_label_count_must_match_columns(self, labels):
         X = np.column_stack([np.ones(10), np.arange(10.0)])
@@ -232,6 +236,14 @@ class TestFitTwoStep:
                                      outcome_X=frame.outcome_X[:3])
         with pytest.raises(ValueError, match="need at least 4 rows to fit 3 coefficients"):
             heckman.fit_two_step(square)
+
+    def test_outcome_rows_must_line_up_with_the_selected_rows(self):
+        frame = simple_frame(np.random.default_rng(5))
+        short = dataclasses.replace(frame, outcome_y=frame.outcome_y[:-1],
+                                    outcome_X=frame.outcome_X[:-1])
+        with pytest.raises(ValueError, match="^outcome rows do not line up with the selected "
+                                             "selection rows$"):
+            heckman.fit_two_step(short)
 
     @staticmethod
     def spy_on_first_stage(monkeypatch):
@@ -638,6 +650,16 @@ class TestSecondStages:
             assert errors[r] is None
             assert np.array_equal(stages.coef[r], clean.coef[r])
             assert np.array_equal(V[r], clean_V[r])
+
+    def test_a_value_error_from_lstsq_propagates(self, monkeypatch):
+        # lstsq raises LinAlgError when it fails: a ValueError there is a bug, not a failed sample
+        def broken(*args, **kwargs):
+            raise ValueError("a bug inside lstsq")
+
+        args, _ = self.stack()
+        monkeypatch.setattr(np.linalg, "lstsq", broken)
+        with pytest.raises(ValueError, match="a bug inside lstsq"):
+            heckman.second_stages(**args)
 
     def test_unknown_variant_rejected(self):
         args, Z = self.stack()

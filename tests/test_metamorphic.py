@@ -3,9 +3,12 @@ shipped snapshot (tables 2-4).  Each test fits a frame and a transformed copy wh
 estimate follows from the first fit, on the same machine, so the relations need no
 reference file and hold on any CPU.
 
-Two relations are exact in binary floating point and are checked bit for bit.  The
-other two move the Newton stopping point, which may land anywhere the stop rule
-(max-abs score below SCORE_TOL) allows, so they are checked within STOP."""
+Two relations are exact in binary floating point and are checked bit for bit.  Two
+others move the Newton stopping point, which may land anywhere the stop rule
+(max-abs score below SCORE_TOL) allows, so they are checked within STOP.  The three
+that change only the outcome stage (a shift or a scale of the outcome, an affine map
+of an outcome-only column) leave the selection stage bit for bit as it was, and move
+the outcome estimates by rounding alone, so they are checked within STOP as well."""
 
 from dataclasses import replace
 
@@ -27,8 +30,20 @@ PLAIN, CORRECTED = heckman.PLAIN_ROBUST, heckman.HECKMAN_CORRECTED
 # rows misses the permutation relation by 4e-2 to 2 standard errors.
 STOP = probit.SCORE_TOL
 
+# The outcome-stage relations moved the outcome estimates, over the 13 frames, by at
+# most 5.0e-13 standard errors and their covariances by at most 2.5e-11 (natively;
+# 2.2e-11 with the AVX-512 kernels off): STOP is at least 400 times either.  Each of
+# these mutants fails on every frame: a sigma^2 taken from the outcome's raw second
+# moment y'y instead of e'e fails the shift alone, an HC1 meat cut to its diagonal the
+# affine map alone, and a sigma^2 with |Mills coefficient| in place of its square the
+# tripling and the doubling.
 CELLS = [f"{table}:{spec.name}" for table, (_, _, n) in REPLICATION_TABLES.items()
          for spec in builtin_specs()[:n]]
+# (cell, outcome-only column, c, d) for the map x -> c x + d of that column
+AFFINE = [(f"{table}:{spec.name}", code, c, d)
+          for table, (_, _, n) in REPLICATION_TABLES.items() for spec in builtin_specs()[:n]
+          for code, c, d in (("gov_eff", 3.0, 0.7), ("days", 0.1, -5.0))
+          if code in spec.outcome_vars]
 
 
 @pytest.fixture(scope="module")
@@ -109,3 +124,53 @@ def test_duplicating_every_row_halves_the_covariances(fitted, cell):
     (plain, plain_selection), (corrected, selection) = base.vcov[PLAIN], base.vcov[CORRECTED]
     assert_close(fit, base, {PLAIN: (plain * (n - k) / (2 * n - k), plain_selection / 2),
                              CORRECTED: (corrected / 2, selection / 2)})
+
+
+def assert_outcome_moved(fit, base, coef, vcov):
+    """fit's selection stage bit-identical to base's, its outcome coefficients within STOP
+    of coef in the standard errors of vcov's plain_robust variant, and each outcome
+    covariance within STOP of vcov's (variant -> outcome covariance)."""
+    assert np.array_equal(fit.first_stage.coef, base.first_stage.coef)
+    for variant in heckman.VCOV_VARIANTS:
+        assert np.array_equal(fit.vcov[variant][1], base.vcov[variant][1]), variant
+    assert np.max(np.abs(fit.outcome_coef - coef) / np.sqrt(np.diag(vcov[PLAIN]))) <= STOP
+    for variant, want in vcov.items():
+        sd = np.sqrt(np.diag(want))
+        assert np.max(np.abs(fit.vcov[variant][0] - want) / np.outer(sd, sd)) <= STOP, variant
+
+
+def outcome_vcovs(fit):
+    return {variant: fit.vcov[variant][0] for variant in heckman.VCOV_VARIANTS}
+
+
+@pytest.mark.parametrize("cell", CELLS)
+def test_shifting_the_outcome_moves_only_the_intercept(fitted, cell):
+    # the residuals, sigma^2 and rho stay, and with them both covariances
+    frame, base = fitted[cell]
+    fit = heckman.fit_two_step(replace(frame, outcome_y=frame.outcome_y + 2.5))
+    coef = base.outcome_coef.copy()
+    coef[base.outcome_labels.index("const")] += 2.5
+    assert_outcome_moved(fit, base, coef, outcome_vcovs(base))
+
+
+@pytest.mark.parametrize("cell", CELLS)
+def test_tripling_the_outcome_triples_its_coefficients(fitted, cell):
+    frame, base = fitted[cell]
+    fit = heckman.fit_two_step(replace(frame, outcome_y=3.0 * frame.outcome_y))
+    assert_outcome_moved(fit, base, 3.0 * base.outcome_coef,
+                         {variant: 9.0 * V for variant, V in outcome_vcovs(base).items()})
+
+
+@pytest.mark.parametrize("cell, code, c, d", AFFINE)
+def test_an_affine_map_of_an_outcome_column_maps_its_estimates(fitted, cell, code, c, d):
+    # W' = W M^-1 fits the same values: beta' = M beta and V' = M V M', where M is the
+    # identity but for M_jj = 1/c and M_const,j = -d/c
+    frame, base = fitted[cell]
+    j = base.outcome_labels.index(code)
+    X = frame.outcome_X.copy()
+    X[:, j] = c * X[:, j] + d
+    fit = heckman.fit_two_step(replace(frame, outcome_X=X))
+    M = np.eye(base.outcome_coef.size)
+    M[j, j], M[base.outcome_labels.index("const"), j] = 1.0 / c, -d / c
+    assert_outcome_moved(fit, base, M @ base.outcome_coef,
+                         {variant: M @ V @ M.T for variant, V in outcome_vcovs(base).items()})

@@ -462,6 +462,11 @@ class TestQuantile:
         with pytest.raises(ValueError):
             quantile([], 0.5)
 
+    @pytest.mark.parametrize("p", [-0.25, 1.5])
+    def test_p_outside_the_unit_interval_raises(self, p):
+        with pytest.raises(ValueError, match=rf"^p must lie in \[0, 1\], got {p}$"):
+            quantile([1.0, 2.0], p)
+
     @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=50),
            st.floats(0, 1))
     def test_matches_numpy_type7(self, values, p):

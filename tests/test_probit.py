@@ -227,6 +227,34 @@ class TestFit:
         with pytest.raises(ValueError):
             probit.fit(np.ones(10), np.ones((10, 1)))
 
+    def test_fewer_rows_than_columns_names_every_column(self):
+        X = np.random.default_rng(3).normal(size=(3, 4))
+        with pytest.raises(probit.RankDeficientError) as raised:
+            probit.fit([0.0, 1.0, 0.0], X)
+        assert str(raised.value) == ("design matrix is rank deficient; collinear columns: "
+                                     "['x0', 'x1', 'x2', 'x3']")
+
+    def test_row_counts_must_match(self):
+        with pytest.raises(ValueError, match="^y and X row counts differ$"):
+            probit.fit([0.0, 1.0, 0.0], np.ones((4, 1)))
+
+    def test_a_singular_hessian_on_the_way_names_its_iteration(self, monkeypatch):
+        # every solve from the second round on, the per-sample retry's too, is singular
+        solve, calls = np.linalg.solve, []
+
+        def singular_after_the_first(a, b):
+            calls.append(a.shape)
+            if len(calls) > 1:
+                raise np.linalg.LinAlgError("Singular matrix")
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", singular_after_the_first)
+        with pytest.raises(probit.ProbitError) as raised:
+            probit.fit(FIX_Y, FIX_X)
+        assert type(raised.value) is probit.ProbitError
+        assert str(raised.value) == "singular Hessian at iteration 2"
+        assert isinstance(raised.value.__cause__, np.linalg.LinAlgError)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_nonfinite_design_rejected(self, bad):
         rng = np.random.default_rng(4)
@@ -295,6 +323,12 @@ class TestSandwich:
             probit.sandwich_vcov(fit, y[:-1], X[:-1])
         with pytest.raises(ValueError, match="binary"):
             probit.sandwich_vcov(fit, 2.0 * y, X)
+
+    def test_a_singular_negative_hessian_is_a_probit_error(self):
+        fit = probit.fit(FIX_Y, FIX_X)
+        with pytest.raises(probit.ProbitError, match="^negative Hessian is singular$") as raised:
+            probit.sandwich_vcov(fit, FIX_Y, np.zeros_like(FIX_X))
+        assert isinstance(raised.value.__cause__, np.linalg.LinAlgError)
 
     def test_information_equality_large_n(self):
         rng = np.random.default_rng(99)
@@ -574,6 +608,17 @@ class TestFitMany:
         monkeypatch.setattr(probit, "_terms", broken)
         batch = _mixed_batch()
         with pytest.raises(TypeError):
+            probit.fit_many([y for y, _ in batch], [X for _, X in batch])
+
+    def test_a_value_error_inside_a_newton_loop_propagates(self, monkeypatch):
+        # _newton raises only ProbitError: a ValueError there is a bug, not a sample's result
+        def broken(k, labels):
+            yield np.zeros(k)
+            raise ValueError("a bug inside the line search")
+
+        monkeypatch.setattr(probit, "_newton", broken)
+        batch = _mixed_batch()
+        with pytest.raises(ValueError, match="a bug inside the line search"):
             probit.fit_many([y for y, _ in batch], [X for _, X in batch])
 
     def test_malformed_batch_rejected(self):

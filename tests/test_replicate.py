@@ -1,6 +1,7 @@
 """Replication-layer tests: tables, figures, diff report, rendering."""
 
 import csv
+import dataclasses
 import math
 from collections import Counter
 from decimal import ROUND_HALF_UP, Context, Decimal
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 from vaxsel import heckman, render, replicate
 from vaxsel.cli import main
-from vaxsel.panel import Panel, VariableDef, filter_percentile, load_panel
+from vaxsel.panel import Panel, VariableDef, build_model_frame, filter_percentile, load_panel
 from vaxsel.specs import (ANCHOR_CELLS, OUTLIER_FILTERS, REPLICATION_TABLES, AnchorCell,
                           ModelSpec, apply_outlier_filter, builtin_specs)
 from tests.conftest import examples
@@ -187,6 +188,17 @@ class TestRunModelSuite:
         # a fit computes both variants, so the failure is a column error under either
         assert replicate.run_model_suite(snapshot, specs).column_errors == table.column_errors
 
+    def test_misaligned_outcome_rows_are_a_column_error(self, snapshot, monkeypatch):
+        def one_outcome_row_short(panel, spec):
+            frame = build_model_frame(panel, spec)
+            return dataclasses.replace(frame, outcome_y=frame.outcome_y[:-1],
+                                       outcome_X=frame.outcome_X[:-1])
+
+        monkeypatch.setattr(replicate, "build_model_frame", one_outcome_row_short)
+        table = replicate.run_model_suite(snapshot, builtin_specs()[:1])
+        message = "outcome rows do not line up with the selected selection rows"
+        assert table.column_errors == {"model1:outcome": message, "model1:selection": message}
+
     def test_unknown_variant_raises_instead_of_column_errors(self, snapshot):
         with pytest.raises(ValueError, match="'hc3'"):
             replicate.run_model_suite(snapshot, vcov_variant="hc3")
@@ -272,6 +284,11 @@ class TestCorrelationMatrix:
         assert [ab for ab, v in corr.items() if v != corr[ab[::-1]]] == []
         assert [a for (a, b), v in corr.items() if a == b and v is not None and v != 1.0] == []
 
+    def test_one_variable_raises(self, snapshot):
+        with pytest.raises(ValueError, match="^need at least two variables for a correlation "
+                                             "matrix$"):
+            replicate.correlation_matrix(snapshot, ["gdp"])
+
     def test_constant_column_is_blank(self, snapshot):
         flat = np.ones(snapshot.n_records)
         pan = with_column(snapshot, VariableDef("flat", "none"), flat, flat)
@@ -305,7 +322,7 @@ class TestFigures:
         assert stats["not_started"] == (22.0, 22.0, 22.0, 22.0, 22.0)
 
     def test_curve_monotone_and_banded(self, snapshot):
-        fig = replicate.conditional_start_curve(snapshot, n_points=50)
+        fig = replicate.conditional_start_curve(snapshot)
         probs = np.array([r[1] for r in fig.rows])
         lowers = np.array([r[2] for r in fig.rows])
         uppers = np.array([r[3] for r in fig.rows])
@@ -506,14 +523,14 @@ class TestRender:
         assert repr(cell.value) in text
 
     def test_svg_rendering_is_deterministic(self, snapshot):
-        figs = replicate.all_figures(snapshot, grid_points=40)
+        figs = replicate.all_figures(snapshot)
         for fig in figs:
             assert render.render_figure_svg(fig) == render.render_figure_svg(fig)
             assert render.render_figure_svg(fig).startswith("<svg")
 
     def test_svg_elements_match_the_figure_data(self, snapshot):
         # the sha256 pins of the output tree hold only on some CPUs; the element counts on all
-        figs = {fig.figure_id: fig for fig in replicate.all_figures(snapshot, grid_points=7)}
+        figs = {fig.figure_id: fig for fig in replicate.all_figures(snapshot)}
         tags = {fid: Counter(el.tag.split("}")[1] for el in
                              ElementTree.fromstring(render.render_figure_svg(fig)).iter())
                 for fid, fig in figs.items()}

@@ -165,6 +165,13 @@ class TestMonteCarlo:
         with pytest.raises(ValueError):
             synth.monte_carlo(BASE, 10)
 
+    def test_a_parameter_the_report_lacks_is_a_key_error(self):
+        kept = synth.ParameterRecovery("x1", 1.0, 1.0, 0.0, 0.1, 0.95)
+        report = synth.RecoveryReport(BASE, 50, heckman.HECKMAN_CORRECTED, [kept])
+        assert report.parameter("x1") is kept
+        with pytest.raises(KeyError, match="'rho'"):
+            report.parameter("rho")
+
     def test_rho_zero_naive_matches_two_step(self):
         cfg = dataclasses.replace(BASE, rho=0.0)
         diffs = []
@@ -450,6 +457,13 @@ class TestWorkerProcesses:
         self.raising_in(monkeypatch, "worker", exc)
         with pytest.raises(synth.WorkerError, match="ended abruptly before returning"):
             synth.monte_carlo(dataclasses.replace(BASE, n=4000), 50)
+
+    def test_without_an_affinity_call_the_cpu_count_is_used(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert synth._usable_cpus() == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)  # undetermined
+        assert synth._usable_cpus() == 1
 
     def test_without_fork_the_chunks_run_serially(self, monkeypatch, leaves_nothing):
         cfg = dataclasses.replace(BASE, n=200)
