@@ -115,27 +115,38 @@ def _cell(name, stage, label, coef, se):
     return Cell(coef, se, heckman.significance_stars(coef, se))
 
 
-def tabulate(table: TableResult, vcov_variant: str) -> TableResult:
-    """The fits of a run_model_suite table as paired columns under
-    vcov_variant, read from each fit's stored covariances, not refitted.  A
-    degenerate (all-selected) fit gets a note of its own: it has no
-    selection stage and is read under plain_robust whatever the variant."""
+def run_model_suite(
+    panel: Panel,
+    specs=None,
+    vcov_variant: str = heckman.PLAIN_ROBUST,
+    title: str = "Estimated selection models",
+) -> TableResult:
+    """One two-step fit per specification, as paired columns under vcov_variant.  A model
+    that fails to estimate contributes an error message for its columns; the remaining
+    models still run.  An all-selected fit has no selection stage and is read under
+    plain_robust whatever the variant, which a note of its own says."""
+    heckman.check_vcov_variant(vcov_variant)
+    specs = list(builtin_specs() if specs is None else specs)
     out = TableResult(
-        title=table.title,
-        column_labels=list(table.column_labels),
+        title=title,
+        column_labels=[f"{s.name}:{stage}" for s in specs for stage in ("outcome", "selection")],
         row_labels=list(TABLE_ROW_ORDER),
-        column_errors=dict(table.column_errors),
         notes=[
             f"second-stage covariance: {vcov_variant}; "
             "stars: *** 1%, ** 5%, * 10% (two-sided normal)",
             "every model includes the three vaccine provider dummies in the outcome stage",
         ],
-        fits=table.fits,
     )
+    for s in specs:
+        try:
+            out.fits[s.name] = heckman.fit_two_step(build_model_frame(panel, s))
+        except (*heckman.ESTIMATION_ERRORS, PanelError) as exc:  # in-table, suite continues
+            out.column_errors[f"{s.name}:outcome"] = str(exc)
+            out.column_errors[f"{s.name}:selection"] = str(exc)
     out.notes += [f"{name}: every row is selected, so there is no selection stage or Mills "
                   f"column; second-stage covariance: {heckman.PLAIN_ROBUST}"
-                  for name, fit in table.fits.items() if fit.first_stage is None]
-    for name, fit in table.fits.items():
+                  for name, fit in out.fits.items() if fit.first_stage is None]
+    for name, fit in out.fits.items():
         for stage, (labels, coefs, vcov) in _stages(fit, vcov_variant).items():
             for label, coef, se in zip(labels, coefs.tolist(), np.sqrt(np.diag(vcov)).tolist()):
                 out.cells[(label, f"{name}:{stage}")] = _cell(name, stage, label, coef, se)
@@ -143,33 +154,6 @@ def tabulate(table: TableResult, vcov_variant: str) -> TableResult:
     used = {r for (r, _) in out.cells}
     out.row_labels = [r for r in out.row_labels if r in used]
     return out
-
-
-def run_model_suite(
-    panel: Panel,
-    specs=None,
-    vcov_variant: str = heckman.PLAIN_ROBUST,
-    title: str = "Estimated selection models",
-) -> TableResult:
-    """One two-step fit per specification, rendered as paired columns.
-
-    A model that fails to estimate contributes an error message for its
-    columns; the remaining models still run.
-    """
-    heckman.check_vcov_variant(vcov_variant)
-    specs = list(builtin_specs() if specs is None else specs)
-    table = TableResult(
-        title=title,
-        column_labels=[f"{s.name}:{stage}" for s in specs for stage in ("outcome", "selection")],
-        row_labels=[],
-    )
-    for s in specs:
-        try:
-            table.fits[s.name] = heckman.fit_two_step(build_model_frame(panel, s))
-        except (*heckman.ESTIMATION_ERRORS, PanelError) as exc:  # in-table, suite continues
-            table.column_errors[f"{s.name}:outcome"] = str(exc)
-            table.column_errors[f"{s.name}:selection"] = str(exc)
-    return tabulate(table, vcov_variant)
 
 
 def replication_tables(panel: Panel, vcov_variant: str = heckman.PLAIN_ROBUST) -> dict:
@@ -308,7 +292,7 @@ DiffRow = namedtuple("DiffRow", "table model stage variable reference robust cor
 
 def replication_diff(tables) -> list:
     """One DiffRow per anchor under both second-stage covariance variants, its cells
-    read from the fits of replication_tables' tables as tabulate reads them."""
+    read from the fits of replication_tables' tables as run_model_suite reads them."""
     rows = []
     for a in ANCHOR_CELLS:
         fit = tables[a.table].fits.get(a.model)

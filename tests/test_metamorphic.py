@@ -1,7 +1,8 @@
 """Metamorphic relations of the two-step estimator on the 13 replicate frames of the
-shipped snapshot (tables 2-4).  Each test fits a frame and a transformed copy whose
-estimate follows from the first fit, on the same machine, so the relations need no
-reference file and hold on any CPU.
+shipped snapshot (tables 2-4), and three of them on hypothesis-drawn frames of the
+simulate design.  Each test fits a frame and a transformed copy whose estimate follows
+from the first fit, on the same machine, so the relations need no reference file and
+hold on any CPU.
 
 Two relations are exact in binary floating point and are checked bit for bit.  Two
 others move the Newton stopping point, which may land anywhere the stop rule
@@ -14,10 +15,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from vaxsel import heckman, probit
+from vaxsel import heckman, probit, synth
+from vaxsel.cli import SIM_OUTCOME_COEF, SIM_SELECTION_COEF
 from vaxsel.panel import build_model_frame
 from vaxsel.specs import REPLICATION_TABLES, apply_outlier_filter, builtin_specs
+
+from tests.conftest import examples
 
 PLAIN, CORRECTED = heckman.PLAIN_ROBUST, heckman.HECKMAN_CORRECTED
 
@@ -27,7 +33,9 @@ PLAIN, CORRECTED = heckman.PLAIN_ROBUST, heckman.HECKMAN_CORRECTED
 # and OpenBLAS's AVX-512 kernels switched off.  STOP, the score tolerance itself, is 28
 # times that.  A second stage without HC1's n/(n - k) misses the duplication relation by
 # 8e-2 or more on every frame, and a Mills column rolled by one row against the outcome
-# rows misses the permutation relation by 4e-2 to 2 standard errors.
+# rows misses the permutation relation by 4e-2 to 2 standard errors.  On 200 frames of
+# the simulate design (n from 200 to 800) the permutation moved coefficients by at most
+# 1.1e-9 and covariances by 2.8e-10, so STOP is 9 times that there.
 STOP = probit.SCORE_TOL
 
 # The outcome-stage relations moved the outcome estimates, over the 13 frames, by at
@@ -83,24 +91,37 @@ def assert_close(fit, base, vcov):
             assert np.max(np.abs(got - want) / np.outer(sd, sd)) <= STOP, variant
 
 
-@pytest.mark.parametrize("cell", CELLS)
-def test_doubling_the_outcome_doubles_its_coefficients(fitted, cell):
+# Frames of the simulate design, at a drawn size, error correlation and seed
+SYNTH_FRAMES = st.builds(
+    lambda n, rho, seed: synth.generate(
+        synth.DgpConfig(SIM_SELECTION_COEF, SIM_OUTCOME_COEF, rho, 1.0, n, seed)).frame,
+    st.integers(200, 800), st.floats(-0.9, 0.9), st.integers(0, 2**32 - 1))
+
+
+def estimated(frame):
+    """frame's two-step fit; a drawn frame it cannot estimate is dropped."""
+    try:
+        fit = heckman.fit_two_step(frame)
+    except heckman.ESTIMATION_ERRORS:
+        fit = None
+    assume(fit is not None)
+    return fit
+
+
+def check_doubling(frame, base):
     # a product by 2 is exact, and so is every sum and solve on the doubled values
-    frame, base = fitted[cell]
     fit = heckman.fit_two_step(replace(frame, outcome_y=2.0 * frame.outcome_y))
     assert np.array_equal(fit.outcome_coef, 2.0 * base.outcome_coef)
+    assert np.array_equal(fit.first_stage.coef, base.first_stage.coef)
     for variant in heckman.VCOV_VARIANTS:
         (outcome, selection), (want, want_selection) = fit.vcov[variant], base.vcov[variant]
         assert np.array_equal(outcome, 4.0 * want), variant
         assert np.array_equal(selection, want_selection), variant
 
 
-@pytest.mark.parametrize("cell", CELLS)
-def test_flipping_the_selection_labels_negates_gamma(fitted, cell):
+def check_flip(frame, first):
     # the sign-folded design of 1 - y is the negated one of y, and negation is exact,
     # so every Newton pass sees the base pass's index and the same halving decisions
-    frame, base = fitted[cell]
-    first = base.first_stage
     flipped = probit.fit(1.0 - frame.selection_y, frame.selection_X, frame.selection_labels)
     assert np.array_equal(flipped.coef, -first.coef)
     assert np.array_equal(flipped.g, -first.g)
@@ -108,11 +129,43 @@ def test_flipping_the_selection_labels_negates_gamma(fitted, cell):
         assert np.array_equal(getattr(flipped, name), getattr(first, name)), name
 
 
-@pytest.mark.parametrize("cell", CELLS)
-def test_permuting_the_rows_keeps_every_estimate(fitted, cell):
-    frame, base = fitted[cell]
+def check_permutation(frame, base):
     rows = np.random.default_rng(2021).permutation(frame.selection_y.size)
     assert_close(heckman.fit_two_step(take_rows(frame, rows)), base, base.vcov)
+
+
+@pytest.mark.parametrize("cell", CELLS)
+def test_doubling_the_outcome_doubles_its_coefficients(fitted, cell):
+    check_doubling(*fitted[cell])
+
+
+@pytest.mark.parametrize("cell", CELLS)
+def test_flipping_the_selection_labels_negates_gamma(fitted, cell):
+    frame, base = fitted[cell]
+    check_flip(frame, base.first_stage)
+
+
+@pytest.mark.parametrize("cell", CELLS)
+def test_permuting_the_rows_keeps_every_estimate(fitted, cell):
+    check_permutation(*fitted[cell])
+
+
+@given(frame=SYNTH_FRAMES)
+@settings(max_examples=examples(100), deadline=None)
+def test_doubling_a_synthetic_outcome_doubles_its_coefficients(frame):
+    check_doubling(frame, estimated(frame))
+
+
+@given(frame=SYNTH_FRAMES)
+@settings(max_examples=examples(100), deadline=None)
+def test_flipping_synthetic_selection_labels_negates_gamma(frame):
+    check_flip(frame, estimated(frame).first_stage)
+
+
+@given(frame=SYNTH_FRAMES)
+@settings(max_examples=examples(100), deadline=None)
+def test_permuting_synthetic_rows_keeps_every_estimate(frame):
+    check_permutation(frame, estimated(frame))
 
 
 @pytest.mark.parametrize("cell", CELLS)

@@ -399,20 +399,21 @@ class TestDiffReport:
         assert report.count(" (0.063) |") == 2 * len(ANCHOR_CELLS)
 
 
-def tabulated_diff(tables):
-    """The replication diff as read from both variants' tabulate tables of every table,
-    the way replication_diff read it before it read the fits itself; the reference."""
-    tabled = {(name, variant): replicate.tabulate(table, variant)
-              for name, table in tables.items() for variant in heckman.VCOV_VARIANTS}
+def tabulated_diff(panel):
+    """The replication diff as read from the cells of the tables of panel refitted under
+    each variant, the way replication_diff read it before it read the fits itself; the
+    reference."""
+    tabled = {variant: replicate.replication_tables(panel, variant)
+              for variant in heckman.VCOV_VARIANTS}
     rows = []
     for a in ANCHOR_CELLS:
         col = f"{a.model}:{a.stage}"
-        robust = tabled[(a.table, heckman.PLAIN_ROBUST)].cell(a.variable, col)
-        corrected = tabled[(a.table, heckman.HECKMAN_CORRECTED)].cell(a.variable, col)
+        robust = tabled[heckman.PLAIN_ROBUST][a.table].cell(a.variable, col)
+        corrected = tabled[heckman.HECKMAN_CORRECTED][a.table].cell(a.variable, col)
         anchor = (a.table, a.model, a.stage, a.variable,
                   replicate.Cell(a.ref_coef, a.ref_se, a.ref_stars))
         if robust is None:
-            failed = col in tabled[(a.table, heckman.PLAIN_ROBUST)].column_errors
+            failed = col in tabled[heckman.PLAIN_ROBUST][a.table].column_errors
             reason = "model failed" if failed else "no selection stage"
             rows.append(replicate.DiffRow(*anchor, reason, reason, False, False))
             continue
@@ -446,26 +447,30 @@ def test_the_diff_reads_the_tabulated_cells_without_tabulating(diff_panels, monk
                                                                 panel, reasons):
     tables = replicate.replication_tables(diff_panels[panel], variant)
     calls = []
-    monkeypatch.setattr(replicate, "tabulate", lambda *args: calls.append(args))
+    monkeypatch.setattr(heckman, "fit_two_step", lambda *args: calls.append(args))
     rows = replicate.replication_diff(tables)
     monkeypatch.undo()
     assert calls == []
-    want = tabulated_diff(tables)
+    want = tabulated_diff(diff_panels[panel])
     # repr also tells a numpy scalar from the float the tables hold
     assert rows == want and repr(rows) == repr(want)
     assert {r.robust for r in rows if isinstance(r.robust, str)} == reasons
 
 
-def test_tabulate_rejects_a_non_finite_spread_naming_the_variable(snapshot):
-    table = replicate.run_model_suite(snapshot, builtin_specs()[:1])
-    fit = table.fits["model1"]
-    vcov, selection_vcov = fit.vcov[heckman.PLAIN_ROBUST]
-    vcov = vcov.copy()
-    vcov[1, 1] = np.inf  # an overflowed variance
-    fit.vcov[heckman.PLAIN_ROBUST] = vcov, selection_vcov
-    with pytest.raises(ValueError, match=f"model1: outcome estimate of {fit.outcome_labels[1]} "
-                                         "is not finite"):
-        replicate.tabulate(table, heckman.PLAIN_ROBUST)
+def test_a_non_finite_spread_fails_the_table_naming_the_variable(snapshot, monkeypatch):
+    fit_two_step = heckman.fit_two_step
+
+    def overflowed(frame):
+        fit = fit_two_step(frame)
+        vcov, selection_vcov = fit.vcov[heckman.PLAIN_ROBUST]
+        vcov = vcov.copy()
+        vcov[1, 1] = np.inf  # an overflowed variance
+        fit.vcov[heckman.PLAIN_ROBUST] = vcov, selection_vcov
+        return fit
+
+    monkeypatch.setattr(heckman, "fit_two_step", overflowed)
+    with pytest.raises(ValueError, match="^model1: outcome estimate of days is not finite$"):
+        replicate.run_model_suite(snapshot, builtin_specs()[:1])
 
 
 class TestRender:
