@@ -7,7 +7,8 @@ renamed into place.  So a failed run changes no file under --out, a run that
 publishes nothing leaves no directory it made, files the run does not write
 are kept, and file modes follow the umask.  Progress and diagnostics go to
 stderr; exit status is 0 on success, 1 on data, estimation, file-system or
-out-of-memory errors, 2 on usage errors.
+out-of-memory errors, 2 on usage errors.  Imported before numpy, it defaults
+OPENBLAS_NUM_THREADS to 1; a value already set is kept.
 """
 
 from __future__ import annotations
@@ -22,6 +23,11 @@ import sys
 import tempfile
 from importlib import resources
 from pathlib import Path
+
+# OpenBLAS sizes its thread pool once, when numpy loads it; vaxsel's matrices have at
+# most nine columns and simulate forks its own workers, so one thread is enough
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from vaxsel import heckman, render, replicate, synth
 from vaxsel.panel import PanelError, load_panel, load_schema
